@@ -104,7 +104,8 @@ let lookup_range t ~lo ~hi =
 let roots_for t atom : Tid.t list =
   match t.strategy with
   | Root_tid ->
-      List.filter_map (function A_root r -> Some r | _ -> None) (lookup t atom)
+      List.sort_uniq Tid.compare
+        (List.filter_map (function A_root r -> Some r | _ -> None) (lookup t atom))
   | Hierarchical ->
       List.sort_uniq Tid.compare
         (List.filter_map (function A_hier h -> Some h.OS.root | _ -> None) (lookup t atom))
@@ -126,6 +127,7 @@ let roots_for t atom : Tid.t list =
                 | last :: _ -> List.exists (Tid.equal (OS.resolve_mini t.store root last)) data_tids)
               entries)
           (OS.roots t.store)
+        |> List.sort_uniq Tid.compare
 
 (* Root TIDs of objects with any indexed value in the (possibly
    one-sided, inclusive) range — used by the planner for inequality

@@ -46,7 +46,10 @@ val lookup_range : t -> lo:Atom.t -> hi:Atom.t -> addr list
 (** Root TIDs of objects containing the key under the indexed path.
     Direct for [Root_tid]/[Hierarchical]; for [Data_tid] this performs
     the full table scan the paper's first strawman is forced into (the
-    cost shows in the store/pool counters). *)
+    cost shows in the store/pool counters).
+
+    This and the other root-set functions below return TID-sorted
+    lists without duplicates, so candidate sets intersect by merge. *)
 val roots_for : t -> Atom.t -> Tid.t list
 
 (** Root TIDs of objects with an indexed value in the (possibly

@@ -1,15 +1,11 @@
 (** Evaluator for the AIM-II query language.
 
-    Queries run over a {!catalog} of stored tables by nested iteration
-    of tuple variables — the "loop" mental model the paper gives for
-    variable bindings (Section 3, Example 2).  A small planner
-    restricts the outer loop to candidate objects when an index
-    applies: equality on an indexed path, quantifier chains ending in
-    an indexed equality, CONTAINS with a text index, and the Fig 7b
-    conjunctive same-subobject shape (answered by hierarchical-address
-    prefix join).  Non-first ranges with equality conjuncts are
-    accessed through query-local hash tables (hash join).  The full
-    predicate is always re-checked. *)
+    Expressions, predicates, quantifiers and range sources evaluate
+    over a {!catalog} of stored tables and an {!env} of tuple-variable
+    bindings — the "loop" mental model the paper gives for variable
+    bindings (Section 3, Example 2).  SELECT blocks are planned and
+    executed by [Nf2_plan.Driver]; a nested SELECT inside an expression
+    runs through the statement's {!context}. *)
 
 module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
@@ -45,64 +41,13 @@ type catalog = string -> source_table option
 (** Variable bindings, innermost first. *)
 type env = (string * (Schema.table * Value.tuple)) list
 
-(** Evaluate a query after symbolic rewriting; [plan] receives one
-    line per access-path decision.  With [trace], the evaluator opens
-    one {!Nf2_obs.Trace} span per operator (scan, join, unnest,
-    quantifier, subquery — plus a subscript counter), each annotated
-    with rows out, elapsed time, and the deltas of whatever counter
-    sources the trace carries. *)
-val run :
-  ?plan:(string -> unit) ->
-  ?trace:Nf2_obs.Trace.t ->
-  ?rewrite:bool ->
-  catalog ->
-  Ast.query ->
-  Rel.t
-
-(** Evaluate without the rewriting pass (used by equivalence tests). *)
-val eval_query : ?plan:(string -> unit) -> catalog -> env -> Ast.query -> Rel.t
-
 val eval_pred : catalog -> env -> Ast.pred -> bool
 val eval_expr : catalog -> env -> Ast.expr -> Value.v
 
 (** Result schema of a query in a typing environment. *)
 val type_query : catalog -> (string * Schema.table) list -> Ast.query -> Schema.table
 
-(** {1 Planner interface}
-
-    Predicate-shape recognisers and execution helpers shared with the
-    cost-based planner ({!Nf2_plan}).  The planner enumerates access
-    paths from the same shapes this evaluator's candidate restriction
-    uses, so the two agree on what is sargable. *)
-
-(** Conjuncts of a predicate ([AND] flattened). *)
-val conjuncts : Ast.pred -> Ast.pred list
-
-(** [p] seen as [v.attr-path = const]: [(schema path, atom)]. *)
-val eq_on_var : string -> Ast.pred -> (string list * Atom.t) option
-
-(** [p] seen as an inequality on an attribute path of [v]:
-    [(path, lower, upper)], inclusive, [None] = open. *)
-val range_on_var :
-  string -> Ast.pred -> (string list * Atom.t option * Atom.t option) option
-
-(** Quantifier chains from [v] ending in an equality, plus the Fig 7b
-    same-subobject conjunction (two paths answerable together by
-    hierarchical-address prefix join). *)
-val indexable_shapes :
-  string ->
-  Ast.pred ->
-  [ `Single of string list * Atom.t
-  | `Conj of (string list * Atom.t) * (string list * Atom.t) ]
-  list
-
-(** [p] seen as [CONTAINS (v.path, pattern)]. *)
-val contains_shape : string -> Ast.pred -> (string list * string) option
-
-(** Index on exactly this attribute path (case-insensitive). *)
-val find_index : source_table -> string list -> VI.t option
-
-val find_text_index : source_table -> string list -> TI.t option
+(** {1 Block execution helpers} *)
 
 (** Materialize one FROM range in an environment (stored table, ASOF
     state, or unnested subtable). *)
@@ -118,9 +63,21 @@ val coerce_atom : Value.v -> Atom.t option
 (** Innermost binding of a variable (case-insensitive). *)
 val lookup_var : env -> string -> (Schema.table * Value.tuple) option
 
-(** Run [f] with the dynamically-scoped trace cursor parked on [node]:
-    predicate / expression evaluation inside [f] opens its quantifier,
-    subquery, and subscript spans under that node, matching the nesting
-    of the evaluator's own traced execution.  Restores the previous
-    context on exit. *)
-val with_trace_cursor : Nf2_obs.Trace.t -> Nf2_obs.Trace.node -> (unit -> 'a) -> 'a
+(** {1 Statement context} *)
+
+(** What evaluation needs from the running statement: [run_block]
+    executes a nested SELECT block in the environment of its enclosing
+    blocks, and [cursor] is the trace node under which quantifier,
+    subquery and subscript spans open ([None] when untraced). *)
+type context = {
+  run_block : catalog -> env -> Ast.query -> Rel.t;
+  cursor : (Nf2_obs.Trace.t * Nf2_obs.Trace.node) option;
+}
+
+(** The context of the statement running on this domain.  Outside any
+    statement its [run_block] raises {!Eval_error}. *)
+val context : unit -> context
+
+(** Run [f] with [ctx] installed as the current context; the previous
+    one is restored on exit. *)
+val with_context : context -> (unit -> 'a) -> 'a

@@ -10,7 +10,7 @@ val rewrite_query : Ast.query -> Ast.query
 
 (** Normalise a whole statement (queries, and the predicates and
     expressions embedded in mutations) exactly once, so callers can
-    cache the result and evaluate with [Eval.run ~rewrite:false]. *)
+    cache the result and execute it without rewriting again. *)
 val rewrite_stmt : Ast.stmt -> Ast.stmt
 
 (** Cumulative number of {!rewrite_query} applications (subqueries

@@ -1,20 +1,21 @@
-(* Execution driver: runs a planned query through the volcano
-   operators, delegating predicate / expression / range evaluation
-   back to {!Eval} so the semantics — and the byte-level results — are
-   identical to the evaluator's own nested-loop execution.  The
-   differential test in [test_plan.ml] holds this to byte equality
-   across plan shapes.
+(* Execution driver: the one executor of SELECT blocks.  A top-level
+   query and every nested SELECT run a {!Planner} plan through the
+   volcano operators, with predicate / expression / range evaluation
+   delegated to {!Eval}.  A block runs in the environment of its
+   enclosing blocks, so a correlated nested block sees the outer tuple.
 
-   Compatibility contract with the evaluator (tests pin these):
-   - plan notes keep the legacy wording and order: inner-join notes at
-     access construction, the first-range access note when the first
-     range is actually read;
-   - trace spans keep the legacy labels ("query", "scan T",
-     "join v IN T", "unnest v IN p") and nesting — quantifier and
-     subquery spans open under the query node via
-     {!Eval.with_trace_cursor};
-   - ORDER BY / DISTINCT / set-kind handling is the evaluator's,
-     applied to the same row sequence the evaluator would produce. *)
+   Each statement installs an {!Eval.context} whose block runner plans
+   a nested block on its first activation and reuses that plan for the
+   rest of the statement — the plan depends only on the AST, the catalog
+   and the statistics, never on the outer tuple.  Access state (hash
+   builds, probes) stays per activation.
+
+   Plan notes come from the top-level block only.  Trace spans: "query"
+   for the top-level block, "subquery (<text>)" for a nested one, and
+   under each its range spans ("scan T", "join v IN T", "unnest v IN
+   p"); quantifier and nested-block spans open under the block's node
+   through the context cursor.  The differential test in [test_plan.ml]
+   holds results byte-equal across plan shapes, forced-seq included. *)
 
 module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
@@ -31,8 +32,25 @@ type access_kind = [ `Seq | `Index | `Intersect ]
 
 let eval_err fmt = Printf.ksprintf (fun s -> raise (Eval.Eval_error s)) fmt
 
-let execute ?plan_note ?trace ?on_access ~(pl : Planner.t) (catalog : Eval.catalog) (q : query) :
-    Rel.t =
+(* Intersection of candidate-root sets.  Every set is TID-sorted
+   without duplicates (the index probes sort-uniq their output), so one
+   linear merge gives exactly the elements of [a] found in [b], in
+   order. *)
+let intersect_sorted (a : Tid.t list) (b : Tid.t list) : Tid.t list =
+  let rec go acc a b =
+    match a, b with
+    | [], _ | _, [] -> List.rev acc
+    | x :: xs, y :: ys ->
+        let c = Tid.compare x y in
+        if c = 0 then go (x :: acc) xs ys else if c < 0 then go acc xs b else go acc a ys
+  in
+  go [] a b
+
+(* Execute one planned block.  [outer] binds the enclosing blocks'
+   variables ([] at top level); [span] is the trace node this block's
+   spans hang from. *)
+let execute ?plan_note ?on_access ?span ~(pl : Planner.t) (catalog : Eval.catalog)
+    (outer : Eval.env) (q : query) : Rel.t =
   let note s = match plan_note with Some f -> f s | None -> () in
   (* access callbacks carry the range's source table so the sink can
      attribute (or deliberately ignore, for SYS sources) the access *)
@@ -41,8 +59,10 @@ let execute ?plan_note ?trace ?on_access ~(pl : Planner.t) (catalog : Eval.catal
     match r.source with Table_src t -> t | Path_src _ -> ""
   in
   (* typing pass first: result schema, and type errors surface before
-     any plan note is emitted (the evaluator's order) *)
-  let result_schema = Eval.type_query catalog [] q in
+     any plan note is emitted *)
+  let result_schema =
+    Eval.type_query catalog (List.map (fun (v, (tbl, _)) -> (v, tbl)) outer) q
+  in
   let order_modes =
     List.map
       (fun (oi : order_item) ->
@@ -54,7 +74,6 @@ let execute ?plan_note ?trace ?on_access ~(pl : Planner.t) (catalog : Eval.catal
         | e -> `Env e)
       q.order_by
   in
-  let qnode = Option.map (fun tr -> (tr, Tr.child (Tr.root tr) "query")) trace in
   let body () =
     (* one access function per FROM range *)
     let mk (r : range) kind : Eval.env -> Schema.table * Value.tuple list =
@@ -71,9 +90,7 @@ let execute ?plan_note ?trace ?on_access ~(pl : Planner.t) (catalog : Eval.catal
               | [] -> assert false
               | s0 :: rest ->
                   List.fold_left
-                    (fun acc (cs : Planner.cand_set) ->
-                      let s = cs.Planner.cs_probe () in
-                      List.filter (fun t -> List.exists (Tid.equal t) s) acc)
+                    (fun acc (cs : Planner.cand_set) -> intersect_sorted acc (cs.Planner.cs_probe ()))
                     (s0.Planner.cs_probe ()) rest
             in
             let desc =
@@ -140,7 +157,7 @@ let execute ?plan_note ?trace ?on_access ~(pl : Planner.t) (catalog : Eval.catal
             Eval.range_tuples catalog env r
     in
     let traced lbl anode access =
-      match qnode with
+      match span with
       | None -> access
       | Some (tr, qn) ->
           let node = Tr.child qn lbl in
@@ -172,7 +189,7 @@ let execute ?plan_note ?trace ?on_access ~(pl : Planner.t) (catalog : Eval.catal
           List.map (fun tup -> (r.rvar, (tbl, tup)) :: env) tuples)
         it
     in
-    let it = List.fold_left step (Exec.singleton ([] : Eval.env)) accesses in
+    let it = List.fold_left step (Exec.singleton outer) accesses in
     let it =
       match q.where with
       | None -> it
@@ -232,23 +249,53 @@ let execute ?plan_note ?trace ?on_access ~(pl : Planner.t) (catalog : Eval.catal
     in
     Rel.trusted result_schema { Value.kind; tuples = rows }
   in
-  match qnode with
+  match span with
   | None -> body ()
   | Some (tr, qn) ->
-      Eval.with_trace_cursor tr qn (fun () ->
+      Eval.with_context
+        { (Eval.context ()) with Eval.cursor = Some (tr, qn) }
+        (fun () ->
           Tr.timed tr qn (fun () ->
               let rel = body () in
               Tr.add_rows qn (Rel.cardinality rel);
               rel))
 
-(* Plan and execute: the replacement for {!Eval.run} on the stored-table
-   read path.  Returns the result and the chosen plan tree (estimates
-   only — EXPLAIN ANALYZE pairs it with the trace's actuals). *)
+(* Run [f] as one statement: a nested SELECT evaluated inside it runs
+   through {!execute}, planned once per statement with this statement's
+   [stats] and [force_seq], and reporting its accesses to [on_access]. *)
+let with_statement ?on_access ?(force_seq = false) ~stats f =
+  let plans = ref [] in
+  let run_block catalog outer q =
+    let pl =
+      match List.assq_opt q !plans with
+      | Some pl -> pl
+      | None ->
+          let pl = Planner.plan ~force_seq ~stats catalog q in
+          plans := (q, pl) :: !plans;
+          pl
+    in
+    let span =
+      match (Eval.context ()).Eval.cursor with
+      | None -> None
+      | Some (tr, parent) ->
+          Some (tr, Tr.child parent ("subquery (" ^ Planner.abbrev (query_to_string q) ^ ")"))
+    in
+    execute ?on_access ?span ~pl catalog outer q
+  in
+  Eval.with_context { run_block; Eval.cursor = None } f
+
+(* Plan and execute a top-level query.  Returns the result and the
+   chosen plan tree (estimates only — EXPLAIN ANALYZE pairs it with the
+   trace's actuals). *)
 let run ?plan_note ?trace ?(force_seq = false) ?on_access ?(rewrite = true) ~stats
     (catalog : Eval.catalog) (q : query) : Rel.t * Plan.node =
   let q = if rewrite then Rewrite.rewrite_query q else q in
   let pl = Planner.plan ~force_seq ~stats catalog q in
-  let rel = execute ?plan_note ?trace ?on_access ~pl catalog q in
+  let span = Option.map (fun tr -> (tr, Tr.child (Tr.root tr) "query")) trace in
+  let rel =
+    with_statement ?on_access ~force_seq ~stats (fun () ->
+        execute ?plan_note ?on_access ?span ~pl catalog [] q)
+  in
   (rel, pl.Planner.tree)
 
 (* Plan without executing: EXPLAIN.  The typing pass still runs (errors

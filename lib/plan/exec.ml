@@ -139,36 +139,18 @@ let bnl_join (inner : unit -> 'b list) (combine : 'a -> 'b -> 'c) (outer : 'a t)
   let block = lazy (inner ()) in
   flat_map (fun x -> List.map (combine x) (Lazy.force block)) outer
 
-(* --- hash aggregation ---------------------------------------------------- *)
-
-(* Hash aggregate: groups the input by [key], folding each group with
-   [step] from [init]; groups are emitted in first-seen order (the
-   standard hash-agg contract).  This is also the build side of the
-   hash join: grouping with list-cons yields the join's hash table. *)
-let hash_agg ~(key : 'a -> string) ~(init : 'b) ~(step : 'b -> 'a -> 'b) (it : 'a t) :
-    (string * 'b) list =
-  let h : (string, 'b) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  iter
-    (fun x ->
-      let k = key x in
-      match Hashtbl.find_opt h k with
-      | Some acc -> Hashtbl.replace h k (step acc x)
-      | None ->
-          order := k :: !order;
-          Hashtbl.replace h k (step init x))
-    it;
-  List.rev_map (fun k -> (k, Hashtbl.find h k)) !order
+(* --- hash join build ------------------------------------------------------ *)
 
 (* Build a probe table for a hash join: key -> matching elements in
-   input order. *)
+   input order.  One pass, one key computation per element; elements
+   without a key are left out.  Groups are consed in reverse and
+   reversed per probe, which touches only the probed group. *)
 let hash_build ~(key : 'a -> string option) (xs : 'a list) : string -> 'a list =
-  let groups =
-    hash_agg
-      ~key:(fun x -> match key x with Some k -> k | None -> assert false)
-      ~init:[] ~step:(fun acc x -> x :: acc)
-      (of_list (List.filter (fun x -> key x <> None) xs))
-  in
-  let h = Hashtbl.create (List.length groups) in
-  List.iter (fun (k, g) -> Hashtbl.replace h k (List.rev g)) groups;
-  fun k -> Option.value ~default:[] (Hashtbl.find_opt h k)
+  let h : (string, 'a list) Hashtbl.t = Hashtbl.create 256 in
+  List.iter
+    (fun x ->
+      match key x with
+      | Some k -> Hashtbl.replace h k (x :: Option.value ~default:[] (Hashtbl.find_opt h k))
+      | None -> ())
+    xs;
+  fun k -> match Hashtbl.find_opt h k with Some g -> List.rev g | None -> []

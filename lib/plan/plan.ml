@@ -19,7 +19,7 @@
      project          SELECT list evaluation
      sort             ORDER BY
      distinct         set semantics / DISTINCT (sort + dedup)
-     hash-agg         hash aggregation (grouping executor operator)
+     hash-agg         hash-join build side: the inner grouped by join key
      shard-scan       one shard's partition of a scattered statement
                       (coordinator only; children are the shard's own plan)
      shard-gather     fan-in over all shard-scan children: union, dedup,

@@ -1,15 +1,14 @@
 (* Cost-based access-path selection over the Section 4.2 index
-   repertoire.
+   repertoire, for every SELECT block (nested blocks included).
 
-   The planner enumerates the same sargable shapes the evaluator's
-   candidate restriction recognises (equality / inequality on an
-   indexed path, quantifier chains ending in an indexed equality,
+   The planner alone decides what is sargable: equality / inequality on
+   an indexed path, quantifier chains ending in an indexed equality,
    CONTAINS with a text index, and the Fig 7b same-subobject
-   conjunction answered by hierarchical-address prefix join), but
-   instead of executing the probes it prices them against a sequential
-   scan using the table's row count and the index's distinct-key count
-   (see {!Cost}).  Probes are deferred behind closures, so building a
-   plan — including for EXPLAIN — touches no storage.
+   conjunction answered by hierarchical-address prefix join.  Instead
+   of executing the probes it prices them against a sequential scan
+   using the table's row count and the index's distinct-key count (see
+   {!Cost}).  Probes are deferred behind closures, so building a plan —
+   including for EXPLAIN — touches no storage.
 
    Multi-index conjunctions become an intersection of candidate sets;
    the prefix-join set is itself a per-subobject intersection decided
@@ -31,6 +30,83 @@ let up = String.uppercase_ascii
 let abbrev s = if String.length s > 48 then String.sub s 0 45 ^ "..." else s
 let dotted sp = String.concat "." sp
 
+(* --- sargable shapes ------------------------------------------------- *)
+
+let rec conjuncts = function And (a, b) -> conjuncts a @ conjuncts b | p -> [ p ]
+
+(* [e] as a subscript-free attribute path of variable [v]: its fields. *)
+let field_path v = function
+  | Path { var = Some h; steps } when up h = up v ->
+      let rec fields acc = function
+        | [] -> Some (List.rev acc)
+        | Field f :: rest -> fields (f :: acc) rest
+        | Subscript _ :: _ -> None
+      in
+      fields [] steps
+  | _ -> None
+
+(* [p] seen as [v.path = const]. *)
+let eq_on_var v (p : pred) : (string list * Atom.t) option =
+  match p with
+  | Cmp (Eq, a, Const c) | Cmp (Eq, Const c, a) -> Option.map (fun sp -> (sp, c)) (field_path v a)
+  | _ -> None
+
+(* [p] seen as an inequality on an attribute path of [v]: (path, lower,
+   upper), inclusive; the strict comparisons widen to inclusive bounds
+   (the residual filter re-checks, so a superset is safe). *)
+let range_on_var v (p : pred) : (string list * Atom.t option * Atom.t option) option =
+  match p with
+  | Cmp ((Lt | Le), a, Const c) | Cmp ((Gt | Ge), Const c, a) ->
+      Option.map (fun sp -> (sp, None, Some c)) (field_path v a)
+  | Cmp ((Gt | Ge), a, Const c) | Cmp ((Lt | Le), Const c, a) ->
+      Option.map (fun sp -> (sp, Some c, None)) (field_path v a)
+  | _ -> None
+
+(* [p] seen as a quantifier chain from [v] ending in an equality:
+   EXISTS y IN v.A: EXISTS z IN y.B: z.C = const  ->  ([A;B;C], const).
+   Also detects the Fig 7b same-subobject conjunction:
+   EXISTS y IN v.A: (y.P = c1 AND EXISTS z IN y.B: z.C = c2)
+   -> `Conj (([A;P], c1), ([A;B;C], c2)). *)
+let indexable_shapes v (p : pred) :
+    [ `Single of string list * Atom.t | `Conj of (string list * Atom.t) * (string list * Atom.t) ]
+    list =
+  let rec chain outer_var prefix (p : pred) =
+    match eq_on_var outer_var p with
+    | Some (sp, c) -> [ `Single (prefix @ sp, c) ]
+    | None -> (
+        match p with
+        | Exists ({ rvar; source = Path_src { var = Some h; steps = [ Field a ] }; asof = None }, body)
+          when up h = up outer_var -> (
+            let deeper = chain rvar (prefix @ [ a ]) body in
+            if deeper <> [] then deeper
+            else
+              match body with
+              | And (l, r) -> (
+                  let shapes side = chain rvar (prefix @ [ a ]) side in
+                  match shapes l, shapes r with
+                  | [ `Single s1 ], [ `Single s2 ] -> [ `Conj (s1, s2) ]
+                  | [ `Single s1 ], [] -> [ `Single s1 ]
+                  | [], [ `Single s2 ] -> [ `Single s2 ]
+                  | _ -> [])
+              | _ -> [])
+        | _ -> [])
+  in
+  match p with Exists _ | Cmp _ -> chain v [] p | _ -> []
+
+(* [p] seen as [CONTAINS (v.path, pattern)]. *)
+let contains_shape v (p : pred) : (string list * string) option =
+  match p with
+  | Contains (e, pat) -> Option.map (fun sp -> (sp, pat)) (field_path v e)
+  | _ -> None
+
+(* The index on exactly this attribute path (case-insensitive). *)
+let find_path sp l =
+  let norm p = List.map up p in
+  List.find_opt (fun (ip, _) -> norm ip = norm sp) l |> Option.map snd
+
+let find_index (st : Eval.source_table) sp = find_path sp st.Eval.indexes
+let find_text_index (st : Eval.source_table) sp = find_path sp st.Eval.text_indexes
+
 (* One sargable conjunct with a deferred probe: planning prices the
    probe without running it. *)
 type cand_set = {
@@ -44,8 +120,8 @@ type cand_set = {
 type first =
   | F_index of { name : string; sets : cand_set list; est : int; intersect : bool }
   | F_range of { scan_note : string option; seq : bool }
-      (* fall back to {!Eval.range_tuples}: a stored-table scan
-         ([seq]), an ASOF scan, or an unnest of a subtable *)
+      (* {!Eval.range_tuples}: a stored-table scan ([seq]), an ASOF
+         scan, or an unnest of a subtable *)
 
 (* Access decision for a non-first FROM range. *)
 type inner =
@@ -72,15 +148,14 @@ let eq_set sp c idx ~rows =
     cs_sel = Cost.sel_eq idx;
   }
 
-(* Candidate sets for a single-range WHERE, one per sargable conjunct —
-   the same enumeration as the evaluator's [plan_candidates], with the
-   probes deferred and each set priced. *)
+(* Candidate sets for the first range's WHERE, one per sargable
+   conjunct, with the probes deferred and each set priced. *)
 let enumerate (st : Eval.source_table) (r : range) (w : pred) ~rows : cand_set list =
   List.filter_map
     (fun conj ->
-      match Eval.indexable_shapes r.rvar conj with
+      match indexable_shapes r.rvar conj with
       | [ `Conj ((sp1, c1), (sp2, c2)) ] -> (
-          match Eval.find_index st sp1, Eval.find_index st sp2 with
+          match find_index st sp1, find_index st sp2 with
           | Some i1, Some i2
             when VI.strategy i1 = VI.Hierarchical && VI.strategy i2 = VI.Hierarchical ->
               Some
@@ -96,13 +171,13 @@ let enumerate (st : Eval.source_table) (r : range) (w : pred) ~rows : cand_set l
           | _, Some i2 -> Some (eq_set sp2 c2 i2 ~rows)
           | None, None -> None)
       | [ `Single (sp, c) ] -> (
-          match Eval.find_index st sp with
+          match find_index st sp with
           | Some idx -> Some (eq_set sp c idx ~rows)
           | None -> None)
       | _ -> (
-          match Eval.range_on_var r.rvar conj with
+          match range_on_var r.rvar conj with
           | Some (sp, lo, hi) -> (
-              match Eval.find_index st sp with
+              match find_index st sp with
               | Some idx when VI.strategy idx <> VI.Data_tid ->
                   let bound = function None -> "·" | Some a -> Atom.to_string a in
                   Some
@@ -116,9 +191,9 @@ let enumerate (st : Eval.source_table) (r : range) (w : pred) ~rows : cand_set l
                     }
               | _ -> None)
           | None -> (
-              match Eval.contains_shape r.rvar conj with
+              match contains_shape r.rvar conj with
               | Some (sp, pat) -> (
-                  match Eval.find_text_index st sp with
+                  match find_text_index st sp with
                   | Some ti ->
                       Some
                         {
@@ -130,10 +205,8 @@ let enumerate (st : Eval.source_table) (r : range) (w : pred) ~rows : cand_set l
                         }
                   | None -> None)
               | None -> None)))
-    (Eval.conjuncts w)
+    (conjuncts w)
 
-(* Equality conjunct joining range [r] to earlier variables — same
-   recogniser as the evaluator's hash-join detection. *)
 let rec expr_mentions v = function
   | Path { var = Some h; _ } -> up h = up v
   | Path { var = None; _ } | Const _ | Param _ -> false
@@ -143,15 +216,21 @@ let rec expr_mentions v = function
   | Agg (_, None) -> false
   | Subquery _ -> true (* conservative: do not hash-join through subqueries *)
 
-let equi_for_range conjs (r : range) =
+(* Equality conjunct joining range [r] to variables bound before it:
+   the probe side of a hash or index-nested-loop join.  The probe may
+   mention neither [r] nor a range after it ([later]): an enclosing
+   block can bind the same name, and the probe would read that binding
+   instead of failing over to a scan. *)
+let equi_for_range conjs (r : range) ~later =
+  let bound_before e = not (List.exists (fun (l : range) -> expr_mentions l.rvar e) (r :: later)) in
   List.find_map
     (fun c ->
       match c with
       | Cmp (Eq, Path { var = Some v; steps = [ Field a ] }, other)
-        when up v = up r.rvar && not (expr_mentions r.rvar other) ->
+        when up v = up r.rvar && bound_before other ->
           Some (a, other)
       | Cmp (Eq, other, Path { var = Some v; steps = [ Field a ] })
-        when up v = up r.rvar && not (expr_mentions r.rvar other) ->
+        when up v = up r.rvar && bound_before other ->
           Some (a, other)
       | _ -> None)
     conjs
@@ -161,7 +240,7 @@ let starts_with ~prefix s =
 
 let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog) (q : query) : t =
   let rows_of name = Option.map (fun (s : Stats.t) -> s.Stats.rows) (stats name) in
-  let conjs = match q.where with Some w -> Eval.conjuncts w | None -> [] in
+  let conjs = match q.where with Some w -> conjuncts w | None -> [] in
   let lookup (r : range) =
     match r.source with
     | Table_src name -> Option.map (fun st -> (name, st)) (catalog name)
@@ -234,7 +313,7 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
               | _ -> seq_fallback ()))
   in
   (* --- non-first ranges: join strategy ------------------------------- *)
-  let inner_of (r : range) stored ~outer_est : inner * Plan.node * string * int * float =
+  let inner_of (r : range) stored ~later ~outer_est : inner * Plan.node * string * int * float =
     (* returns (decision, inner access node, join op+detail, join est, join cost delta) *)
     let plain ~seq node op =
       let rows_each = node.Plan.est_rows in
@@ -249,7 +328,7 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
         let rows_i = max 1 (Option.value rows ~default:1) in
         if force_seq then plain ~seq:true (scan_node name rows) "nl-join"
         else
-          match equi_for_range conjs r with
+          match equi_for_range conjs r ~later with
           | None ->
               (* no equi-join conjunct: materialize the inner once *)
               let node = scan_node name rows in
@@ -267,13 +346,13 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
                        dedup sort normalizes row order (no ORDER BY) *)
                     if q.order_by <> [] then None
                     else
-                      match Eval.find_index st [ attr ], st.Eval.fetch_root with
+                      match find_index st [ attr ], st.Eval.fetch_root with
                       | Some vi, Some _ when VI.strategy vi <> VI.Data_tid -> Some vi
                       | _ -> None
                   in
                   let hash_case () =
                     let distinct =
-                      match Eval.find_index st [ attr ] with
+                      match find_index st [ attr ] with
                       | Some vi -> max 1 (VI.key_count vi)
                       | None -> min rows_i 10
                     in
@@ -358,7 +437,8 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
         (fun i r ->
           let stored = lookup r in
           labels := label (i + 1) r stored :: !labels;
-          let inner, child, join_op, est, cost_delta = inner_of r stored ~outer_est:!acc_est in
+          let later = List.filteri (fun j _ -> j > i) rest in
+          let inner, child, join_op, est, cost_delta = inner_of r stored ~later ~outer_est:!acc_est in
           access_nodes := child :: !access_nodes;
           inners := inner :: !inners;
           let detail =
@@ -377,8 +457,8 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
           acc := node;
           acc_est := est)
         rest;
-      (* filter / project / sort / distinct, mirroring the evaluator's
-         emission order *)
+      (* filter / project / sort / distinct, in the driver's emission
+         order *)
       let n, est =
         match q.where with
         | None -> (!acc, !acc_est)

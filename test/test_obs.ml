@@ -258,6 +258,49 @@ let test_explain_analyze_stmt () =
           "pool.hits="; "pool.misses="; "wal.bytes="; "result: 2 row(s)" ]
   | _ -> Alcotest.fail "expected a message result"
 
+(* A nested SELECT is traced as its own block: a "subquery (...)" span
+   under the query span, with the nested block's range span under it.
+   Plan notes come from the top-level block only — the nested block's
+   scan of EMPLOYEES_1NF would add a "full scan" note if they leaked. *)
+let test_explain_analyze_nested () =
+  let db = Db.create () in
+  Nf2.Demo.load db;
+  let sql =
+    "SELECT x.DNO, (SELECT e.LNAME FROM e IN EMPLOYEES_1NF WHERE e.EMPNO = x.MGRNO) = MGR FROM x \
+     IN DEPARTMENTS WHERE x.BUDGET > 0"
+  in
+  let tr = Db.new_trace db in
+  (match Db.exec_stmt ~trace:tr db (Ast.Select (Parser.parse_query_string sql)) with
+  | Db.Rows rel -> Alcotest.(check int) "three departments" 3 (Rel.cardinality rel)
+  | Db.Msg m -> Alcotest.failf "expected rows, got %s" m);
+  Alcotest.(check (list string)) "one top-level plan note" [ "full scan of DEPARTMENTS" ]
+    (Db.last_plan db);
+  let query =
+    match Trace.find tr "query" with Some n -> n | None -> Alcotest.fail "no query span"
+  in
+  let sub =
+    match
+      List.find_opt
+        (fun (n : Trace.node) -> String.starts_with ~prefix:"subquery (" n.Trace.label)
+        query.Trace.children
+    with
+    | Some n -> n
+    | None -> Alcotest.fail "no subquery span under the query span"
+  in
+  Alcotest.(check int) "one activation per department" 3 sub.Trace.calls;
+  (match
+     List.find_opt (fun (n : Trace.node) -> n.Trace.label = "scan EMPLOYEES_1NF") sub.Trace.children
+   with
+  | Some scan -> Alcotest.(check int) "nested range scanned per activation" 3 scan.Trace.calls
+  | None -> Alcotest.fail "no range span under the subquery span");
+  match Db.exec db ("EXPLAIN ANALYZE " ^ sql) with
+  | [ Db.Msg m ] ->
+      List.iter
+        (fun needle ->
+          if not (contains m needle) then Alcotest.failf "EXPLAIN ANALYZE output misses %S:\n%s" needle m)
+        [ "subquery (SELECT e.LNAME"; "scan EMPLOYEES_1NF"; "result: 3 row(s)" ]
+  | _ -> Alcotest.fail "expected a message result"
+
 (* --- planner gauges in the exposition ------------------------------------- *)
 
 (* The access-path counters reach Prometheus through the storage-stat
@@ -342,6 +385,7 @@ let () =
           Alcotest.test_case "parser/printer round-trip" `Quick test_explain_analyze_roundtrip;
           Alcotest.test_case "trace matches pool stats" `Quick test_trace_matches_pool_stats;
           Alcotest.test_case "statement output" `Quick test_explain_analyze_stmt;
+          Alcotest.test_case "nested SELECT spans" `Quick test_explain_analyze_nested;
         ] );
       ( "slow-query log",
         [ Alcotest.test_case "one structured line" `Quick test_slow_query_log ] );

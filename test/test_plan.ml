@@ -86,21 +86,28 @@ let test_exec_joins () =
   let it = Exec.nl_join (fun x -> [ x * 10 ]) (fun x y -> x + y) (Exec.of_list [ 1; 2 ]) in
   Alcotest.(check (list int)) "nl join" [ 11; 22 ] (Exec.to_list it)
 
-let test_exec_hash_agg () =
-  let groups =
-    Exec.hash_agg
-      ~key:(fun x -> string_of_int (x mod 2))
-      ~init:0 ~step:( + )
-      (Exec.of_list [ 1; 2; 3; 4; 5 ])
-  in
-  (* first-seen key order *)
-  Alcotest.(check (list (pair string int))) "groups" [ ("1", 9); ("0", 6) ] groups;
+let test_exec_hash_build () =
   let probe =
     Exec.hash_build ~key:(fun x -> if x > 0 then Some (string_of_int (x mod 2)) else None) [ 1; 2; 3; -5 ]
   in
   Alcotest.(check (list int)) "probe odd, input order" [ 1; 3 ] (probe "1");
   Alcotest.(check (list int)) "probe even" [ 2 ] (probe "0");
   Alcotest.(check (list int)) "probe miss" [] (probe "9")
+
+(* Candidate-set intersection: the linear merge over TID-sorted sets
+   must equal the quadratic membership filter it replaced. *)
+let prop_intersect_sorted =
+  let tid_set =
+    QCheck.(
+      map
+        (fun l -> List.sort_uniq Tid.compare (List.map (fun (p, s) -> { Tid.page = p; slot = s }) l))
+        (small_list (pair (int_bound 6) (int_bound 6))))
+  in
+  let show l = String.concat ";" (List.map (fun t -> Printf.sprintf "%d.%d" t.Tid.page t.Tid.slot) l) in
+  QCheck.Test.make ~name:"merge intersection = filter reference" ~count:500
+    (QCheck.set_print (fun (a, b) -> show a ^ " | " ^ show b) (QCheck.pair tid_set tid_set))
+    (fun (a, b) ->
+      Nf2_plan.Driver.intersect_sorted a b = List.filter (fun t -> List.exists (Tid.equal t) b) a)
 
 (* --- plan shapes ---------------------------------------------------------- *)
 
@@ -203,6 +210,50 @@ let test_planner_counters () =
   let pc2 = Db.planner_counters db in
   checki "one seq scan" (pc.Db.seq_scans + 1) pc2.Db.seq_scans
 
+(* A nested SELECT is a planned block like any other: its accesses are
+   counted once per activation (three departments, three activations). *)
+let test_nested_counters () =
+  let db = demo_db () in
+  ignore (Db.exec db "CREATE INDEX ON EMPLOYEES_1NF (EMPNO)");
+  let q =
+    "SELECT x.DNO, (SELECT e.LNAME FROM e IN EMPLOYEES_1NF WHERE e.EMPNO = 39582) = WHO FROM x \
+     IN DEPARTMENTS"
+  in
+  let delta f =
+    let a = Db.planner_counters db in
+    f ();
+    let b = Db.planner_counters db in
+    (b.Db.seq_scans - a.Db.seq_scans, b.Db.index_scans - a.Db.index_scans)
+  in
+  let seq, idx = delta (fun () -> ignore (Db.query db q)) in
+  checki "outer block scans once" 1 seq;
+  checki "nested block probes per activation" 3 idx;
+  Db.set_plan_force_seq db true;
+  let seq, idx = delta (fun () -> ignore (Db.query db q)) in
+  Db.set_plan_force_seq db false;
+  checki "forced seq reaches the nested block" 4 seq;
+  checki "no index probe when forced" 0 idx
+
+(* Plans depend on the AST, the catalog and the statistics only, so a
+   nested block is planned on its first activation and reused: the
+   statistics provider sees the nested table once, not once per outer
+   row. *)
+let test_nested_plan_once () =
+  let db = demo_db () in
+  let asked = ref 0 in
+  let stats name =
+    if String.uppercase_ascii name = "EMPLOYEES_1NF" then incr asked;
+    None
+  in
+  let q =
+    Parser.parse_query_string
+      "SELECT x.DNO, (SELECT e.LNAME FROM e IN EMPLOYEES_1NF WHERE e.EMPNO = x.MGRNO) = MGR FROM \
+       x IN DEPARTMENTS"
+  in
+  let rel, _ = Nf2_plan.Driver.run ~stats (Db.catalog db) q in
+  checki "three departments" 3 (Rel.cardinality rel);
+  checki "nested block planned once" 1 !asked
+
 (* --- differential: planner-chosen vs forced sequential -------------------- *)
 
 let differential_queries =
@@ -221,6 +272,26 @@ let differential_queries =
     "SELECT d.DNO, e.NAME FROM d IN DEPARTMENTS, e IN EMPS WHERE d.MGRNO = e.ENO ORDER BY d.DNO";
     "SELECT x.REPNO FROM x IN REPORTS WHERE x.TITLE CONTAINS '*onsisten*'";
     "SELECT x.DNO FROM x IN DEPARTMENTS WHERE ALL y IN x.PROJECTS : y.PNO > 0";
+    (* nested blocks: an indexed constant predicate on a stored first
+       range, and correlated equi-join sub-blocks with and without
+       ORDER BY (Ex7's nested-to-flat join) *)
+    "SELECT x.DNO, (SELECT e.LNAME, e.FNAME FROM e IN EMPLOYEES_1NF WHERE e.EMPNO = 39582) = WHO \
+     FROM x IN DEPARTMENTS";
+    "SELECT x.DNO, (SELECT e.NAME FROM e IN EMPS WHERE e.ENO = 123) = WHO FROM x IN DEPARTMENTS \
+     WHERE x.DNO = 218";
+    "SELECT x.DNO, (SELECT e.LNAME, z.FUNCTION FROM y IN x.PROJECTS, z IN y.MEMBERS, e IN \
+     EMPLOYEES_1NF WHERE z.EMPNO = e.EMPNO) = STAFF FROM x IN DEPARTMENTS";
+    "SELECT x.DNO, (SELECT e.LNAME, z.FUNCTION FROM y IN x.PROJECTS, z IN y.MEMBERS, e IN \
+     EMPLOYEES_1NF WHERE z.EMPNO = e.EMPNO ORDER BY z.FUNCTION) = STAFF FROM x IN DEPARTMENTS";
+    "SELECT d.DNO, (SELECT e.LNAME FROM m IN MEMBERS_1NF, e IN EMPLOYEES_1NF WHERE m.DNO = d.DNO \
+     AND m.EMPNO = e.EMPNO) = STAFF FROM d IN DEPARTMENTS";
+    "SELECT d.DNO, (SELECT e.LNAME, m.FUNCTION FROM m IN MEMBERS_1NF, e IN EMPLOYEES_1NF WHERE \
+     m.DNO = d.DNO AND m.EMPNO = e.EMPNO ORDER BY m.FUNCTION DESC) = STAFF FROM d IN DEPARTMENTS";
+    (* the equi conjunct of w names the later range z, and the outer
+       block binds a z too: it must not become w's join probe *)
+    "SELECT z.EMPNO, (SELECT w.PNO FROM d IN DEPARTMENTS_1NF, w IN MEMBERS_1NF, z IN \
+     EMPLOYEES_1NF WHERE w.EMPNO = z.EMPNO AND w.DNO = d.DNO) = P FROM z IN EMPLOYEES_1NF WHERE \
+     z.EMPNO = 39582";
   ]
 
 let both_ways db q =
@@ -242,6 +313,7 @@ let test_differential () =
   ignore (Db.exec db "CREATE INDEX ON DEPARTMENTS (PROJECTS.PNO)");
   ignore (Db.exec db "CREATE INDEX ON DEPARTMENTS (PROJECTS.MEMBERS.FUNCTION)");
   ignore (Db.exec db "CREATE INDEX ON EMPS (ENO)");
+  ignore (Db.exec db "CREATE INDEX ON EMPLOYEES_1NF (EMPNO)");
   ignore (Db.exec db "CREATE TEXT INDEX ON REPORTS (TITLE)");
   List.iter
     (fun q ->
@@ -304,6 +376,18 @@ let test_differential_randomized () =
     checks q seq auto
   done
 
+(* Nested blocks over the flat table T (K, N), indexed on K: a constant
+   indexed predicate, and a correlated self equi-join with and without
+   ORDER BY. *)
+let nested_snapshot_queries =
+  [
+    "SELECT x.K, (SELECT y.N FROM y IN T WHERE y.K = 3) = M FROM x IN T WHERE x.K < 6";
+    "SELECT x.K, (SELECT z.K, z.N FROM y IN T, z IN T WHERE y.K = x.K AND z.N = y.N) = M FROM x \
+     IN T WHERE x.K < 8";
+    "SELECT x.K, (SELECT z.K, z.N FROM y IN T, z IN T WHERE y.K = x.K AND z.N = y.N ORDER BY \
+     z.K DESC) = M FROM x IN T WHERE x.K < 8";
+  ]
+
 let test_differential_snapshot_and_txn () =
   let db = Db.create ~wal:true () in
   ignore (Db.exec db "CREATE TABLE T (K INT, N INT)");
@@ -329,6 +413,7 @@ let test_differential_snapshot_and_txn () =
   in
   read "SELECT x.K, x.N FROM x IN T WHERE x.K = 3";
   read (Printf.sprintf "SELECT x.K, x.N FROM x IN T ASOF %d WHERE x.K = 3" lsn0);
+  List.iter read nested_snapshot_queries;
   Db.release_snapshot db snap;
   (* reads inside an open transaction see uncommitted rows identically *)
   ignore (Db.exec db "BEGIN");
@@ -336,6 +421,12 @@ let test_differential_snapshot_and_txn () =
   let auto, seq = both_ways db "SELECT x.N FROM x IN T WHERE x.K = 99" in
   checks "in-txn read" seq auto;
   checkb "uncommitted row visible" true (auto <> "");
+  List.iter
+    (fun q ->
+      let auto, seq = both_ways db q in
+      checks ("in-txn " ^ q) seq auto)
+    (nested_snapshot_queries
+    @ [ "SELECT x.K, (SELECT y.N FROM y IN T WHERE y.K = 99) = M FROM x IN T WHERE x.K < 3" ]);
   ignore (Db.exec db "ROLLBACK")
 
 let () =
@@ -346,7 +437,8 @@ let () =
           Alcotest.test_case "combinators" `Quick test_exec_combinators;
           Alcotest.test_case "laziness" `Quick test_exec_laziness;
           Alcotest.test_case "joins" `Quick test_exec_joins;
-          Alcotest.test_case "hash agg / build" `Quick test_exec_hash_agg;
+          Alcotest.test_case "hash agg / build" `Quick test_exec_hash_build;
+          QCheck_alcotest.to_alcotest prop_intersect_sorted;
         ] );
       ( "planner",
         [
@@ -355,6 +447,8 @@ let () =
           Alcotest.test_case "cardinality flips the choice" `Quick test_stats_flip_to_seq;
           Alcotest.test_case "snapshot plans are scans" `Quick test_snapshot_plans_are_scans;
           Alcotest.test_case "access-path counters" `Quick test_planner_counters;
+          Alcotest.test_case "nested block counters" `Quick test_nested_counters;
+          Alcotest.test_case "nested block planned once" `Quick test_nested_plan_once;
         ] );
       ( "differential",
         [

@@ -1696,7 +1696,8 @@ let shard_trial ~nshards ~clients ~per_client () : shard_trial =
   in
   let coord =
     Coord.start
-      { Coord.default_config with max_sessions = clients + 2; gather_deadline = 30.; members }
+      ~server:{ scfg with max_sessions = clients + 2 }
+      { Coord.default_config with gather_deadline = 30.; members }
   in
   Fun.protect
     ~finally:(fun () ->
@@ -1807,7 +1808,7 @@ let bench_sharding () =
 
 (* ================================================================== *)
 (* WA: raw-speed storage path — async WAL appender, partitioned        *)
-(*     buffer-pool latching, data-subtuple page compression            *)
+(*     buffer-pool latching, larger-than-memory scan                   *)
 (* ================================================================== *)
 
 type wa_mode = Wa_immediate | Wa_window | Wa_appender
@@ -1887,18 +1888,17 @@ let wa_commit_trial ~mode ~threads ~per_thread () : wa_trial =
 
 (* Scan a store whose working set exceeds the pool: REPORTS-style
    objects with long titles, 32 frames.  Returns the fetched tuples
-   (for the byte-exactness check), the pool stats of the scan, and the
-   store's compression counters. *)
-let wa_scan_trial ~compress ~rows () =
+   (for the byte-exactness check) and the pool stats of the scan. *)
+let wa_scan_trial ~rows () =
   let disk = D.create () in
   let pool = BP.create ~frames:32 disk in
-  let store = OS.create ~compress pool in
+  let store = OS.create pool in
   let tids = List.map (OS.insert store P.reports) rows in
   BP.reset_stats pool;
   let fetched, ns =
     time_once (fun () -> List.map (fun tid -> OS.fetch store P.reports tid) tids)
   in
-  (fetched, ns, BP.stats pool, OS.stats store)
+  (fetched, ns, BP.stats pool)
 
 (* 8 threads pinning disjoint page sets as fast as they can; the
    contended counter (pin-path latch acquisitions that had to wait)
@@ -1929,7 +1929,7 @@ let wa_pin_stress ~partitions ~rounds () =
   agg.BP.contended
 
 let bench_wa () =
-  section "WA" "raw-speed storage: async WAL appender, pool partitions, compression";
+  section "WA" "raw-speed storage: async WAL appender, pool partitions, eviction scan";
   subsection "commit fsync scheduling (WAL level, 200us device fsync, 2ms legacy window)";
   let per_thread threads = if threads = 1 then 300 else 40 in
   let trials =
@@ -1981,41 +1981,22 @@ let bench_wa () =
   let rows =
     G.reports ~params:{ G.default_report_params with G.reports = 600; title_words = 48 } ()
   in
-  let plain_fetched, plain_ns, plain_p, _ = wa_scan_trial ~compress:false ~rows () in
-  let comp_fetched, comp_ns, comp_p, comp_s = wa_scan_trial ~compress:true ~rows () in
-  let ratio =
-    if comp_s.OS.comp_stored_bytes = 0 then nan
-    else float_of_int comp_s.OS.comp_raw_bytes /. float_of_int comp_s.OS.comp_stored_bytes
-  in
+  let plain_fetched, plain_ns, plain_p = wa_scan_trial ~rows () in
   print_table
-    ~header:[ "store"; "scan"; "pool accesses"; "evictions"; "ratio (raw/stored)" ]
+    ~header:[ "store"; "scan"; "pool accesses"; "evictions" ]
     [
       [
         "plain";
         ns_to_string plain_ns;
         string_of_int (plain_p.BP.hits + plain_p.BP.misses);
         string_of_int plain_p.BP.evictions;
-        "-";
-      ];
-      [
-        "compressed";
-        ns_to_string comp_ns;
-        string_of_int (comp_p.BP.hits + comp_p.BP.misses);
-        string_of_int comp_p.BP.evictions;
-        Printf.sprintf "%.2fx" ratio;
       ];
     ];
-  let eq_rows fetched =
-    Value.equal_table
-      { Value.kind = Schema.Set; tuples = fetched }
-      { Value.kind = Schema.Set; tuples = rows }
-  in
   check "working set exceeds the pool: plain scan evicts" (plain_p.BP.evictions > 0);
-  check "working set exceeds the pool: compressed scan evicts" (comp_p.BP.evictions > 0);
-  check "compressed store returns byte-identical objects" (eq_rows comp_fetched && eq_rows plain_fetched);
-  check
-    (Printf.sprintf "data subtuples compress >= 1.3x on paper-style text (%.2fx)" ratio)
-    (ratio >= 1.3);
+  check "plain store returns byte-identical objects"
+    (Value.equal_table
+       { Value.kind = Schema.Set; tuples = plain_fetched }
+       { Value.kind = Schema.Set; tuples = rows });
   subsection "pin stress: 8 threads on disjoint pages, 1 vs 8 latch partitions";
   let rounds = 20_000 in
   let contended1 = wa_pin_stress ~partitions:1 ~rounds () in
@@ -2046,14 +2027,8 @@ let bench_wa () =
            (if Float.is_nan t.wa_avg_batch then "null" else Printf.sprintf "%.2f" t.wa_avg_batch))
        trials
     @ [
-        Printf.sprintf
-          "\"section\": \"pool_eviction_scan\", \"compress\": false, \"seconds\": %.4f, \
-           \"evictions\": %d"
+        Printf.sprintf "\"section\": \"pool_eviction_scan\", \"seconds\": %.4f, \"evictions\": %d"
           (plain_ns /. 1e9) plain_p.BP.evictions;
-        Printf.sprintf
-          "\"section\": \"pool_eviction_scan\", \"compress\": true, \"seconds\": %.4f, \
-           \"evictions\": %d, \"ratio\": %.3f"
-          (comp_ns /. 1e9) comp_p.BP.evictions ratio;
         Printf.sprintf
           "\"section\": \"pin_stress\", \"rounds\": %d, \"contended_1_part\": %d, \
            \"contended_8_part\": %d"

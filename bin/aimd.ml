@@ -3,8 +3,8 @@
    Usage:
      aimd [--host H] [--port P] [--max-sessions N] [--idle-timeout S]
           [--lock-timeout S] [--no-group-commit] [--no-wal-appender]
-          [--pool-partitions N] [--compress] [--slow-query S]
-          [--domains N] [--demo] [-f init.sql] [--replica-of HOST:PORT]
+          [--pool-partitions N] [--slow-query S] [--domains N] [--demo]
+          [-f init.sql] [--replica-of HOST:PORT]
      aimd --coordinator --shard HOST:PORT[+RHOST:RPORT] [--shard ...]
           [--host H] [--port P] [--max-sessions N] [--idle-timeout S]
           [--gather-deadline S] [--pool N] [--map-version V]
@@ -18,7 +18,9 @@
    With --coordinator the node stores nothing itself: it routes every
    statement across the given shards by root-key hash, scattering and
    gathering cross-shard queries (docs/SHARDING.md); `+RHOST:RPORT`
-   names a shard's read replica for failover reads.
+   names a shard's read replica for failover reads.  A coordinator
+   runs on the same connection loop as a plain node, so --host,
+   --port, --max-sessions and --idle-timeout mean the same there.
    SIGINT/SIGTERM shut down gracefully: in-flight transactions roll
    back, the WAL is checkpointed, and the metrics report is dumped to
    stdout. *)
@@ -36,7 +38,6 @@ let () =
   let replica_of = ref None in
   let coordinator = ref false in
   let pool_partitions = ref None in
-  let compress = ref false in
   let shards = ref [] in
   let ccfg = ref Coord.default_config in
   let rec parse = function
@@ -80,9 +81,6 @@ let () =
     | "--pool-partitions" :: n :: rest ->
         pool_partitions := Some (int_of_string n);
         parse rest
-    | "--compress" :: rest ->
-        compress := true;
-        parse rest
     | "--slow-query" :: s :: rest ->
         config := { !config with Server.slow_query = Some (float_of_string s) };
         parse rest
@@ -109,11 +107,14 @@ let () =
         print_endline
           "usage: aimd [--host H] [--port P] [--max-sessions N] [--idle-timeout S] \
            [--lock-timeout S] [--no-group-commit] [--no-wal-appender] [--pool-partitions N] \
-           [--compress] [--slow-query S] [--domains N] [--demo] \
+           [--slow-query S] [--domains N] [--demo] \
            [-f init.sql] [--replica-of HOST:PORT]\n\
            \       aimd --coordinator --shard HOST:PORT[+RHOST:RPORT] [--shard ...] [--host H] \
            [--port P] [--max-sessions N] [--idle-timeout S] [--gather-deadline S] [--pool N] \
-           [--map-version V]";
+           [--map-version V]\n\
+           \n\
+           A coordinator serves on the same connection loop as a plain node: --host, --port, \
+           --max-sessions and --idle-timeout apply to both.";
         exit 0
     | arg :: _ ->
         Printf.eprintf "aimd: unknown argument %s (try --help)\n" arg;
@@ -137,20 +138,11 @@ let () =
       prerr_endline "aimd: --coordinator needs at least one --shard HOST:PORT";
       exit 2
     end;
-    let ccfg =
-      {
-        !ccfg with
-        Coord.host = !config.Server.host;
-        port = !config.Server.port;
-        max_sessions = !config.Server.max_sessions;
-        idle_timeout = !config.Server.idle_timeout;
-        members;
-      }
-    in
-    let coord = Coord.start ccfg in
+    let ccfg = { !ccfg with Coord.members } in
+    let coord = Coord.start ~server:!config ccfg in
     Printf.printf
       "aimd: coordinator on %s:%d over %d shard(s), map v%d (gather deadline %.1fs)\n%!"
-      ccfg.Coord.host (Coord.port coord) (List.length members) ccfg.Coord.map_version
+      !config.Server.host (Coord.port coord) (List.length members) ccfg.Coord.map_version
       ccfg.Coord.gather_deadline;
     List.iter
       (fun (m : Shard_map.member) ->
@@ -184,7 +176,7 @@ let () =
       print_string (Server.render_metrics srv);
       print_endline "aimd: bye"
   | None ->
-      let db = Db.create ?pool_partitions:!pool_partitions ~compress:!compress ~wal:true () in
+      let db = Db.create ?pool_partitions:!pool_partitions ~wal:true () in
       if !demo then Nf2.Demo.load db;
       (match !init_file with
       | Some file -> ignore (Db.exec db (In_channel.with_open_text file In_channel.input_all))

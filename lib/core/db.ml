@@ -47,7 +47,6 @@ type t = {
   mutable pool : BP.t;
   layout : MD.layout;
   clustering : bool;
-  compress : bool; (* data-subtuple page compression for every store *)
   tables : (string, table_info) Hashtbl.t; (* key: uppercased name *)
   mutable tnames : Tname.registry;
   mutable last_plan : string list;
@@ -95,14 +94,6 @@ let attach_wal t =
       t.wal <- Some w
 
 let wal t = t.wal
-let compression t = t.compress
-
-let compression_stats t =
-  Hashtbl.fold
-    (fun _ ti (raw, stored) ->
-      let s = OS.stats ti.store in
-      (raw + s.OS.comp_raw_bytes, stored + s.OS.comp_stored_bytes))
-    t.tables (0, 0)
 
 (* --- SYS introspection providers -----------------------------------------
 
@@ -336,17 +327,15 @@ let with_sys t (base : Eval.catalog) : Eval.catalog =
                 Hashtbl.replace memo up src;
                 Some src))
 
-let create ?(page_size = 4096) ?(frames = 256) ?pool_partitions ?(layout = MD.SS3)
-    ?(clustering = true) ?(compress = false) ?(wal = false) () =
-  let disk = Disk.create ~page_size () in
-  let pool = BP.create ~frames ?partitions:pool_partitions disk in
+(* An empty catalog over [disk]; [create], [decode_db] and
+   [recover_from_image] all start here. *)
+let make ?(frames = 256) ?pool_partitions ~layout ~clustering disk =
   let t =
     {
       disk;
-      pool;
+      pool = BP.create ~frames ?partitions:pool_partitions disk;
       layout;
       clustering;
-      compress;
       tables = Hashtbl.create 16;
       tnames = Tname.create_registry ();
       last_plan = [];
@@ -367,6 +356,11 @@ let create ?(page_size = 4096) ?(frames = 256) ?pool_partitions ?(layout = MD.SS
     }
   in
   register_builtin_sys t;
+  t
+
+let create ?(page_size = 4096) ?frames ?pool_partitions ?(layout = MD.SS3) ?(clustering = true)
+    ?(wal = false) () =
+  let t = make ?frames ?pool_partitions ~layout ~clustering (Disk.create ~page_size ()) in
   if wal then attach_wal t;
   t
 
@@ -687,7 +681,7 @@ let decode_catalog t src =
     let data_pages = get_int_list src in
     let free_pages = get_int_list src in
     let store =
-      OS.restore ~layout:t.layout ~clustering:t.clustering ~compress:t.compress t.pool ~dir_pages
+      OS.restore ~layout:t.layout ~clustering:t.clustering t.pool ~dir_pages
         ~data_pages ~free_pages
     in
     let nidx = Codec.get_uvarint src in
@@ -792,31 +786,44 @@ let journal_write t (source : string) =
    any other update, so a crash mid-rollback still recovers cleanly.
    A simulated [Disk.Crash] is machine death: nothing is cleaned up. *)
 
-(* Catalog image as carried in WAL commit/checkpoint records. *)
-let wal_payload t : string =
-  let b = Codec.create_sink () in
+(* The physical configuration heading database images and catalog
+   payloads: layout, clustering, and a byte that once flagged page
+   compression.  It is always written off; an image written with it on
+   holds compressed data subtuples this engine cannot read, so it is
+   refused rather than misread. *)
+let put_physical b t =
   Codec.put_u8 b (match t.layout with MD.SS1 -> 1 | MD.SS2 -> 2 | MD.SS3 -> 3);
   Codec.put_bool b t.clustering;
-  Codec.put_bool b t.compress;
-  encode_catalog b t;
-  Codec.contents b
+  Codec.put_bool b false
 
-let restore_catalog t (payload : string) =
-  let src = Codec.source_of_string payload in
+let get_physical ~what src =
   let layout =
     match Codec.get_u8 src with
     | 1 -> MD.SS1
     | 2 -> MD.SS2
     | 3 -> MD.SS3
-    | n -> db_error "catalog payload: unknown layout %d" n
+    | n -> db_error "%s: unknown layout %d" what n
   in
   let clustering = Codec.get_bool src in
-  let compress = Codec.get_bool src in
+  if Codec.get_bool src then
+    db_error "%s: written with page compression, which this engine no longer supports" what;
+  (layout, clustering)
+
+(* Catalog image as carried in WAL commit/checkpoint records. *)
+let wal_payload t : string =
+  let b = Codec.create_sink () in
+  put_physical b t;
+  encode_catalog b t;
+  Codec.contents b
+
+let restore_catalog t (payload : string) =
+  let src = Codec.source_of_string payload in
+  let layout, clustering = get_physical ~what:"catalog payload" src in
   (* rollback restores always match; a *shipped* payload from a primary
      with a different physical configuration must be refused — the page
      images it describes would be misread under this layout *)
-  if layout <> t.layout || clustering <> t.clustering || compress <> t.compress then
-    db_error "catalog payload: layout/clustering/compression mismatch with this database";
+  if layout <> t.layout || clustering <> t.clustering then
+    db_error "catalog payload: layout/clustering mismatch with this database";
   decode_catalog t src
 
 let begin_wal_txn t w =
@@ -899,7 +906,7 @@ let txn_rollback t = !txn_rollback_ref t
 (* Rebuild a table under a changed schema (ALTER): fresh object store,
    reinserted rows, indexes rebuilt where their paths still resolve. *)
 let rebuild_table t ti (schema' : Schema.t) (tuples : Value.tuple list) =
-  let store = OS.create ~layout:t.layout ~clustering:t.clustering ~compress:t.compress t.pool in
+  let store = OS.create ~layout:t.layout ~clustering:t.clustering t.pool in
   List.iter (fun tup -> ignore (OS.insert store schema' tup)) tuples;
   let still_resolves path =
     match Schema.resolve_path schema'.Schema.table path with
@@ -1062,7 +1069,7 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       let schema =
         Schema.validate { Schema.name = String.uppercase_ascii name; table = { Schema.kind = Schema.Set; fields = fields_of_defs fields } }
       in
-      let store = OS.create ~layout:t.layout ~clustering:t.clustering ~compress:t.compress t.pool in
+      let store = OS.create ~layout:t.layout ~clustering:t.clustering t.pool in
       let vstore = if versioned then Some (VS.create store t.pool) else None in
       Hashtbl.replace t.tables (String.uppercase_ascii name)
         { schema; versioned; store; vstore; ids = []; indexes = []; text_indexes = []; stat_rows = 0 };
@@ -1365,15 +1372,6 @@ let exec_stmt ?trace ?rewrite t (stmt : Ast.stmt) : result =
   Driver.with_statement ~force_seq:t.plan_force_seq ~on_access:(count_access t)
     ~stats:(stats_of t) (fun () -> exec_stmt_body ?trace ?rewrite t stmt)
 
-(* Is the statement a mutation (worth journaling)? *)
-let mutates = function
-  | Ast.Select _ | Ast.Explain _ | Ast.Explain_analyze _ | Ast.Show_tables | Ast.Describe _
-  | Ast.Begin_txn | Ast.Commit | Ast.Rollback ->
-      false
-  | Ast.Create_table _ | Ast.Drop_table _ | Ast.Create_index _ | Ast.Create_text_index _
-  | Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Alter_add _ | Ast.Alter_drop _ ->
-      true
-
 (* During a transaction, journal entries are buffered and published at
    COMMIT (so a crash mid-transaction recovers to the state before
    BEGIN — atomicity via the logical log). *)
@@ -1385,7 +1383,7 @@ let journal_or_buffer t (source : string) =
 
 let exec t (input : string) : result list =
   let stmts = Parser.parse_script input in
-  let mutating = List.exists mutates stmts in
+  let mutating = List.exists Ast.mutates stmts in
   let run () =
     let results = List.map (exec_stmt t) stmts in
     (* journal after successful execution: the whole script is one entry
@@ -1421,7 +1419,7 @@ let register_table t (schema : Schema.t) ?(versioned = false) (rows : Value.tupl
   let key = String.uppercase_ascii schema.Schema.name in
   if Hashtbl.mem t.tables key then db_error "table %s already exists" schema.Schema.name;
   logged t (fun () ->
-      let store = OS.create ~layout:t.layout ~clustering:t.clustering ~compress:t.compress t.pool in
+      let store = OS.create ~layout:t.layout ~clustering:t.clustering t.pool in
       let vstore = if versioned then Some (VS.create store t.pool) else None in
       let ti =
         {
@@ -1484,9 +1482,7 @@ let encode_db t : string =
   let b = Codec.create_sink () in
   Buffer.add_string b magic;
   Codec.put_uvarint b (Disk.page_size t.disk);
-  Codec.put_u8 b (match t.layout with MD.SS1 -> 1 | MD.SS2 -> 2 | MD.SS3 -> 3);
-  Codec.put_bool b t.clustering;
-  Codec.put_bool b t.compress;
+  put_physical b t;
   let pages = Disk.export_pages t.disk in
   Codec.put_uvarint b (Array.length pages);
   Array.iter (fun p -> Buffer.add_bytes b p) pages;
@@ -1496,53 +1492,17 @@ let encode_db t : string =
 let save t (path : string) =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (encode_db t))
 
-let decode_db ?(frames = 256) ?pool_partitions (data : string) : t =
+let decode_db ?frames ?pool_partitions (data : string) : t =
   if String.length data < String.length magic || String.sub data 0 (String.length magic) <> magic
   then db_error "not an AIM-II database image";
   let src = Codec.source_of_string (String.sub data (String.length magic) (String.length data - String.length magic)) in
   let page_size = Codec.get_uvarint src in
-  let layout =
-    match Codec.get_u8 src with
-    | 1 -> MD.SS1
-    | 2 -> MD.SS2
-    | 3 -> MD.SS3
-    | n -> Codec.decode_error "Db.load: layout %d" n
-  in
-  let clustering = Codec.get_bool src in
-  let compress = Codec.get_bool src in
+  let layout, clustering = get_physical ~what:"Db.load" src in
   let npages = Codec.get_uvarint src in
   let pages =
     Array.init npages (fun _ -> Bytes.of_string (Codec.get_fixed src page_size))
   in
-  let disk = Disk.of_pages ~page_size pages in
-  let pool = BP.create ~frames ?partitions:pool_partitions disk in
-  let t =
-    {
-      disk;
-      pool;
-      layout;
-      clustering;
-      compress;
-      tables = Hashtbl.create 16;
-      tnames = Tname.create_registry ();
-      last_plan = [];
-      journal = None;
-      journal_path = None;
-      replaying = false;
-      txn = None;
-      wal = None;
-      wal_txn = None;
-      mvcc = Mvcc.create ();
-      sys = Sysr.create ();
-      dirty = StrSet.empty;
-      plan_force_seq = false;
-      last_plan_tree = None;
-      pc_seq_scans = Atomic.make 0;
-      pc_index_scans = Atomic.make 0;
-      pc_index_intersections = Atomic.make 0;
-    }
-  in
-  register_builtin_sys t;
+  let t = make ?frames ?pool_partitions ~layout ~clustering (Disk.of_pages ~page_size pages) in
   decode_catalog t src;
   mvcc_refresh_all t;
   t
@@ -1730,54 +1690,16 @@ let replicate_undo t (images : (int * int * string) list) =
     images;
   mvcc_refresh_all t
 
-let recover_from_image ?(frames = 256) ?pool_partitions (img : Recovery.image) : t =
+let recover_from_image ?frames ?pool_partitions (img : Recovery.image) : t =
   let outcome = Recovery.replay img in
-  let layout, clustering, compress, cat =
-    match outcome.Recovery.catalog with
-    | None -> (MD.SS3, true, false, None)
-    | Some payload ->
-        let src = Codec.source_of_string payload in
-        let layout =
-          match Codec.get_u8 src with
-          | 1 -> MD.SS1
-          | 2 -> MD.SS2
-          | 3 -> MD.SS3
-          | n -> Codec.decode_error "Db.recover_from_image: layout %d" n
-        in
-        let clustering = Codec.get_bool src in
-        let compress = Codec.get_bool src in
-        (layout, clustering, compress, Some src)
+  let src = Option.map Codec.source_of_string outcome.Recovery.catalog in
+  let layout, clustering =
+    match src with
+    | None -> (MD.SS3, true)
+    | Some src -> get_physical ~what:"Db.recover_from_image" src
   in
-  let disk = outcome.Recovery.disk in
-  let pool = BP.create ~frames ?partitions:pool_partitions disk in
-  let t =
-    {
-      disk;
-      pool;
-      layout;
-      clustering;
-      compress;
-      tables = Hashtbl.create 16;
-      tnames = Tname.create_registry ();
-      last_plan = [];
-      journal = None;
-      journal_path = None;
-      replaying = false;
-      txn = None;
-      wal = None;
-      wal_txn = None;
-      mvcc = Mvcc.create ();
-      sys = Sysr.create ();
-      dirty = StrSet.empty;
-      plan_force_seq = false;
-      last_plan_tree = None;
-      pc_seq_scans = Atomic.make 0;
-      pc_index_scans = Atomic.make 0;
-      pc_index_intersections = Atomic.make 0;
-    }
-  in
-  register_builtin_sys t;
-  (match cat with None -> () | Some src -> decode_catalog t src);
+  let t = make ?frames ?pool_partitions ~layout ~clustering outcome.Recovery.disk in
+  Option.iter (decode_catalog t) src;
   attach_wal t;
   mvcc_refresh_all t;
   t

@@ -30,9 +30,7 @@ type result = Rows of Rel.t | Msg of string
 (** [create ()] makes an empty single-user database on a simulated
     disk.  [layout] selects the Mini Directory structure for complex
     objects (default SS3, AIM-II's choice); [clustering:false] disables
-    per-object page clustering (ablation); [compress:true] runs every
-    store's data subtuples through the page-compression codec
-    (see {!Nf2_storage.Compress}); [pool_partitions] overrides the
+    per-object page clustering (ablation); [pool_partitions] overrides the
     buffer pool's latch partition count; [wal:true] attaches a
     write-ahead log from the start (see {!attach_wal}). *)
 val create :
@@ -41,17 +39,9 @@ val create :
   ?pool_partitions:int ->
   ?layout:MD.layout ->
   ?clustering:bool ->
-  ?compress:bool ->
   ?wal:bool ->
   unit ->
   t
-
-(** True iff this database compresses data subtuples on pages. *)
-val compression : t -> bool
-
-(** Aggregated [(raw_bytes, stored_bytes)] over every store's
-    compression counters — equal when compression is off. *)
-val compression_stats : t -> int * int
 
 (** {1 Executing the language} *)
 
@@ -159,7 +149,8 @@ val execute : t -> prepared -> Atom.t list -> result
 
 val save : t -> string -> unit
 
-(** @raise Db_error on a malformed file. *)
+(** @raise Db_error on a malformed file, or one written with page
+    compression on (a setting this engine no longer has). *)
 val load : ?frames:int -> ?pool_partitions:int -> string -> t
 
 (** {1 Transactions (single-user)}
@@ -247,8 +238,9 @@ val replicate_record : t -> Nf2_storage.Wal.lsn * Nf2_storage.Wal.record -> unit
     [lsn] (the shipped record's LSN) the refresh also publishes a new
     MVCC version stamped with the primary's commit LSN — and is a no-op
     if that LSN was already applied, so catch-up may safely re-apply.
-    @raise Db_error if the payload's layout/clustering/compression do
-    not match this database, or inside an open transaction. *)
+    @raise Db_error if the payload's layout/clustering do not match
+    this database or it was written with page compression on, or
+    inside an open transaction. *)
 val replicate_catalog : ?lsn:int -> t -> string -> unit
 
 (** Promotion undo: apply before-images (give them newest first)

@@ -97,6 +97,69 @@ type stmt =
   | Show_tables
   | Describe of string
 
+(* Does the statement change stored data or schema? *)
+let mutates = function
+  | Select _ | Explain _ | Explain_analyze _ | Show_tables | Describe _ | Begin_txn | Commit
+  | Rollback ->
+      false
+  | Create_table _ | Drop_table _ | Create_index _ | Create_text_index _ | Insert _ | Update _
+  | Delete _ | Alter_add _ | Alter_drop _ ->
+      true
+
+(* --- ranges ------------------------------------------------------------
+
+   One fold over every range a statement names: FROM lists, EXISTS /
+   ALL quantifiers, nested SELECTs in any expression, and the ranges
+   inside ASOF expressions.  Each occurrence is visited once, so a
+   self-join yields its table twice.  Session lock specs, shard routing
+   and the coordinator's ASOF check all walk statements through it. *)
+
+let rec fold_query_ranges f acc (q : query) =
+  let acc = List.fold_left (fold_range f) acc q.from in
+  let acc =
+    match q.select with
+    | Star -> acc
+    | Items items -> List.fold_left (fun acc it -> fold_expr_ranges f acc it.expr) acc items
+  in
+  let acc = match q.where with Some p -> fold_pred_ranges f acc p | None -> acc in
+  List.fold_left (fun acc oi -> fold_expr_ranges f acc oi.key) acc q.order_by
+
+and fold_range f acc (r : range) =
+  let acc = f acc r in
+  match r.asof with Some e -> fold_expr_ranges f acc e | None -> acc
+
+and fold_expr_ranges f acc = function
+  | Const _ | Param _ | Path _ | Agg (_, None) -> acc
+  | Neg e | Agg (_, Some e) -> fold_expr_ranges f acc e
+  | Binop (_, a, b) -> fold_expr_ranges f (fold_expr_ranges f acc a) b
+  | Subquery q -> fold_query_ranges f acc q
+
+and fold_pred_ranges f acc = function
+  | Cmp (_, a, b) -> fold_expr_ranges f (fold_expr_ranges f acc a) b
+  | And (a, b) | Or (a, b) -> fold_pred_ranges f (fold_pred_ranges f acc a) b
+  | Not p -> fold_pred_ranges f acc p
+  | Exists (r, body) | Forall (r, body) -> fold_pred_ranges f (fold_range f acc r) body
+  | Contains (e, _) | Bool_expr e -> fold_expr_ranges f acc e
+
+(* The ranges a statement reads through: its query, or the WHERE, SET
+   and AT expressions of a mutation.  INSERT rows are literals. *)
+let fold_stmt_ranges f acc = function
+  | Select q | Explain q | Explain_analyze q -> fold_query_ranges f acc q
+  | Insert { where; _ } -> Option.fold ~none:acc ~some:(fold_pred_ranges f acc) where
+  | Update { sets; where; at; _ } ->
+      let acc = List.fold_left (fun acc (_, e) -> fold_expr_ranges f acc e) acc sets in
+      let acc = Option.fold ~none:acc ~some:(fold_pred_ranges f acc) where in
+      Option.fold ~none:acc ~some:(fold_expr_ranges f acc) at
+  | Delete { where; at; _ } ->
+      let acc = Option.fold ~none:acc ~some:(fold_pred_ranges f acc) where in
+      Option.fold ~none:acc ~some:(fold_expr_ranges f acc) at
+  | Create_table _ | Drop_table _ | Create_index _ | Create_text_index _ | Alter_add _
+  | Alter_drop _ | Begin_txn | Commit | Rollback | Show_tables | Describe _ ->
+      acc
+
+(* A fold step collecting stored-table names, newest first. *)
+let add_table acc (r : range) = match r.source with Table_src n -> n :: acc | Path_src _ -> acc
+
 (* --- printing (used for parser round-trip tests and EXPLAIN) ---------- *)
 
 let path_to_string (p : path) =

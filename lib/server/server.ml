@@ -1,7 +1,9 @@
 (* Server loop: TCP accept loop with a bounded session pool.
 
    Each accepted connection gets its own worker thread running a
-   request/response loop over {!Protocol} frames against a {!Session}.
+   request/response loop over {!Protocol} frames against a handler: a
+   {!Session} on a plain node, the router on a shard coordinator
+   ({!serve} is the one loop both run on).
    Admission control is strict: when [max_sessions] workers are live, a
    new connection is answered immediately with a Busy error and closed
    rather than left hanging in the backlog.  Idle sessions are closed
@@ -51,12 +53,17 @@ let effective_domains (c : config) =
   if c.domains > 0 then c.domains
   else max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
+(* One accepted connection as the loop sees it: a request handler and
+   the cleanup that runs when the connection ends.  A plain node serves
+   a {!Session}; the shard coordinator serves its router. *)
+type conn = { handle : Protocol.request -> Protocol.response; close : unit -> unit }
+
 type t = {
-  db : Db.t;
   mgr : Session.manager;
-  executor : Executor.t;
   metrics : Metrics.t;
   config : config;
+  open_conn : sid:int -> conn;
+  on_stop : unit -> unit; (* runs once the workers are joined *)
   listener : Unix.file_descr;
   bound_port : int;
   mu : Mutex.t;
@@ -69,7 +76,7 @@ type t = {
 }
 
 let port t = t.bound_port
-let db t = t.db
+let db t = Session.manager_db t.mgr
 let metrics t = t.metrics
 let session_manager t = t.mgr
 let set_repl_handler t h = t.repl_handler <- Some h
@@ -84,7 +91,7 @@ let is_timeout = function
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) -> true
   | _ -> false
 
-let serve_connection (t : t) (sess : Session.session) (fd : Unix.file_descr) =
+let serve_connection (t : t) (conn : conn) (fd : Unix.file_descr) =
   if t.config.idle_timeout > 0. then
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.idle_timeout;
   let rec loop () =
@@ -112,7 +119,7 @@ let serve_connection (t : t) (sess : Session.session) (fd : Unix.file_descr) =
               (Protocol.Error
                  { code = Protocol.err_protocol; message = "replication not enabled on this server" }))
     | Some req -> (
-        match Session.handle sess req with
+        match conn.handle req with
         | resp ->
             Protocol.send_response fd resp;
             if resp <> Protocol.Bye then loop ()
@@ -126,16 +133,15 @@ let serve_connection (t : t) (sess : Session.session) (fd : Unix.file_descr) =
              with _ -> ()))
   in
   (try loop () with _ -> ());
-  Session.close_session sess
+  conn.close ()
 
 let worker (t : t) (sid : int) (fd : Unix.file_descr) =
-  let sess = Session.open_session t.mgr ~sid in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close fd with _ -> ());
       with_mu t (fun () -> Hashtbl.remove t.workers sid);
       Metrics.add t.metrics "sessions_active" (-1))
-    (fun () -> serve_connection t sess fd)
+    (fun () -> serve_connection t (t.open_conn ~sid) fd)
 
 (* --- accept loop --------------------------------------------------------- *)
 
@@ -184,18 +190,11 @@ let accept_loop (t : t) =
 
 (* --- lifecycle ----------------------------------------------------------- *)
 
-let start ?db:(db_opt : Db.t option) (config : config) : t =
+let serve ~(on_stop : unit -> unit) (config : config) ~(metrics : Metrics.t)
+    (mgr : Session.manager) (open_conn : sid:int -> conn) : t =
   (* a client that hangs up mid-response must surface as EPIPE in its
      worker, not kill the server *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let db = match db_opt with Some db -> db | None -> Db.create ~wal:true () in
-  let metrics = Metrics.create () in
-  let executor = Executor.create ~domains:(effective_domains config) in
-  let mgr =
-    Session.create_manager ~lock_timeout:config.lock_timeout ~group_commit:config.group_commit
-      ~group_window:config.group_window ~wal_appender:config.wal_appender
-      ?slow_query:config.slow_query ~executor ~metrics db
-  in
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port) in
@@ -209,11 +208,11 @@ let start ?db:(db_opt : Db.t option) (config : config) : t =
   in
   let t =
     {
-      db;
       mgr;
-      executor;
       metrics;
       config;
+      open_conn;
+      on_stop;
       listener;
       bound_port;
       mu = Mutex.create ();
@@ -226,6 +225,21 @@ let start ?db:(db_opt : Db.t option) (config : config) : t =
   in
   t.accept_thread <- Some (Thread.create accept_loop t);
   t
+
+let session_conn (mgr : Session.manager) ~(sid : int) : conn =
+  let sess = Session.open_session mgr ~sid in
+  { handle = Session.handle sess; close = (fun () -> Session.close_session sess) }
+
+let start ?db:(db_opt : Db.t option) (config : config) : t =
+  let db = match db_opt with Some db -> db | None -> Db.create ~wal:true () in
+  let metrics = Metrics.create () in
+  let executor = Executor.create ~domains:(effective_domains config) in
+  let mgr =
+    Session.create_manager ~lock_timeout:config.lock_timeout ~group_commit:config.group_commit
+      ~group_window:config.group_window ~wal_appender:config.wal_appender
+      ?slow_query:config.slow_query ~executor ~metrics db
+  in
+  serve ~on_stop:(fun () -> Executor.shutdown executor) config ~metrics mgr (session_conn mgr)
 
 let stop (t : t) =
   let was_running = with_mu t (fun () ->
@@ -241,13 +255,14 @@ let stop (t : t) =
     let live = with_mu t (fun () -> Hashtbl.fold (fun _ w acc -> w :: acc) t.workers []) in
     List.iter (fun (_, fd) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ()) live;
     List.iter (fun (th, _) -> try Thread.join th with _ -> ()) live;
-    Executor.shutdown t.executor;
+    t.on_stop ();
     (* park the appender before the final checkpoint so its thread is
        joined and the checkpoint flush runs on the caller *)
-    (match Db.wal t.db with
+    let db = db t in
+    (match Db.wal db with
     | Some w -> ( try Nf2_storage.Wal.set_async_appender w false with _ -> ())
     | None -> ());
-    (try ignore (Db.wal_checkpoint t.db) with _ -> ())
+    (try ignore (Db.wal_checkpoint db) with _ -> ())
   end
 
 let render_metrics (t : t) = Session.render_metrics t.mgr

@@ -2,7 +2,9 @@
     with strict admission control (a connection past [max_sessions] is
     answered with a Busy error and closed immediately), idle-session
     timeouts, and graceful shutdown that rolls back in-flight
-    transactions and checkpoints the WAL. *)
+    transactions and checkpoints the WAL.  The loop is the only one in
+    the system: a plain node runs {!Session} on it ({!start}), and the
+    shard coordinator runs its router on it ({!serve}). *)
 
 module Db = Nf2.Db
 
@@ -43,6 +45,27 @@ type t
     WAL-backed database. *)
 val start : ?db:Db.t -> config -> t
 
+(** One accepted connection: the handler for each request frame, and
+    the cleanup run when the connection ends (disconnect, idle timeout,
+    {!stop}). *)
+type conn = { handle : Protocol.request -> Protocol.response; close : unit -> unit }
+
+(** The loop under {!start}, for a node that answers requests its own
+    way: binds [config.host:config.port] and serves every admitted
+    connection with [open_conn ~sid].  [mgr] backs {!session_manager},
+    {!db} and the metrics renders; only [host], [port], [max_sessions]
+    and [idle_timeout] of [config] are read.  [on_stop] runs inside
+    {!stop} once the workers are joined, before the WAL checkpoint.
+    Replication handshakes are intercepted before [handle] sees them
+    (see {!set_repl_handler}). *)
+val serve :
+  on_stop:(unit -> unit) ->
+  config ->
+  metrics:Metrics.t ->
+  Session.manager ->
+  (sid:int -> conn) ->
+  t
+
 (** The actually bound port (useful with [config.port = 0]). *)
 val port : t -> int
 
@@ -68,6 +91,7 @@ val render_metrics : t -> string
 val render_prometheus : t -> string
 
 (** Graceful shutdown: stop accepting, disconnect every session
-    (rolling back in-flight transactions), join the workers, checkpoint
-    the WAL.  Idempotent. *)
+    (rolling back in-flight transactions), join the workers, run the
+    [on_stop] hook (the read executor's shutdown under {!start}),
+    checkpoint the WAL.  Idempotent. *)
 val stop : t -> unit

@@ -438,9 +438,6 @@ let fold_storage_stats (mgr : manager) =
   Metrics.set m "pool_partitions" (BP.partitions (Db.pool mgr.db));
   Metrics.set m "pool_contended" p.BP.contended;
   Metrics.set m "pool_rebalances" p.BP.rebalances;
-  let craw, cstored = Db.compression_stats mgr.db in
-  Metrics.set m "page_compression_in_bytes" craw;
-  Metrics.set m "page_compression_out_bytes" cstored;
   let d = Disk.stats (Db.disk mgr.db) in
   Metrics.set m "disk_reads" d.Disk.reads;
   Metrics.set m "disk_writes" d.Disk.writes;
@@ -658,73 +655,23 @@ let open_session (mgr : manager) ~(sid : int) : session =
    Predicate refinement (locking only the WHERE-restricted slice) is a
    ROADMAP item; whole-table specs are sound, just coarser. *)
 
-let rec q_tables (q : Ast.query) acc =
-  let acc =
-    List.fold_left
-      (fun acc (r : Ast.range) ->
-        let acc = match r.Ast.source with Ast.Table_src n -> n :: acc | Ast.Path_src _ -> acc in
-        match r.Ast.asof with Some e -> e_tables e acc | None -> acc)
-      acc q.Ast.from
-  in
-  let acc =
-    match q.Ast.select with
-    | Ast.Star -> acc
-    | Ast.Items items -> List.fold_left (fun acc (it : Ast.sel_item) -> e_tables it.Ast.expr acc) acc items
-  in
-  let acc = match q.Ast.where with Some p -> p_tables p acc | None -> acc in
-  List.fold_left (fun acc (oi : Ast.order_item) -> e_tables oi.Ast.key acc) acc q.Ast.order_by
-
-and e_tables (e : Ast.expr) acc =
-  match e with
-  | Ast.Const _ | Ast.Param _ | Ast.Path _ -> acc
-  | Ast.Neg e -> e_tables e acc
-  | Ast.Binop (_, a, b) -> e_tables a (e_tables b acc)
-  | Ast.Agg (_, eo) -> ( match eo with Some e -> e_tables e acc | None -> acc)
-  | Ast.Subquery q -> q_tables q acc
-
-and p_tables (p : Ast.pred) acc =
-  match p with
-  | Ast.Cmp (_, a, b) -> e_tables a (e_tables b acc)
-  | Ast.And (a, b) | Ast.Or (a, b) -> p_tables a (p_tables b acc)
-  | Ast.Not a -> p_tables a acc
-  | Ast.Exists (r, body) | Ast.Forall (r, body) ->
-      let acc = match r.Ast.source with Ast.Table_src n -> n :: acc | Ast.Path_src _ -> acc in
-      p_tables body acc
-  | Ast.Contains (e, _) -> e_tables e acc
-  | Ast.Bool_expr e -> e_tables e acc
-
-let opt_p_tables w acc = match w with Some p -> p_tables p acc | None -> acc
-let opt_e_tables e acc = match e with Some e -> e_tables e acc | None -> acc
-
 (* (reads, writes) by table name, uppercased, writes removed from reads. *)
 let stmt_tables (stmt : Ast.stmt) : string list * string list =
-  let reads, writes =
+  let writes =
     match stmt with
-    | Ast.Select q | Ast.Explain q | Ast.Explain_analyze q -> (q_tables q [], [])
-    | Ast.Insert { table; where; _ } -> (opt_p_tables where [], [ table ])
-    | Ast.Update { table; sets; where; at; _ } ->
-        let acc = List.fold_left (fun acc (_, e) -> e_tables e acc) [] sets in
-        (opt_e_tables at (opt_p_tables where acc), [ table ])
-    | Ast.Delete { table; where; at; _ } -> (opt_e_tables at (opt_p_tables where []), [ table ])
-    | Ast.Create_table { name; _ } -> ([], [ name ])
-    | Ast.Drop_table n -> ([], [ n ])
-    | Ast.Create_index { table; _ } | Ast.Create_text_index { table; _ } -> ([], [ table ])
-    | Ast.Alter_add { table; _ } | Ast.Alter_drop { table; _ } -> ([], [ table ])
-    | Ast.Show_tables | Ast.Describe _ | Ast.Begin_txn | Ast.Commit | Ast.Rollback -> ([], [])
+    | Ast.Insert { table; _ } | Ast.Update { table; _ } | Ast.Delete { table; _ }
+    | Ast.Create_index { table; _ } | Ast.Create_text_index { table; _ }
+    | Ast.Alter_add { table; _ } | Ast.Alter_drop { table; _ } ->
+        [ table ]
+    | Ast.Create_table { name; _ } | Ast.Drop_table name -> [ name ]
+    | Ast.Select _ | Ast.Explain _ | Ast.Explain_analyze _ | Ast.Show_tables | Ast.Describe _
+    | Ast.Begin_txn | Ast.Commit | Ast.Rollback ->
+        []
   in
-  let up = List.map String.uppercase_ascii in
-  let dedup l = List.sort_uniq String.compare (up l) in
+  let dedup l = List.sort_uniq String.compare (List.map String.uppercase_ascii l) in
   let writes = dedup writes in
-  let reads = List.filter (fun t -> not (List.mem t writes)) (dedup reads) in
-  (reads, writes)
-
-let mutates = function
-  | Ast.Select _ | Ast.Explain _ | Ast.Explain_analyze _ | Ast.Show_tables | Ast.Describe _
-  | Ast.Begin_txn | Ast.Commit | Ast.Rollback ->
-      false
-  | Ast.Create_table _ | Ast.Drop_table _ | Ast.Create_index _ | Ast.Create_text_index _
-  | Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Alter_add _ | Ast.Alter_drop _ ->
-      true
+  let reads = dedup (Ast.fold_stmt_ranges Ast.add_table [] stmt) in
+  (List.filter (fun t -> not (List.mem t writes)) reads, writes)
 
 (* --- waiting with deadlines -------------------------------------------- *)
 
@@ -938,7 +885,7 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
   | Ast.Commit -> do_commit sess
   | Ast.Rollback -> do_rollback sess
   | _ ->
-      if mgr.read_only && mutates stmt then begin
+      if mgr.read_only && Ast.mutates stmt then begin
         Metrics.incr mgr.metrics "stmts_refused_read_only";
         refused P.err_read_only
           "read-only replica: mutating statements are refused (promote to accept writes)"
@@ -958,7 +905,7 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
         (* reads inside an explicit transaction may still share the
            latch: predicate locks keep other sessions off this
            transaction's written tables, and a read mutates nothing *)
-        let with_eng = if mutates stmt then with_engine mgr else with_engine_read mgr in
+        let with_eng = if Ast.mutates stmt then with_engine mgr else with_engine_read mgr in
         match
           acquire_locks mgr ltxn specs ~deadline;
           with_eng exec
@@ -972,7 +919,7 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
                 raise (Refused (code, m ^ " (transaction rolled back)"))
             | e -> raise e)
       end
-      else if mutates stmt then begin
+      else if Ast.mutates stmt then begin
         (* autocommit: the statement is its own engine transaction *)
         acquire_slot sess ~deadline;
         let ltxn = fresh_ltxn mgr in
@@ -1156,26 +1103,23 @@ let response_of_result (r : Db.result) : P.response =
       in
       P.Row_count { affected; message = m }
 
-let error_of_exn (e : exn) : P.response option =
+(* The wire error (code, message) for an engine / parser / lock /
+   refusal exception; [None] for connection-level exceptions, which must
+   escape. *)
+let error_of_exn (e : exn) : (string * string) option =
   match e with
-  | Refused (code, message) -> Some (P.Error { code; message })
-  | Db.Db_error m -> Some (P.Error { code = P.err_semantic; message = m })
-  | Parser.Parse_error m | Lexer.Lex_error m -> Some (P.Error { code = P.err_syntax; message = m })
-  | Eval.Eval_error m -> Some (P.Error { code = P.err_semantic; message = m })
-  | Schema.Schema_error m -> Some (P.Error { code = P.err_semantic; message = m })
-  | Value.Value_error m -> Some (P.Error { code = P.err_semantic; message = m })
-  | Params.Param_error m -> Some (P.Error { code = P.err_semantic; message = m })
+  | Refused (code, message) -> Some (code, message)
+  | Db.Db_error m -> Some (P.err_semantic, m)
+  | Parser.Parse_error m | Lexer.Lex_error m -> Some (P.err_syntax, m)
+  | Eval.Eval_error m | Schema.Schema_error m | Value.Value_error m | Params.Param_error m ->
+      Some (P.err_semantic, m)
   | Mvcc.Snapshot_too_old { table; lsn; floor } ->
       Some
-        (P.Error
-           {
-             code = P.err_snapshot_too_old;
-             message =
-               Printf.sprintf
-                 "snapshot too old: %s @ LSN %d is below the version GC horizon (oldest kept: %d)"
-                 table lsn floor;
-           })
-  | P.Protocol_error m -> Some (P.Error { code = P.err_protocol; message = m })
+        ( P.err_snapshot_too_old,
+          Printf.sprintf
+            "snapshot too old: %s @ LSN %d is below the version GC horizon (oldest kept: %d)"
+            table lsn floor )
+  | P.Protocol_error m -> Some (P.err_protocol, m)
   | _ -> None
 
 let render_metrics (mgr : manager) : string =
@@ -1210,28 +1154,29 @@ let run_script (sess : session) (input : string) : P.response =
 
 (* --- request dispatch ---------------------------------------------------- *)
 
-let handle (sess : session) (req : P.request) : P.response =
-  let mgr = sess.mgr in
+(* Count a request under [kind], time it into [latency_name], and turn
+   an engine / parser / lock / refusal exception into its counted wire
+   error. *)
+let run_protected (mgr : manager) kind latency_name (f : unit -> P.response) : P.response =
   let t0 = Unix.gettimeofday () in
-  let timed name resp =
-    Metrics.observe mgr.metrics name (Unix.gettimeofday () -. t0);
-    resp
-  in
-  let run_protected kind latency_name (f : unit -> P.response) =
-    Metrics.incr mgr.metrics kind;
+  Metrics.incr mgr.metrics kind;
+  let resp =
     match f () with
-    | resp -> timed latency_name resp
+    | resp -> resp
     | exception e -> (
         match error_of_exn e with
-        | Some (P.Error { code; _ } as err) ->
+        | Some (code, message) ->
             Metrics.incr mgr.metrics "errors_total";
             Metrics.incr_labeled mgr.metrics "errors" [ ("code", code) ];
-            timed latency_name err
-        | Some err ->
-            Metrics.incr mgr.metrics "errors_total";
-            timed latency_name err
+            P.Error { code; message }
         | None -> raise e)
   in
+  Metrics.observe mgr.metrics latency_name (Unix.gettimeofday () -. t0);
+  resp
+
+let handle (sess : session) (req : P.request) : P.response =
+  let mgr = sess.mgr in
+  let run_protected = run_protected mgr in
   match req with
   | P.Ping ->
       Metrics.incr mgr.metrics "requests_ping";

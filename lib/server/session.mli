@@ -106,7 +106,7 @@ val handle : session -> Protocol.request -> Protocol.response
 (** Parse, rewrite and run a ';'-separated script exactly as a [Query]
     frame would — observed, latched and recorded — but without the
     dispatch loop's error trapping: engine / parser / lock exceptions
-    escape to the caller (see {!error_of_exn}).  Exposed for the
+    escape to the caller (see {!run_protected}).  Exposed for the
     coordinator, which folds locally-served statements (pure-SYS
     queries) through the same path. *)
 val run_script : session -> string -> Protocol.response
@@ -119,11 +119,14 @@ val run_script : session -> string -> Protocol.response
 val note_statement :
   session -> Nf2_lang.Ast.stmt -> seconds:float -> rows:int -> status:string -> unit
 
-(** Map an engine / parser / lock exception to the wire error the
-    dispatch loop would send, [None] for connection-level exceptions
-    that must escape.  Exposed for the coordinator, whose routing layer
-    fails with the same exception vocabulary. *)
-val error_of_exn : exn -> Protocol.response option
+(** The request bookkeeping {!handle} wraps around a request body:
+    count it under the [kind] counter, observe its latency into the
+    [latency] histogram, and turn an engine / parser / lock / {!Refused}
+    exception into a counted [Protocol.Error] (by code).
+    Connection-level exceptions escape.  Exposed for the coordinator,
+    whose routed requests keep the same books. *)
+val run_protected :
+  manager -> string -> string -> (unit -> Protocol.response) -> Protocol.response
 
 (** Rolls back an in-flight transaction, releases locks and the
     transaction slot, and drops prepared statements. *)

@@ -1,7 +1,9 @@
 (* The fan-out/fan-in coordinator: N aimd shards presented as one node.
 
-   Clients speak the ordinary wire protocol to the coordinator; it
-   routes every statement through the versioned shard map
+   Clients speak the ordinary wire protocol to the coordinator, which
+   is a request handler on {!Server}'s connection loop (admission
+   control, idle timeout and graceful stop are the loop's).  It routes
+   every statement through the versioned shard map
    ({!Shard_map}, root-key consistent hashing) over pooled shard
    connections ({!Pool}):
 
@@ -38,31 +40,19 @@ module Plan = Nf2_plan.Plan
 module P = Nf2_server.Protocol
 module Session = Nf2_server.Session
 module Metrics = Nf2_server.Metrics
+module Server = Nf2_server.Server
 
 type config = {
-  host : string;
-  port : int; (* 0 picks an ephemeral port *)
-  max_sessions : int;
-  idle_timeout : float; (* seconds; 0 disables the idle check *)
   gather_deadline : float; (* seconds one statement may wait on shards *)
   pool_cap : int; (* idle connections kept per shard *)
   map_version : int;
   members : Shard_map.member list;
 }
 
-let default_config =
-  {
-    host = "127.0.0.1";
-    port = 0;
-    max_sessions = 32;
-    idle_timeout = 300.;
-    gather_deadline = 5.0;
-    pool_cap = 8;
-    map_version = 1;
-    members = [];
-  }
+let default_config = { gather_deadline = 5.0; pool_cap = 8; map_version = 1; members = [] }
 
-type t = {
+(* The routing state every request handler shares. *)
+type router = {
   map : Shard_map.t;
   pools : Pool.t array;
   db : Db.t; (* embedded engine: SYS only, no user tables *)
@@ -71,19 +61,14 @@ type t = {
   config : config;
   keyfields : (string, string) Hashtbl.t; (* table -> first attribute, uppercased *)
   kmu : Mutex.t; (* guards [keyfields] *)
-  listener : Unix.file_descr;
-  bound_port : int;
-  mu : Mutex.t;
-  workers : (int, Thread.t * Unix.file_descr) Hashtbl.t;
-  mutable next_sid : int;
-  mutable running : bool;
-  mutable accept_thread : Thread.t option;
 }
 
-let port t = t.bound_port
-let metrics t = t.metrics
-let session_manager t = t.mgr
-let shard_map t = t.map
+type t = { router : router; server : Server.t }
+
+let port t = Server.port t.server
+let metrics t = t.router.metrics
+let session_manager t = t.router.mgr
+let shard_map t = t.router.map
 
 let refused code fmt = Fmt.kstr (fun s -> raise (Session.Refused (code, s))) fmt
 
@@ -115,66 +100,18 @@ let forget_key t tbl = with_mu t.kmu (fun () -> Hashtbl.remove t.keyfields (Stri
 
 (* --- routing analysis --------------------------------------------------- *)
 
-(* Every stored-table range occurrence in a statement, subqueries and
-   quantifiers included — multiplicity matters: two occurrences mean a
-   cross-shard join (or self-join), which partitioned evaluation
-   cannot answer. *)
-let rec q_sources (q : Ast.query) acc =
-  let acc = List.fold_left (fun acc r -> r_sources r acc) acc q.Ast.from in
-  let acc =
-    match q.Ast.select with
-    | Ast.Star -> acc
-    | Ast.Items items ->
-        List.fold_left (fun acc (it : Ast.sel_item) -> e_sources it.Ast.expr acc) acc items
-  in
-  let acc = match q.Ast.where with Some p -> p_sources p acc | None -> acc in
-  List.fold_left (fun acc (oi : Ast.order_item) -> e_sources oi.Ast.key acc) acc q.Ast.order_by
-
-and r_sources (r : Ast.range) acc =
-  let acc = match r.Ast.source with Ast.Table_src n -> n :: acc | Ast.Path_src _ -> acc in
-  match r.Ast.asof with Some e -> e_sources e acc | None -> acc
-
-and e_sources (e : Ast.expr) acc =
-  match e with
-  | Ast.Const _ | Ast.Param _ | Ast.Path _ -> acc
-  | Ast.Neg e -> e_sources e acc
-  | Ast.Binop (_, a, b) -> e_sources a (e_sources b acc)
-  | Ast.Agg (_, eo) -> ( match eo with Some e -> e_sources e acc | None -> acc)
-  | Ast.Subquery q -> q_sources q acc
-
-and p_sources (p : Ast.pred) acc =
-  match p with
-  | Ast.Cmp (_, a, b) -> e_sources a (e_sources b acc)
-  | Ast.And (a, b) | Ast.Or (a, b) -> p_sources a (p_sources b acc)
-  | Ast.Not a -> p_sources a acc
-  | Ast.Exists (r, body) | Ast.Forall (r, body) -> p_sources body (r_sources r acc)
-  | Ast.Contains (e, _) -> e_sources e acc
-  | Ast.Bool_expr e -> e_sources e acc
-
 (* ASOF through the coordinator: DATE literals compare wall time and
    work everywhere; integer LSNs are shard-local counters, so a routed
    LSN read would time-travel each shard to a different state. *)
-let rec q_asofs (q : Ast.query) acc =
-  let from_ranges = List.fold_left (fun acc (r : Ast.range) -> match r.Ast.asof with Some e -> e :: acc | None -> acc) acc q.Ast.from in
-  match q.Ast.where with Some p -> p_asofs p from_ranges | None -> from_ranges
-
-and p_asofs (p : Ast.pred) acc =
-  match p with
-  | Ast.Cmp _ | Ast.Contains _ | Ast.Bool_expr _ -> acc
-  | Ast.And (a, b) | Ast.Or (a, b) -> p_asofs a (p_asofs b acc)
-  | Ast.Not a -> p_asofs a acc
-  | Ast.Exists (r, body) | Ast.Forall (r, body) ->
-      let acc = match r.Ast.asof with Some e -> e :: acc | None -> acc in
-      p_asofs body acc
-
 let check_asof (q : Ast.query) =
-  List.iter
-    (function
-      | Ast.Const (Atom.Date _) -> ()
-      | Ast.Const (Atom.Int _) ->
+  Ast.fold_query_ranges
+    (fun () (r : Ast.range) ->
+      match r.Ast.asof with
+      | None | Some (Ast.Const (Atom.Date _)) -> ()
+      | Some (Ast.Const (Atom.Int _)) ->
           refused P.err_feature "ASOF at an integer LSN is shard-local; use a DATE through the coordinator"
-      | _ -> refused P.err_feature "ASOF through the coordinator requires a DATE literal")
-    (q_asofs q [])
+      | Some _ -> refused P.err_feature "ASOF through the coordinator requires a DATE literal")
+    () q
 
 let rec conjuncts = function Ast.And (a, b) -> conjuncts a @ conjuncts b | p -> [ p ]
 
@@ -203,8 +140,11 @@ let pin_shard t ~(rvar : string option) ~(tbl : string) (where : Ast.pred option
 
 type sroute = R_local | R_single of int | R_scatter
 
+(* Every stored-table range occurrence counts, subqueries and
+   quantifiers included: two occurrences mean a cross-shard join (or
+   self-join), which partitioned evaluation cannot answer. *)
 let select_route t (q : Ast.query) : sroute =
-  let sys, user = List.partition (Db.is_sys_table t.db) (q_sources q []) in
+  let sys, user = List.partition (Db.is_sys_table t.db) (Ast.fold_query_ranges Ast.add_table [] q) in
   match user with
   | [] -> R_local
   | _ when sys <> [] ->
@@ -249,7 +189,7 @@ let scatter t ~(read : bool) ~(deadline : float) (sql : string) : (int * P.respo
   Array.iter
     (fun (_, r) ->
       match r with
-      | Error (Pool.Shard_error (code, _) as e) ->
+      | Error (Session.Refused (code, _) as e) ->
           if code = P.err_shard_timeout then Metrics.incr t.metrics "coord_gather_timeouts";
           raise e
       | Error e -> raise e
@@ -813,28 +753,11 @@ type csession = {
   mutable next_prep : int;
 }
 
-let coord_error_of_exn (e : exn) : P.response option =
-  match e with
-  | Pool.Shard_error (code, message) -> Some (P.Error { code; message })
-  | e -> Session.error_of_exn e
-
 let coord_handle t (cs : csession) (req : P.request) : P.response =
-  let t0 = Unix.gettimeofday () in
-  let protect kind (f : unit -> P.response) =
-    Metrics.incr t.metrics kind;
-    match f () with
-    | resp ->
-        Metrics.observe t.metrics "query_latency" (Unix.gettimeofday () -. t0);
-        resp
-    | exception e -> (
-        match coord_error_of_exn e with
-        | Some (P.Error { code; _ } as err) ->
-            Metrics.incr t.metrics "errors_total";
-            Metrics.incr_labeled t.metrics "errors" [ ("code", code) ];
-            Metrics.observe t.metrics "query_latency" (Unix.gettimeofday () -. t0);
-            err
-        | Some err -> err
-        | None -> raise e)
+  let protect kind f = Session.run_protected t.mgr kind "query_latency" f in
+  let reject code message =
+    Metrics.incr t.metrics "errors_total";
+    P.Error { code; message }
   in
   match req with
   | P.Query input -> protect "requests_query" (fun () -> exec_script t cs.sess input)
@@ -862,123 +785,26 @@ let coord_handle t (cs : csession) (req : P.request) : P.response =
       Metrics.incr t.metrics "requests_shard_map";
       shard_map_response t
   | P.Begin | P.Commit | P.Rollback ->
-      Metrics.incr t.metrics "errors_total";
-      P.Error
-        {
-          code = P.err_feature;
-          message =
-            "explicit transactions are not supported through a coordinator: statements commit \
-             on their own shard";
-        }
-  | P.Metrics ->
-      Metrics.incr t.metrics "requests_metrics";
-      set_shard_gauges t;
-      P.Metrics_text (Session.render_metrics t.mgr)
-  | P.Metrics_prom ->
-      Metrics.incr t.metrics "requests_metrics";
-      set_shard_gauges t;
-      P.Metrics_text (Session.render_prometheus t.mgr)
-  | P.Repl_handshake _ | P.Repl_ack _ ->
-      Metrics.incr t.metrics "errors_total";
-      P.Error
-        {
-          code = P.err_protocol;
-          message = "replication streams attach to shards, not the coordinator";
-        }
+      reject P.err_feature
+        "explicit transactions are not supported through a coordinator: statements commit on \
+         their own shard"
   | P.Shard_join _ | P.Shard_route _ ->
-      Metrics.incr t.metrics "errors_total";
-      P.Error { code = P.err_protocol; message = "this node is a coordinator, not a shard" }
-  | P.Ping | P.Quit | P.Promote | P.Sys_reset | P.Set_slow_query _ ->
+      reject P.err_protocol "this node is a coordinator, not a shard"
+  | P.Metrics | P.Metrics_prom ->
+      set_shard_gauges t;
+      Session.handle cs.sess req
+  | P.Ping | P.Quit | P.Promote | P.Sys_reset | P.Set_slow_query _ | P.Repl_handshake _
+  | P.Repl_ack _ ->
       (* identical semantics to a plain node; the session layer answers *)
       Session.handle cs.sess req
 
-(* --- accept loop (modelled on Server) ------------------------------------ *)
-
-let with_t t f = with_mu t.mu f
-
-let is_timeout = function
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) -> true
-  | _ -> false
-
-let serve_connection (t : t) (cs : csession) (fd : Unix.file_descr) =
-  if t.config.idle_timeout > 0. then
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.idle_timeout;
-  let rec loop () =
-    match P.recv_request fd with
-    | None -> ()
-    | exception e when is_timeout e ->
-        Metrics.incr t.metrics "sessions_idle_closed";
-        (try
-           P.send_response fd
-             (P.Error { code = P.err_protocol; message = "idle timeout, closing session" })
-         with _ -> ())
-    | exception P.Protocol_error m ->
-        (try P.send_response fd (P.Error { code = P.err_protocol; message = m }) with _ -> ())
-    | Some req -> (
-        match coord_handle t cs req with
-        | resp ->
-            P.send_response fd resp;
-            if resp <> P.Bye then loop ()
-        | exception e ->
-            (try
-               P.send_response fd (P.Error { code = P.err_internal; message = Printexc.to_string e })
-             with _ -> ()))
-  in
-  (try loop () with _ -> ());
-  Session.close_session cs.sess
-
-let worker (t : t) (sid : int) (fd : Unix.file_descr) =
-  let cs =
-    { sess = Session.open_session t.mgr ~sid; prepared = Hashtbl.create 8; next_prep = 1 }
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close fd with _ -> ());
-      with_t t (fun () -> Hashtbl.remove t.workers sid);
-      Metrics.add t.metrics "sessions_active" (-1))
-    (fun () -> serve_connection t cs fd)
-
-let admit (t : t) (fd : Unix.file_descr) =
-  Metrics.incr t.metrics "connections_total";
-  let sid =
-    with_t t (fun () ->
-        if Hashtbl.length t.workers >= t.config.max_sessions then None
-        else begin
-          let sid = t.next_sid in
-          t.next_sid <- sid + 1;
-          Hashtbl.replace t.workers sid (Thread.self (), fd);
-          Some sid
-        end)
-  in
-  match sid with
-  | None ->
-      Metrics.incr t.metrics "connections_rejected";
-      (try
-         P.send_response fd
-           (P.Error { code = P.err_busy; message = "too many sessions, try again later" })
-       with _ -> ());
-      (try Unix.close fd with _ -> ())
-  | Some sid ->
-      Metrics.incr t.metrics "sessions_active";
-      let th = Thread.create (fun () -> worker t sid fd) () in
-      with_t t (fun () -> if Hashtbl.mem t.workers sid then Hashtbl.replace t.workers sid (th, fd))
-
-let accept_loop (t : t) =
-  while with_t t (fun () -> t.running) do
-    match Unix.select [ t.listener ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ :: _, _, _ -> (
-        match Unix.accept t.listener with
-        | fd, _ -> admit t fd
-        | exception Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  done
-
 (* --- lifecycle ------------------------------------------------------------ *)
 
-let start (config : config) : t =
+(* The coordinator runs on the server's connection loop; only the
+   per-connection state and the handler are its own.  It starts no
+   executor domains: reads run on the shards. *)
+let start ?(server = Server.default_config) (config : config) : t =
   if config.members = [] then invalid_arg "Coord.start: no shards configured";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let map = Shard_map.create ~version:config.map_version config.members in
   let metrics = Metrics.create () in
   let db = Db.create () in
@@ -990,64 +816,24 @@ let start (config : config) : t =
             ~nshards:(List.length config.members))
          config.members)
   in
-  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listener Unix.SO_REUSEADDR true;
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port) in
-  (try Unix.bind listener addr
-   with e ->
-     Unix.close listener;
-     raise e);
-  Unix.listen listener 64;
-  let bound_port =
-    match Unix.getsockname listener with Unix.ADDR_INET (_, p) -> p | _ -> config.port
+  let router =
+    { map; pools; db; mgr; metrics; config; keyfields = Hashtbl.create 16; kmu = Mutex.create () }
   in
-  let t =
-    {
-      map;
-      pools;
-      db;
-      mgr;
-      metrics;
-      config;
-      keyfields = Hashtbl.create 16;
-      kmu = Mutex.create ();
-      listener;
-      bound_port;
-      mu = Mutex.create ();
-      workers = Hashtbl.create 16;
-      next_sid = 1;
-      running = true;
-      accept_thread = None;
-    }
+  Sysr.register (Db.sys_registry db) (sys_shards_provider router);
+  set_shard_gauges router;
+  let open_conn ~sid =
+    let cs = { sess = Session.open_session mgr ~sid; prepared = Hashtbl.create 8; next_prep = 1 } in
+    { Server.handle = coord_handle router cs; close = (fun () -> Session.close_session cs.sess) }
   in
-  Sysr.register (Db.sys_registry db) (sys_shards_provider t);
-  set_shard_gauges t;
-  t.accept_thread <- Some (Thread.create accept_loop t);
-  t
+  let on_stop () = Array.iter Pool.close_all pools in
+  { router; server = Server.serve ~on_stop server ~metrics mgr open_conn }
 
-let stop (t : t) =
-  let was_running =
-    with_t t (fun () ->
-        let r = t.running in
-        t.running <- false;
-        r)
-  in
-  if was_running then begin
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (try Unix.close t.listener with _ -> ());
-    let live = with_t t (fun () -> Hashtbl.fold (fun _ w acc -> w :: acc) t.workers []) in
-    List.iter (fun (_, fd) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ()) live;
-    List.iter (fun (th, _) -> try Thread.join th with _ -> ()) live;
-    Array.iter Pool.close_all t.pools;
-    (match Db.wal t.db with
-    | Some w -> ( try Nf2_storage.Wal.set_async_appender w false with _ -> ())
-    | None -> ())
-  end
+let stop t = Server.stop t.server
 
-let render_metrics (t : t) =
-  set_shard_gauges t;
-  Session.render_metrics t.mgr
+let render_metrics t =
+  set_shard_gauges t.router;
+  Session.render_metrics t.router.mgr
 
-let render_prometheus (t : t) =
-  set_shard_gauges t;
-  Session.render_prometheus t.mgr
+let render_prometheus t =
+  set_shard_gauges t.router;
+  Session.render_prometheus t.router.mgr

@@ -18,13 +18,13 @@
     Pure-SYS statements run on an embedded coordinator-local engine
     whose registry adds SYS_SHARDS (per-shard address, state, lag and
     counters, joinable with the standard session-tier providers).
+
+    The coordinator is a request handler on {!Nf2_server.Server}'s
+    connection loop: admission control (Busy at [max_sessions]), the
+    idle timeout and graceful shutdown are the server's own.
     See docs/SHARDING.md. *)
 
 type config = {
-  host : string;
-  port : int;  (** 0 picks an ephemeral port *)
-  max_sessions : int;
-  idle_timeout : float;  (** seconds; 0 disables the idle check *)
   gather_deadline : float;  (** seconds one statement may wait on shards *)
   pool_cap : int;  (** idle connections kept per shard *)
   map_version : int;
@@ -32,17 +32,19 @@ type config = {
 }
 
 val default_config : config
-(** 127.0.0.1, ephemeral port, 32 sessions, 300s idle, 5s gather
-    deadline, pool of 8 — and no members: [start] requires at least
-    one. *)
+(** 5s gather deadline, pool of 8, map v1 — and no members: [start]
+    requires at least one. *)
 
 type t
 
-(** Binds, spawns the accept loop, joins nothing yet (shard
-    connections are opened lazily per request).
+(** Binds [server.host:server.port] and serves on the server loop
+    (default {!Nf2_server.Server.default_config}; of it only [host],
+    [port], [max_sessions] and [idle_timeout] apply).  Shard
+    connections are opened lazily per request; no executor domains
+    are started.
     @raise Invalid_argument when [config.members] is empty.
     @raise Unix.Unix_error when the address cannot be bound. *)
-val start : config -> t
+val start : ?server:Nf2_server.Server.config -> config -> t
 
 val port : t -> int
 val metrics : t -> Nf2_server.Metrics.t
@@ -56,6 +58,7 @@ val render_metrics : t -> string
 
 val render_prometheus : t -> string
 
-(** Stops accepting, closes live sessions, drains worker threads and
-    closes every pooled shard connection.  Idempotent. *)
+(** {!Nf2_server.Server.stop}: stops accepting, closes live sessions,
+    joins the worker threads, then closes every pooled shard
+    connection.  Idempotent. *)
 val stop : t -> unit

@@ -24,9 +24,9 @@
 module P = Nf2_server.Protocol
 module Client = Nf2_server.Client
 
-exception Shard_error of string * string (* SQLSTATE-style code, message *)
-
-let shard_error code fmt = Fmt.kstr (fun s -> raise (Shard_error (code, s))) fmt
+(* A shard that cannot answer is refused like any other request, with
+   the shard SQLSTATE and a message naming the shard. *)
+let shard_error code fmt = Fmt.kstr (fun s -> raise (Nf2_server.Session.Refused (code, s))) fmt
 
 type state = Up | Down | Replica_reads
 
@@ -152,7 +152,7 @@ let replica_request t ~(timeout : float) (sql : string) : P.response option =
 (* One routed statement against this shard.  [kind] only picks the
    counter ([`Routed] single-shard vs [`Fanout] scatter leg); [read]
    gates the replica fallback.  Returns the shard's response verbatim
-   (including engine errors); raises [Shard_error] when the shard
+   (including engine errors); raises [Session.Refused] when the shard
    cannot answer at all. *)
 let request t ~(kind : [ `Routed | `Fanout ]) ~(read : bool) ~(deadline : float) (sql : string) :
     P.response =

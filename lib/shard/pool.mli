@@ -10,11 +10,6 @@
     The primary is re-tried on every request, so a restarted shard
     heals without coordinator restarts. *)
 
-(** A shard that could not answer at all: carries the SQLSTATE-style
-    code (57S01 down / 57S02 timeout / 55S01 unrecoverable stale route)
-    and a message naming the shard. *)
-exception Shard_error of string * string
-
 type state = Up | Down | Replica_reads
 
 val state_name : state -> string
@@ -43,7 +38,9 @@ val replica_lag : t -> int option
     vs scatter leg), [read] gates the replica fallback, [deadline] is
     an absolute [Unix.gettimeofday] instant.  Returns the shard's
     response verbatim, engine errors included.
-    @raise Shard_error when the shard cannot answer at all. *)
+    @raise Nf2_server.Session.Refused when the shard cannot answer at
+    all, with 57S01 (down), 57S02 (timeout) or 55S01 (unrecoverable
+    stale route) and a message naming the shard. *)
 val request :
   t -> kind:[ `Routed | `Fanout ] -> read:bool -> deadline:float -> string -> Nf2_server.Protocol.response
 

@@ -23,15 +23,12 @@ type stats = {
   md_reads : int; (* MD subtuple fetches *)
   data_reads : int; (* data subtuple fetches *)
   subtuple_writes : int;
-  comp_raw_bytes : int; (* data-subtuple bytes before compression *)
-  comp_stored_bytes : int; (* same bytes as stored on pages *)
 }
 
 type t = {
   pool : Buffer_pool.t;
   layout : Mini_directory.layout;
   clustering : bool;
-  compress : bool; (* data subtuples go through the Compress codec *)
   dir : Heap.t; (* root MD subtuples *)
   mutable data_pages : int list; (* every page holding object subtuples *)
   fsm : (int, int) Hashtbl.t; (* free bytes per data page *)
@@ -39,20 +36,17 @@ type t = {
   md_reads : int Atomic.t;
   data_reads : int Atomic.t;
   subtuple_writes : int Atomic.t;
-  comp_raw : int Atomic.t;
-  comp_stored : int Atomic.t;
 }
 
 exception Store_error of string
 
 let store_error fmt = Fmt.kstr (fun s -> raise (Store_error s)) fmt
 
-let create ?(layout = Mini_directory.SS3) ?(clustering = true) ?(compress = false) pool =
+let create ?(layout = Mini_directory.SS3) ?(clustering = true) pool =
   {
     pool;
     layout;
     clustering;
-    compress;
     dir = Heap.create pool;
     data_pages = [];
     fsm = Hashtbl.create 64;
@@ -60,46 +54,21 @@ let create ?(layout = Mini_directory.SS3) ?(clustering = true) ?(compress = fals
     md_reads = Atomic.make 0;
     data_reads = Atomic.make 0;
     subtuple_writes = Atomic.make 0;
-    comp_raw = Atomic.make 0;
-    comp_stored = Atomic.make 0;
   }
 
 let layout t = t.layout
-let compression t = t.compress
 
 let stats t =
   {
     md_reads = Atomic.get t.md_reads;
     data_reads = Atomic.get t.data_reads;
     subtuple_writes = Atomic.get t.subtuple_writes;
-    comp_raw_bytes = Atomic.get t.comp_raw;
-    comp_stored_bytes = Atomic.get t.comp_stored;
   }
 
 let reset_stats t =
   Atomic.set t.md_reads 0;
   Atomic.set t.data_reads 0;
-  Atomic.set t.subtuple_writes 0;
-  Atomic.set t.comp_raw 0;
-  Atomic.set t.comp_stored 0
-
-(* Data subtuples — and only data subtuples — pass through the codec:
-   directory (MD) subtuples keep their exact layout so Mini-TID
-   arithmetic and the Fig 6 byte counts are untouched.  With
-   compression off the stored bytes are identical to the seed format
-   (no tag byte). *)
-let enc_data t atoms =
-  let raw = Subtuple.encode_data atoms in
-  if not t.compress then raw
-  else begin
-    let c = Compress.compress raw in
-    ignore (Atomic.fetch_and_add t.comp_raw (String.length raw));
-    ignore (Atomic.fetch_and_add t.comp_stored (String.length c));
-    c
-  end
-
-let dec_data t stored =
-  Subtuple.decode_data (if t.compress then Compress.decompress stored else stored)
+  Atomic.set t.subtuple_writes 0
 
 (* ------------------------------------------------------------------ *)
 (* Page management and local record operations *)
@@ -254,7 +223,7 @@ let read_md t plist m =
 
 let read_data t plist m =
   Atomic.incr t.data_reads;
-  dec_data t (read_local t plist m)
+  Subtuple.decode_data (read_local t plist m)
 
 let kill_local t (plist : Page_list.t) (m : Mini_tid.t) =
   let page = Page_list.resolve plist m.Mini_tid.lpage in
@@ -388,7 +357,7 @@ let assemble (tbl : Schema.table) (atoms : Atom.t list) (subvals : Value.table l
    gives it one) is up to the caller. *)
 let rec build_sections t layout plist (tbl : Schema.table) (tup : Value.tuple) : Subtuple.sections =
   let atoms, subs = split_fields tbl tup in
-  let d = place t plist (enc_data t atoms) in
+  let d = place t plist (Subtuple.encode_data atoms) in
   match layout with
   | Mini_directory.SS1 | Mini_directory.SS3 ->
       let subtable_ptrs =
@@ -403,7 +372,7 @@ let rec build_sections t layout plist (tbl : Schema.table) (tup : Value.tuple) :
               (fun etup ->
                 if Schema.flat sub then
                   let eatoms, _ = split_fields sub etup in
-                  Subtuple.D (place t plist (enc_data t eatoms))
+                  Subtuple.D (place t plist (Subtuple.encode_data eatoms))
                 else
                   let child_sections = build_sections t layout plist sub etup in
                   Subtuple.C (place t plist (Subtuple.encode_md child_sections)))
@@ -421,14 +390,14 @@ and build_subtable t layout plist (sub : Schema.table) (inner : Value.table) : M
         | Mini_directory.SS1 ->
             if Schema.flat sub then
               let eatoms, _ = split_fields sub etup in
-              [ Subtuple.D (place t plist (enc_data t eatoms)) ]
+              [ Subtuple.D (place t plist (Subtuple.encode_data eatoms)) ]
             else
               let child_sections = build_sections t layout plist sub etup in
               [ Subtuple.C (place t plist (Subtuple.encode_md child_sections)) ]
         | Mini_directory.SS3 ->
             (* element section: own data pointer + nested subtable MDs *)
             let eatoms, esubs = split_fields sub etup in
-            let d = place t plist (enc_data t eatoms) in
+            let d = place t plist (Subtuple.encode_data eatoms) in
             Subtuple.D d
             :: List.map (fun (_, s2, inner2) -> Subtuple.C (build_subtable t layout plist s2 inner2)) esubs
         | Mini_directory.SS2 -> assert false)
@@ -836,7 +805,7 @@ let update_atoms t (schema : Schema.t) (root : Tid.t) (steps : step list) (new_a
     | Elem _ :: rest -> target_table tbl rest
   in
   check_first_level_atoms (target_table schema.table steps) new_atoms;
-  update_local t plist d (enc_data t new_atoms);
+  update_local t plist d (Subtuple.encode_data new_atoms);
   (* placement may have extended the page list (spill) *)
   write_root t root plist sections
 
@@ -895,13 +864,13 @@ let append_element t (schema : Schema.t) (root : Tid.t) (steps : step list) (etu
         | Mini_directory.SS1 ->
             if Schema.flat sub then
               let eatoms, _ = split_fields sub etup in
-              [ Subtuple.D (place t plist (enc_data t eatoms)) ]
+              [ Subtuple.D (place t plist (Subtuple.encode_data eatoms)) ]
             else
               let child_sections = build_sections t t.layout plist sub etup in
               [ Subtuple.C (place t plist (Subtuple.encode_md child_sections)) ]
         | Mini_directory.SS3 ->
             let eatoms, esubs = split_fields sub etup in
-            let d = place t plist (enc_data t eatoms) in
+            let d = place t plist (Subtuple.encode_data eatoms) in
             Subtuple.D d
             :: List.map (fun (_, s2, inner2) -> Subtuple.C (build_subtable t t.layout plist s2 inner2)) esubs
         | Mini_directory.SS2 -> assert false
@@ -912,7 +881,7 @@ let append_element t (schema : Schema.t) (root : Tid.t) (steps : step list) (etu
       let new_entry =
         if Schema.flat sub then
           let eatoms, _ = split_fields sub etup in
-          Subtuple.D (place t plist (enc_data t eatoms))
+          Subtuple.D (place t plist (Subtuple.encode_data eatoms))
         else
           let child_sections = build_sections t t.layout plist sub etup in
           Subtuple.C (place t plist (Subtuple.encode_md child_sections))
@@ -1191,9 +1160,6 @@ let checkout t (root : Tid.t) : string =
   let plist, sections = load_root t root in
   let b = Codec.create_sink () in
   Codec.put_uvarint b (page_size t);
-  (* page images carry the store's on-page encoding, so the codec
-     setting must match at check-in *)
-  Codec.put_bool b t.compress;
   let entries = Page_list.entries plist in
   Codec.put_uvarint b (List.length entries);
   List.iter
@@ -1215,9 +1181,6 @@ let checkin t (payload : string) : Tid.t =
   let src = Codec.source_of_string payload in
   let ps = Codec.get_uvarint src in
   if ps <> page_size t then store_error "checkin: page size mismatch (%d vs %d)" ps (page_size t);
-  let compressed = Codec.get_bool src in
-  if compressed <> t.compress then
-    store_error "checkin: compression mismatch (object %b vs store %b)" compressed t.compress;
   let n = Codec.get_uvarint src in
   let plist = Page_list.create () in
   (* page-list positions must be reproduced exactly *)
@@ -1229,10 +1192,6 @@ let checkin t (payload : string) : Tid.t =
   in
   let max_pos = List.fold_left (fun acc (lp, _) -> max acc lp) (-1) entries in
   (* fill with gaps first, then replace the live positions *)
-  let fresh_pages =
-    List.init (max_pos + 1) (fun _ -> -1)
-  in
-  ignore fresh_pages;
   for _ = 0 to max_pos do
     ignore (Page_list.add plist (-2))
   done;
@@ -1257,14 +1216,13 @@ let checkin t (payload : string) : Tid.t =
 let export_meta t : int list * int list * int list =
   (Heap.pages t.dir, t.data_pages, t.free_pages)
 
-let restore ?(layout = Mini_directory.SS3) ?(clustering = true) ?(compress = false) pool
-    ~dir_pages ~data_pages ~free_pages =
+let restore ?(layout = Mini_directory.SS3) ?(clustering = true) pool ~dir_pages ~data_pages
+    ~free_pages =
   let t =
     {
       pool;
       layout;
       clustering;
-      compress;
       dir = Heap.restore pool ~pages:dir_pages;
       data_pages;
       fsm = Hashtbl.create 64;
@@ -1272,8 +1230,6 @@ let restore ?(layout = Mini_directory.SS3) ?(clustering = true) ?(compress = fal
       md_reads = Atomic.make 0;
       data_reads = Atomic.make 0;
       subtuple_writes = Atomic.make 0;
-      comp_raw = Atomic.make 0;
-      comp_stored = Atomic.make 0;
     }
   in
   List.iter

@@ -21,30 +21,21 @@ type stats = {
   md_reads : int;  (** MD subtuple fetches *)
   data_reads : int;  (** data subtuple fetches *)
   subtuple_writes : int;
-  comp_raw_bytes : int;  (** data-subtuple bytes before compression *)
-  comp_stored_bytes : int;  (** same bytes as stored on pages *)
 }
 
 type t
 
 exception Store_error of string
 
-(** [create ?layout ?clustering ?compress pool] makes an empty store.
+(** [create ?layout ?clustering pool] makes an empty store.
     [layout] picks the Mini Directory structure (default {!Mini_directory.SS3},
     AIM-II's production choice).  With [clustering:false] subtuples are
     placed on pages shared by all objects (the ablation baseline);
     the default scans the object's own page list first, as the paper
-    prescribes.  With [compress:true] data (not directory) subtuples
-    pass through the {!Compress} codec on their way to pages; the raw
-    vs stored byte counters land in {!stats}.  Compression off keeps
-    the seed's exact byte format. *)
-val create :
-  ?layout:Mini_directory.layout -> ?clustering:bool -> ?compress:bool -> Buffer_pool.t -> t
+    prescribes. *)
+val create : ?layout:Mini_directory.layout -> ?clustering:bool -> Buffer_pool.t -> t
 
 val layout : t -> Mini_directory.layout
-
-(** True iff the store compresses data subtuples. *)
-val compression : t -> bool
 val stats : t -> stats
 val reset_stats : t -> unit
 
@@ -177,7 +168,6 @@ val export_meta : t -> int list * int list * int list
 val restore :
   ?layout:Mini_directory.layout ->
   ?clustering:bool ->
-  ?compress:bool ->
   Buffer_pool.t ->
   dir_pages:int list ->
   data_pages:int list ->

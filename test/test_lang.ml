@@ -725,6 +725,35 @@ let lang_props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_select_equiv; prop_project_equiv; prop_unnest_equiv; prop_rewrite_equivalence ]
 
+(* --- the shared range walker ------------------------------------------ *)
+
+(* Session lock specs, shard routing and the coordinator's ASOF check
+   all read a statement's tables through [Ast.fold_*_ranges]: every
+   place a range can sit must be found, once per occurrence. *)
+let test_range_walker () =
+  let tables sql =
+    List.sort compare (Ast.fold_stmt_ranges Ast.add_table [] (Parser.parse_one sql))
+  in
+  let finds where sql =
+    checkb (where ^ " range found") true (List.mem "HIT" (tables sql))
+  in
+  finds "FROM" "SELECT x.A FROM x IN HIT";
+  finds "quantifier" "SELECT x.A FROM x IN T WHERE EXISTS y IN HIT : y.B = x.A";
+  finds "universal quantifier" "SELECT x.A FROM x IN T WHERE ALL y IN HIT : y.B = x.A";
+  finds "select-list subquery" "SELECT x.A, (SELECT y.B FROM y IN HIT) AS S FROM x IN T";
+  finds "WHERE subquery" "SELECT x.A FROM x IN T WHERE COUNT((SELECT y.B FROM y IN HIT)) > 0";
+  finds "ORDER BY subquery" "SELECT x.A FROM x IN T ORDER BY COUNT((SELECT y.B FROM y IN HIT))";
+  finds "FROM ASOF" "SELECT x.A FROM x IN T ASOF (SELECT y.D FROM y IN HIT)";
+  finds "quantifier ASOF"
+    "SELECT x.A FROM x IN T WHERE EXISTS z IN U ASOF (SELECT y.D FROM y IN HIT) : z.B = x.A";
+  finds "UPDATE SET subquery" "UPDATE T SET A = COUNT((SELECT y.B FROM y IN HIT))";
+  finds "DELETE WHERE" "DELETE FROM T WHERE EXISTS y IN HIT : y.B = A";
+  Alcotest.(check (list string)) "self-join keeps both occurrences" [ "T"; "T" ]
+    (tables "SELECT x.A FROM x IN T, y IN T WHERE x.A = y.A");
+  Alcotest.(check (list string)) "path ranges are not tables" [ "T" ]
+    (tables "SELECT y.B FROM x IN T, y IN x.XS");
+  Alcotest.(check (list string)) "INSERT rows name no ranges" [] (tables "INSERT INTO T VALUES (1)")
+
 let () =
   Alcotest.run "lang"
     [
@@ -786,4 +815,5 @@ let () =
           Alcotest.test_case "semantics preserved" `Quick test_rewrite_preserves_semantics;
         ] );
       ("equivalence", lang_props);
+      ("ranges", [ Alcotest.test_case "shared range walker" `Quick test_range_walker ]);
     ]

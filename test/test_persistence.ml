@@ -121,6 +121,39 @@ let test_malformed_file_rejected () =
    with Db.Db_error _ -> ());
   Sys.remove path
 
+(* The physical header's third byte once flagged page compression.
+   Images and catalog payloads are written with it off — the format
+   older builds wrote with compression off, so those still load — and
+   one with it on is refused, not misread. *)
+let test_compression_flag_refused () =
+  let db = Nf2.Demo.create () in
+  let path = tmpfile "compressed" in
+  Db.save db path;
+  let image = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  (* magic (8 bytes), page size 4096 (2-byte uvarint), layout, clustering *)
+  let flag = 8 + 2 + 2 in
+  checkb "written with the flag off" true (Bytes.get image flag = '\000');
+  Bytes.set image flag '\001';
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc image);
+  (try
+     ignore (Db.load path);
+     Alcotest.fail "image with page compression loaded"
+   with Db.Db_error _ -> ());
+  Sys.remove path;
+  let wdb = Db.create ~wal:true () in
+  ignore (Db.exec wdb "CREATE TABLE T (A INT)");
+  ignore (Db.exec wdb "INSERT INTO T VALUES (1)");
+  let payload =
+    match (Nf2_storage.Recovery.replay (Db.crash_image wdb)).Nf2_storage.Recovery.catalog with
+    | Some p -> Bytes.of_string p
+    | None -> Alcotest.fail "no catalog payload in the log"
+  in
+  Db.replicate_catalog wdb (Bytes.to_string payload);
+  Bytes.set payload 2 '\001';
+  try
+    Db.replicate_catalog wdb (Bytes.to_string payload);
+    Alcotest.fail "catalog payload with page compression applied"
+  with Db.Db_error _ -> ()
 
 (* --- journaling and crash recovery ------------------------------------- *)
 
@@ -332,6 +365,7 @@ let () =
           Alcotest.test_case "tuple names" `Quick test_tnames_survive;
           Alcotest.test_case "mutations after load" `Quick test_mutations_after_load;
           Alcotest.test_case "malformed file" `Quick test_malformed_file_rejected;
+          Alcotest.test_case "compression flag refused" `Quick test_compression_flag_refused;
         ] );
       ( "journal",
         [

@@ -16,6 +16,7 @@ module Merge = Nf2_algebra.Merge
 module Shard_map = Nf2_shard.Shard_map
 module Pool = Nf2_shard.Pool
 module Coord = Nf2_shard.Coord
+module Metrics = Nf2_server.Metrics
 
 let checkb msg expected actual = Alcotest.(check bool) msg expected actual
 let checki msg expected actual = Alcotest.(check int) msg expected actual
@@ -516,6 +517,85 @@ let test_replica_fallback () =
         (Printf.sprintf "UPDATE T SET V = 'x' WHERE K = %d" k0);
       Client.close c)
 
+(* --- the coordinator on the server loop ----------------------------------
+
+   The coordinator is a request handler on Server's connection loop, so
+   admission control, the idle timeout and the graceful stop hold for
+   its clients exactly as for a plain node's. *)
+
+let with_coord ~(server : Server.config) (f : Coord.t -> 'a) : 'a =
+  let shard = Server.start server_config in
+  let members =
+    [ { Shard_map.id = 0; primary = { Shard_map.host = "127.0.0.1"; port = Server.port shard }; replica = None } ]
+  in
+  let coord = Coord.start ~server { Coord.default_config with members } in
+  Fun.protect
+    ~finally:(fun () ->
+      Coord.stop coord;
+      Server.stop shard)
+    (fun () -> f coord)
+
+(* A bare socket: reads what the loop sends unprompted (the Busy and
+   idle-timeout frames) without a request racing the server's close. *)
+let raw_connect (coord : Coord.t) =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Coord.port coord));
+  fd
+
+let test_coord_admission () =
+  with_coord ~server:{ server_config with Server.max_sessions = 1 } (fun coord ->
+      let a = connect_coord coord in
+      checkb "first client admitted" true (Client.request a P.Ping = Some P.Pong);
+      let fd = raw_connect coord in
+      (match P.recv_response fd with
+      | Some (P.Error { code; _ }) -> checks "second client busy" P.err_busy code
+      | _ -> Alcotest.fail "second client should be refused with Busy");
+      checkb "refused connection closed" true (P.recv_response fd = None);
+      Unix.close fd;
+      Client.close a;
+      (* the slot frees once the first client's worker has exited *)
+      let rec retry n =
+        let b = connect_coord coord in
+        match Client.request b P.Ping with
+        | Some P.Pong -> Client.close b
+        | _ when n > 0 ->
+            Client.close b;
+            Thread.delay 0.05;
+            retry (n - 1)
+        | _ -> Alcotest.fail "freed slot should admit the second client"
+      in
+      retry 40;
+      checkb "rejection counted" true (Metrics.get (Coord.metrics coord) "connections_rejected" >= 1))
+
+let test_coord_idle_timeout () =
+  with_coord ~server:{ server_config with Server.idle_timeout = 0.3 } (fun coord ->
+      let fd = raw_connect coord in
+      (match P.recv_response fd with
+      | Some (P.Error { code; message }) ->
+          checks "idle close is a protocol error" P.err_protocol code;
+          checks "idle message" "idle timeout, closing session" message
+      | _ -> Alcotest.fail "silent client should be told it idled out");
+      checkb "idle connection closed" true (P.recv_response fd = None);
+      Unix.close fd;
+      checki "idle close counted" 1 (Metrics.get (Coord.metrics coord) "sessions_idle_closed"))
+
+let test_coord_stop_with_idle_client () =
+  let shard = Server.start server_config in
+  let members =
+    [ { Shard_map.id = 0; primary = { Shard_map.host = "127.0.0.1"; port = Server.port shard }; replica = None } ]
+  in
+  let coord = Coord.start ~server:server_config { Coord.default_config with members } in
+  let c = connect_coord coord in
+  ignore (expect_ok c "CREATE TABLE T (K INT)");
+  let stopped = Atomic.make false in
+  ignore (Thread.create (fun () -> Coord.stop coord; Atomic.set stopped true) ());
+  let rec wait n = if not (Atomic.get stopped) && n > 0 then (Thread.delay 0.05; wait (n - 1)) in
+  wait 100;
+  checkb "stop returns with an idle client connected" true (Atomic.get stopped);
+  checkb "the idle client was disconnected" true (Client.request c P.Ping = None);
+  Client.close c;
+  Server.stop shard
+
 let () =
   Alcotest.run "shard"
     [
@@ -544,5 +624,11 @@ let () =
           Alcotest.test_case "stale route self-heals" `Quick test_stale_route_self_heals;
           Alcotest.test_case "gather deadline" `Quick test_gather_deadline;
           Alcotest.test_case "replica read fallback" `Quick test_replica_fallback;
+        ] );
+      ( "server loop",
+        [
+          Alcotest.test_case "admission control" `Quick test_coord_admission;
+          Alcotest.test_case "idle timeout" `Quick test_coord_idle_timeout;
+          Alcotest.test_case "stop with an idle client" `Quick test_coord_stop_with_idle_client;
         ] );
     ]

@@ -246,112 +246,6 @@ let test_pool_rebalance_and_exhaustion () =
   (* the pool recovers once the pins are released *)
   Array.iter (fun p -> BP.read pool p (fun _ -> ())) pages
 
-(* --- compression ------------------------------------------------------ *)
-
-module Cmp = Nf2_storage.Compress
-
-let test_compress_roundtrip () =
-  let check s =
-    let c = Cmp.compress s in
-    Alcotest.(check string) "roundtrip" s (Cmp.decompress c);
-    checkb "never expands past tag byte" true (String.length c <= String.length s + 1)
-  in
-  check "";
-  check "a";
-  check "abc";
-  check (String.make 5000 '\000');
-  check "hello world hello world hello world";
-  check (String.init 500 (fun i -> Char.chr (i mod 256)));
-  (* a run longer than the 15-nibble limit exercises length extension *)
-  check (String.make 70000 'r');
-  (* repeated NF²-ish payload must actually shrink *)
-  let payload =
-    String.concat ""
-      (List.init 60 (fun i -> Printf.sprintf "DEPT-%04d BUDGET 440000 " (i mod 7)))
-  in
-  let c = Cmp.compress payload in
-  checkb "compressible payload tagged" true (Cmp.is_compressed c);
-  checkb "ratio > 1.3" true
-    (float_of_int (String.length payload) /. float_of_int (String.length c) > 1.3)
-
-let prop_compress_roundtrip =
-  QCheck.Test.make ~name:"compress/decompress identity" ~count:500
-    QCheck.(
-      oneof
-        [
-          string_of_size (QCheck.Gen.int_bound 400);
-          (* low-entropy strings hit the match path hard *)
-          string_gen_of_size (QCheck.Gen.int_bound 2000) (QCheck.Gen.map Char.chr (QCheck.Gen.int_bound 3));
-        ])
-    (fun s -> Cmp.decompress (Cmp.compress s) = s)
-
-let test_decompress_rejects_garbage () =
-  List.iter
-    (fun s ->
-      try
-        ignore (Cmp.decompress s);
-        (* decoding may legitimately succeed for some byte strings that
-           happen to parse; only structurally impossible ones must raise *)
-        ()
-      with Invalid_argument _ -> ())
-    [ ""; "\x02"; "\x01\xF0"; "\x01\x0F\x00\x00" ];
-  (* empty input always rejected *)
-  (try
-     ignore (Cmp.decompress "");
-     Alcotest.fail "empty accepted"
-   with Invalid_argument _ -> ());
-  (* bad tag always rejected *)
-  try
-    ignore (Cmp.decompress "\x07abc");
-    Alcotest.fail "bad tag accepted"
-  with Invalid_argument _ -> ()
-
-(* Compression survives persistence: a compressed store restores over
-   the same disk image byte-for-byte, and a checked-out object refuses
-   to check in to a store whose compression setting differs (the page
-   images would not parse there). *)
-let test_compressed_store_persistence () =
-  let disk = D.create ~page_size:4096 () in
-  let pool = BP.create ~frames:64 disk in
-  let store = OS.create ~compress:true pool in
-  let schema =
-    Schema.relation "T" [ Schema.int_ "ID"; Schema.str_ "NOTE"; Schema.set_ "XS" [ Schema.str_ "X" ] ]
-  in
-  let note i = String.concat " " (List.init 40 (fun k -> Printf.sprintf "word%d" ((i + k) mod 7))) in
-  let rows =
-    List.init 5 (fun i ->
-        [ Value.int_ i; Value.str (note i); Value.set [ [ Value.str (note (i + 1)) ] ] ])
-  in
-  let tids = List.map (OS.insert store schema) rows in
-  let s = OS.stats store in
-  checkb "store reports compression on" true (OS.compression store);
-  checkb "repetitive notes compressed" true
-    (s.OS.comp_stored_bytes < s.OS.comp_raw_bytes && s.OS.comp_raw_bytes > 0);
-  BP.flush_all pool;
-  let dir_pages, data_pages, free_pages = OS.export_meta store in
-  let pool2 = BP.create ~frames:64 disk in
-  let store2 = OS.restore ~compress:true pool2 ~dir_pages ~data_pages ~free_pages in
-  List.iter2
-    (fun tid row ->
-      checkb "restored object identical" true (Value.equal_tuple row (OS.fetch store2 schema tid)))
-    tids rows;
-  (* transfer between stores with different compression settings is
-     refused: the shipped pages carry compressed data subtuples *)
-  let shipped = OS.checkout store (List.hd tids) in
-  let _, plain_pool = mk_pool () in
-  let plain = OS.create plain_pool in
-  checkb "checkin refuses compression mismatch" true
-    (try
-       ignore (OS.checkin plain shipped);
-       false
-     with OS.Store_error _ -> true);
-  (* a matching workstation accepts it *)
-  let _, ws_pool = mk_pool () in
-  let ws = OS.create ~compress:true ws_pool in
-  let wroot = OS.checkin ws shipped in
-  checkb "matching checkin identical" true
-    (Value.equal_tuple (List.hd rows) (OS.fetch ws schema wroot))
-
 (* --- heap ------------------------------------------------------------ *)
 
 let test_heap_basic () =
@@ -1217,7 +1111,7 @@ let prop_store_vs_model =
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_page_model; prop_page_list; prop_object_roundtrip; prop_checkout_roundtrip; prop_store_vs_model; prop_compress_roundtrip ]
+    [ prop_page_model; prop_page_list; prop_object_roundtrip; prop_checkout_roundtrip; prop_store_vs_model ]
 
 let () =
   Alcotest.run "storage"
@@ -1243,13 +1137,6 @@ let () =
           Alcotest.test_case "chunked records" `Quick test_heap_chunked_records;
         ] );
       ("page list", [ Alcotest.test_case "gaps" `Quick test_page_list_gaps ]);
-      ( "compression",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_compress_roundtrip;
-          Alcotest.test_case "garbage rejected" `Quick test_decompress_rejects_garbage;
-          Alcotest.test_case "compressed store persistence" `Quick
-            test_compressed_store_persistence;
-        ] );
       ( "codecs",
         [
           Alcotest.test_case "record envelope" `Quick test_record_envelope;

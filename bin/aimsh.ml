@@ -9,16 +9,17 @@
    Meta commands in the REPL:
      \q            quit        \plan         show the last query plan
      \demo         load demo   \stats        disk/pool counters
-     \save <path>  persist     (reopen with: aimsh -d <path>)
+     \save <path>  export an image (reopen with: aimsh -d <path>)
      \checkpoint   WAL sharp checkpoint; prints the durable LSN
      \timing on|off  print client-side wall-clock time per input
      \sys          list the SYS introspection tables (SELECT-able)
      \slow-query S|off  report inputs taking >= S seconds
      \shards       shard map + per-shard health (coordinator; remote)
 
-   With -d FILE -j JOURNAL the session is durable: it recovers from the
-   checkpoint + journal on start, journals every mutation, and \save
-   checkpoints (truncating the journal).
+   With -d FILE -j LOG the session is crash-durable: on start it replays
+   the write-ahead log LOG over the image FILE, every commit is fsynced
+   to LOG before it is reported, and \checkpoint rewrites FILE and
+   restarts LOG.  -j needs -d (LOG only holds work since FILE).
 
    With --connect HOST:PORT the shell talks to a running aimd server
    instead of an embedded engine; \metrics [prom], \ping, \promote,
@@ -119,8 +120,8 @@ let repl db =
           | [ "\\plan" ] -> List.iter print_endline (Db.last_plan db)
           | [ "\\stats" ] -> print_stats db
           | [ "\\save"; path ] ->
-              Db.checkpoint db ~db_path:path;
-              Printf.printf "database checkpointed to %s\n" path
+              Db.save db path;
+              Printf.printf "database saved to %s\n" path
           | [ "\\checkpoint" ] -> (
               (* WAL sharp checkpoint; attaches a log on first use *)
               Db.attach_wal db;
@@ -284,6 +285,11 @@ let remote_main target rest =
   go rest;
   Client.close client
 
+let usage =
+  "usage: aimsh [--demo] [-d db-file [-j log-file]] [-e 'STMTS'] [-f script.sql] [--connect HOST:PORT]\n\
+  \  -d FILE         open a saved image (\\save writes one)\n\
+  \  -d FILE -j LOG  crash-durable: replay LOG over FILE, fsync every commit to LOG"
+
 let () =
   let args = Array.to_list Sys.argv in
   let rec find_flag flag = function
@@ -296,21 +302,20 @@ let () =
       remote_main target (List.filter (fun a -> a <> "--connect" && a <> target) (List.tl args));
       exit 0
   | None -> ());
-  let db_path = find_flag "-d" args and journal_path = find_flag "-j" args in
+  let db_path = find_flag "-d" args and log_path = find_flag "-j" args in
   let db =
-    match db_path, journal_path with
-    | Some dp, Some jp ->
-        let db = Db.recover ~db_path:dp ~journal_path:jp () in
-        Printf.printf "recovered %s + %s (%s)\n" dp jp (String.concat ", " (Db.table_names db));
+    match db_path, log_path with
+    | Some image, Some log ->
+        let db = try Db.open_files ~image ~log () with Db.Db_error m -> prerr_endline m; exit 1 in
+        Printf.printf "recovered %s + %s (%s)\n" image log (String.concat ", " (Db.table_names db));
         db
     | Some path, None when Sys.file_exists path ->
         let db = Db.load path in
         Printf.printf "opened %s (%s)\n" path (String.concat ", " (Db.table_names db));
         db
-    | None, Some jp ->
-        let db = Db.recover ~db_path:"/nonexistent-checkpoint" ~journal_path:jp () in
-        Printf.printf "recovered from journal %s\n" jp;
-        db
+    | None, Some _ ->
+        prerr_endline ("aimsh: -j needs -d: the log only holds the work since the image\n" ^ usage);
+        exit 2
     | _ -> Db.create ()
   in
   let rec go = function
@@ -327,10 +332,7 @@ let () =
         if rest = [] then () else go rest
     | "-d" :: _ :: rest -> go rest
     | "-j" :: _ :: rest -> go rest
-    | "--help" :: _ ->
-        print_endline
-          "usage: aimsh [--demo] [-d db-file] [-j journal] [-e 'STMTS'] [-f script.sql] \
-           [--connect HOST:PORT]"
+    | "--help" :: _ -> print_endline usage
     | _ :: rest -> go rest
   in
   go (List.tl args)

@@ -43,19 +43,16 @@ type table_info = {
 }
 
 type t = {
-  mutable disk : Disk.t;
-  mutable pool : BP.t;
+  disk : Disk.t;
+  pool : BP.t;
   layout : MD.layout;
   clustering : bool;
   tables : (string, table_info) Hashtbl.t; (* key: uppercased name *)
   mutable tnames : Tname.registry;
   mutable last_plan : string list;
-  mutable journal : out_channel option; (* logical statement log *)
-  mutable journal_path : string option;
-  mutable replaying : bool;
-  mutable txn : txn_state option; (* open snapshot transaction, if any *)
   mutable wal : Wal.t option; (* physical write-ahead log, if attached *)
   mutable wal_txn : wal_txn_state option; (* open WAL transaction, if any *)
+  mutable files : files option; (* image + log files, when opened from them *)
   mvcc : Mvcc.t; (* committed version chains for lock-free snapshot reads *)
   sys : Sysr.t; (* SYS introspection providers (engine + host layers) *)
   mutable dirty : StrSet.t; (* tables touched since the last MVCC publish *)
@@ -67,17 +64,15 @@ type t = {
   pc_index_intersections : int Atomic.t;
 }
 
-and txn_state = { snapshot : string; mutable pending_journal : string list }
-
 (* A WAL transaction: the log holds its page before-images for physical
    undo; [saved_catalog] is the cheap in-memory metadata snapshot
    restored on rollback (pages are the expensive part, and those are
    undone from the log). *)
-and wal_txn_state = {
-  wtx : Wal.txid;
-  saved_catalog : string;
-  mutable wpending_journal : string list;
-}
+and wal_txn_state = { wtx : Wal.txid; saved_catalog : string }
+
+(* A database opened by {!open_files}: [image] is rewritten at every
+   checkpoint, [log] holds the WAL's durable bytes since then. *)
+and files = { image : string; log : string }
 
 type result = Rows of Rel.t | Msg of string
 
@@ -327,8 +322,8 @@ let with_sys t (base : Eval.catalog) : Eval.catalog =
                 Hashtbl.replace memo up src;
                 Some src))
 
-(* An empty catalog over [disk]; [create], [decode_db] and
-   [recover_from_image] all start here. *)
+(* An empty catalog over [disk]; [create], [load] and [of_replay] all
+   start here. *)
 let make ?(frames = 256) ?pool_partitions ~layout ~clustering disk =
   let t =
     {
@@ -339,12 +334,9 @@ let make ?(frames = 256) ?pool_partitions ~layout ~clustering disk =
       tables = Hashtbl.create 16;
       tnames = Tname.create_registry ();
       last_plan = [];
-      journal = None;
-      journal_path = None;
-      replaying = false;
-      txn = None;
       wal = None;
       wal_txn = None;
+      files = None;
       mvcc = Mvcc.create ();
       sys = Sysr.create ();
       dirty = StrSet.empty;
@@ -466,8 +458,8 @@ let catalog t : Eval.catalog =
    immutable version stamped with the commit LSN into [t.mvcc]
    (lib/temporal/mvcc).  Mutating statements record the tables they
    touch in [t.dirty]; the capture below runs on the write side — at
-   WAL commit, at snapshot-transaction commit, or right after an
-   autocommitted mutation — so readers holding a snapshot handle never
+   WAL commit, or right after an unlogged autocommitted mutation — so
+   readers holding a snapshot handle never
    look at shared storage at all.  Versioned tables additionally freeze
    their Section 5 time-version store into pure data, keeping date-ASOF
    queries answerable from a snapshot. *)
@@ -767,15 +759,6 @@ let decode_catalog t src =
   in
   t.tnames <- Tname.restore_registry names
 
-(* Journal entries are length-prefixed statement sources so multi-line
-   statements replay exactly. *)
-let journal_write t (source : string) =
-  match t.journal with
-  | Some oc when not t.replaying ->
-      Printf.fprintf oc "%d\n%s\n" (String.length source) source;
-      flush oc
-  | _ -> ()
-
 (* --- WAL transactions --------------------------------------------------------
 
    With a WAL attached, mutations run as logged transactions: page
@@ -829,7 +812,7 @@ let restore_catalog t (payload : string) =
 let begin_wal_txn t w =
   let wtx = Wal.begin_tx w in
   BP.set_tx t.pool wtx;
-  let st = { wtx; saved_catalog = wal_payload t; wpending_journal = [] } in
+  let st = { wtx; saved_catalog = wal_payload t } in
   t.wal_txn <- Some st;
   st
 
@@ -840,8 +823,7 @@ let commit_wal_txn t w (st : wal_txn_state) =
   (* the commit record is the last appended LSN: publish the touched
      tables' new versions at it, making the commit visible to snapshot
      readers in one atomic step *)
-  mvcc_publish t;
-  List.iter (journal_write t) (List.rev st.wpending_journal)
+  mvcc_publish t
 
 (* Runtime rollback: apply the transaction's before-images in reverse
    through the pool (logging compensations), mark it aborted, and
@@ -865,7 +847,7 @@ let abort_wal_txn t w (st : wal_txn_state) =
    before re-raising. *)
 let logged t (f : unit -> 'a) : 'a =
   match t.wal with
-  | Some w when t.txn = None && t.wal_txn = None && not t.replaying -> (
+  | Some w when t.wal_txn = None -> (
       let st = begin_wal_txn t w in
       let still_ours () = match t.wal_txn with Some st' -> st' == st | None -> false in
       try
@@ -884,7 +866,7 @@ let logged t (f : unit -> 'a) : 'a =
          script may have partially applied and the snapshot must track
          the actual state *)
       let publish () =
-        if t.txn = None && t.wal_txn = None && not (StrSet.is_empty t.dirty) then mvcc_publish t
+        if t.wal_txn = None && not (StrSet.is_empty t.dirty) then mvcc_publish t
       in
       (match f () with
       | r ->
@@ -894,14 +876,31 @@ let logged t (f : unit -> 'a) : 'a =
           publish ();
           raise e)
 
-(* Transaction hooks are installed after persistence is defined (they
-   snapshot/restore whole database images). *)
-let txn_begin_ref : (t -> unit) ref = ref (fun _ -> db_error "transactions unavailable")
-let txn_commit_ref : (t -> unit) ref = ref (fun _ -> db_error "transactions unavailable")
-let txn_rollback_ref : (t -> unit) ref = ref (fun _ -> db_error "transactions unavailable")
-let txn_begin t = !txn_begin_ref t
-let txn_commit t = !txn_commit_ref t
-let txn_rollback t = !txn_rollback_ref t
+(* --- transactions ------------------------------------------------------------------
+
+   Single-user transactions (the prototype itself is single-user, as
+   the paper states), always through the WAL: BEGIN attaches the log
+   if the database has none yet, ROLLBACK rewinds the touched pages
+   from the log's before-images (plus the cheap catalog snapshot), and
+   COMMIT forces the log.  A database that never opens a transaction
+   stays unlogged. *)
+
+let in_txn t = t.wal_txn <> None
+
+let begin_txn t =
+  if in_txn t then db_error "transaction already open";
+  attach_wal t;
+  ignore (begin_wal_txn t (Option.get t.wal))
+
+let commit t =
+  match (t.wal_txn, t.wal) with
+  | Some st, Some w -> commit_wal_txn t w st
+  | _ -> db_error "COMMIT without BEGIN"
+
+let rollback t =
+  match (t.wal_txn, t.wal) with
+  | Some st, Some w -> abort_wal_txn t w st
+  | _ -> db_error "ROLLBACK without BEGIN"
 
 (* Rebuild a table under a changed schema (ALTER): fresh object store,
    reinserted rows, indexes rebuilt where their paths still resolve. *)
@@ -976,8 +975,8 @@ module Trace = Nf2_obs.Trace
 
 (* A trace wired to this database's storage tier: pool, disk and WAL
    stats are registered as counter sources, so every span delta-
-   snapshots them.  The sources read [t.pool] / [t.disk] / [t.wal] at
-   call time (rollback and recovery may replace them). *)
+   snapshots them.  The WAL source reads [t.wal] at call time (BEGIN
+   may attach one). *)
 let new_trace ?label t : Trace.t =
   let tr = Trace.create ?label () in
   Trace.add_source tr (fun () ->
@@ -1046,13 +1045,13 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
   match stmt with
   | Ast.Select q -> Rows (run_query ?trace ?rewrite t q)
   | Ast.Begin_txn ->
-      txn_begin t;
+      begin_txn t;
       Msg "transaction started"
   | Ast.Commit ->
-      txn_commit t;
+      commit t;
       Msg "committed"
   | Ast.Rollback ->
-      txn_rollback t;
+      rollback t;
       Msg "rolled back"
   | Ast.Show_tables -> Msg (String.concat "\n" (table_names t))
   | Ast.Describe name -> (
@@ -1372,28 +1371,21 @@ let exec_stmt ?trace ?rewrite t (stmt : Ast.stmt) : result =
   Driver.with_statement ~force_seq:t.plan_force_seq ~on_access:(count_access t)
     ~stats:(stats_of t) (fun () -> exec_stmt_body ?trace ?rewrite t stmt)
 
-(* During a transaction, journal entries are buffered and published at
-   COMMIT (so a crash mid-transaction recovers to the state before
-   BEGIN — atomicity via the logical log). *)
-let journal_or_buffer t (source : string) =
-  match (t.txn, t.wal_txn) with
-  | Some st, _ when not t.replaying -> st.pending_journal <- source :: st.pending_journal
-  | _, Some st when not t.replaying -> st.wpending_journal <- source :: st.wpending_journal
-  | _ -> journal_write t source
+let is_txn_control = function Ast.Begin_txn | Ast.Commit | Ast.Rollback -> true | _ -> false
 
+(* With a WAL attached, a mutating script outside an explicit
+   transaction is its own logged transaction.  A script that opens or
+   closes a transaction itself runs statement by statement instead:
+   each mutating statement outside its BEGIN ... COMMIT is logged on
+   its own. *)
 let exec t (input : string) : result list =
   let stmts = Parser.parse_script input in
-  let mutating = List.exists Ast.mutates stmts in
-  let run () =
-    let results = List.map (exec_stmt t) stmts in
-    (* journal after successful execution: the whole script is one entry
-       when any statement mutates *)
-    if mutating then journal_or_buffer t input;
-    results
-  in
-  (* with a WAL attached, a mutating script outside an explicit
-     transaction is its own logged transaction *)
-  if mutating then logged t run else run ()
+  if not (List.exists Ast.mutates stmts) then List.map (exec_stmt t) stmts
+  else if List.exists is_txn_control stmts then
+    List.map
+      (fun s -> if Ast.mutates s then logged t (fun () -> exec_stmt t s) else exec_stmt t s)
+      stmts
+  else logged t (fun () -> List.map (exec_stmt t) stmts)
 
 (* Single-statement convenience. *)
 let exec1 t input : result =
@@ -1476,8 +1468,11 @@ let execute t (p : prepared) (values : Atom.t list) : result =
 
 (* Serialise the whole database — page images plus catalog metadata —
    into one file.  TIDs, Mini-TIDs, and t-name tokens stay valid across
-   save/load because the page images persist byte-for-byte. *)
-let encode_db t : string =
+   save/load because the page images persist byte-for-byte.  The image
+   goes to [path.tmp], is fsynced and renamed over [path]: a crash
+   leaves either the old image or the new one, never a torn one (a
+   stale [path.tmp] is simply overwritten by the next save). *)
+let save t (path : string) =
   BP.flush_all t.pool;
   let b = Codec.create_sink () in
   Buffer.add_string b magic;
@@ -1487,12 +1482,17 @@ let encode_db t : string =
   Codec.put_uvarint b (Array.length pages);
   Array.iter (fun p -> Buffer.add_bytes b p) pages;
   encode_catalog b t;
-  Codec.contents b
+  let tmp = path ^ ".tmp" in
+  Out_channel.with_open_bin tmp (fun oc ->
+      Out_channel.output_string oc (Codec.contents b);
+      Out_channel.flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
+  Unix.rename tmp path
 
-let save t (path : string) =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (encode_db t))
-
-let decode_db ?frames ?pool_partitions (data : string) : t =
+(* An image file's parts: page size, physical configuration, page
+   array, and a source positioned at its catalog. *)
+let read_image (path : string) =
+  let data = In_channel.with_open_bin path In_channel.input_all in
   if String.length data < String.length magic || String.sub data 0 (String.length magic) <> magic
   then db_error "not an AIM-II database image";
   let src = Codec.source_of_string (String.sub data (String.length magic) (String.length data - String.length magic)) in
@@ -1502,140 +1502,41 @@ let decode_db ?frames ?pool_partitions (data : string) : t =
   let pages =
     Array.init npages (fun _ -> Bytes.of_string (Codec.get_fixed src page_size))
   in
+  (page_size, layout, clustering, pages, src)
+
+let load ?frames ?pool_partitions (path : string) : t =
+  let page_size, layout, clustering, pages, src = read_image path in
   let t = make ?frames ?pool_partitions ~layout ~clustering (Disk.of_pages ~page_size pages) in
   decode_catalog t src;
   mvcc_refresh_all t;
   t
 
-let load ?frames ?pool_partitions (path : string) : t =
-  decode_db ?frames ?pool_partitions (In_channel.with_open_bin path In_channel.input_all)
-
-(* --- transactions ------------------------------------------------------------------
-
-   Single-user transactions (the prototype itself is single-user, as
-   the paper states).  Without a WAL, BEGIN snapshots the database
-   image and ROLLBACK restores it wholesale.  With a WAL attached,
-   BEGIN opens a logged transaction instead: ROLLBACK rewinds only the
-   touched pages from the log's before-images (plus the cheap catalog
-   snapshot), and COMMIT forces the log — the crash-recoverable path.
-   Either way COMMIT publishes the transaction's buffered journal
-   entries so logical recovery replays exactly the committed work. *)
-
-let in_txn t = t.txn <> None || t.wal_txn <> None
-
-let begin_txn t =
-  if in_txn t then db_error "transaction already open";
-  match t.wal with
-  | Some w -> ignore (begin_wal_txn t w)
-  | None -> t.txn <- Some { snapshot = encode_db t; pending_journal = [] }
-
-let commit t =
-  match (t.txn, t.wal_txn, t.wal) with
-  | Some st, _, _ ->
-      t.txn <- None;
-      mvcc_publish t;
-      List.iter (journal_write t) (List.rev st.pending_journal)
-  | None, Some st, Some w -> commit_wal_txn t w st
-  | _ -> db_error "COMMIT without BEGIN"
-
-(* Restore every stateful field from the snapshot image (snapshot
-   transactions) or rewind the touched pages from the log (WAL
-   transactions). *)
-let rollback t =
-  match (t.txn, t.wal_txn, t.wal) with
-  | Some st, _, _ ->
-      let t' = decode_db st.snapshot in
-      t.disk <- t'.disk;
-      t.pool <- t'.pool;
-      Hashtbl.reset t.tables;
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.tables k v) t'.tables;
-      t.tnames <- t'.tnames;
-      t.txn <- None;
-      t.dirty <- StrSet.empty
-  | None, Some st, Some w -> abort_wal_txn t w st
-  | _ -> db_error "ROLLBACK without BEGIN"
-
-let () =
-  txn_begin_ref := begin_txn;
-  txn_commit_ref := commit;
-  txn_rollback_ref := rollback
-
-(* --- journaling and recovery --------------------------------------------------------- *)
-
-(* Attach a logical statement journal: every successfully executed
-   mutating script is appended (length-prefixed) and flushed, so the
-   state can be recovered as checkpoint + replay after a crash. *)
-let attach_journal t (path : string) =
-  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  t.journal <- Some oc;
-  t.journal_path <- Some path
-
-let detach_journal t =
-  (match t.journal with Some oc -> close_out oc | None -> ());
-  t.journal <- None;
-  t.journal_path <- None
-
-(* Checkpoint: persist the database image and truncate the journal —
-   recovery afterwards starts from this image. *)
-let checkpoint t ~db_path =
-  save t db_path;
-  match t.journal_path with
-  | Some jp ->
-      (match t.journal with Some oc -> close_out oc | None -> ());
-      let oc = open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 jp in
-      t.journal <- Some oc
-  | None -> ()
-
-let read_journal (path : string) : string list =
-  if not (Sys.file_exists path) then []
-  else
-    In_channel.with_open_bin path (fun ic ->
-        let rec go acc =
-          match In_channel.input_line ic with
-          | None -> List.rev acc
-          | Some len_line -> (
-              match int_of_string_opt len_line with
-              | None -> List.rev acc (* torn tail: stop at the last complete entry *)
-              | Some len -> (
-                  let buf = Bytes.create len in
-                  match In_channel.really_input ic buf 0 len with
-                  | None -> List.rev acc
-                  | Some () ->
-                      (* trailing newline *)
-                      ignore (In_channel.input_line ic);
-                      go (Bytes.to_string buf :: acc)))
-        in
-        go [])
-
-(* Crash recovery: load the checkpoint image (or start empty when none
-   exists) and replay the journal's committed entries. *)
-let recover ?frames ~db_path ~journal_path () : t =
-  let t = if Sys.file_exists db_path then load ?frames db_path else create () in
-  t.replaying <- true;
-  List.iter (fun source -> ignore (exec t source)) (read_journal journal_path);
-  t.replaying <- false;
-  attach_journal t journal_path;
-  t
-
 (* --- WAL checkpointing and physical crash recovery ---------------------------
 
-   The physical counterpart of the logical journal above: with a WAL
-   attached (see {!attach_wal}), a crash at any physical write leaves
-   the surviving page images plus the log's durable prefix, and
-   {!recover_from_image} replays them (redo history, undo losers) to
-   exactly the committed-prefix state. *)
+   With a WAL attached (see {!attach_wal}), a crash at any physical
+   write leaves the surviving page images plus the log's durable
+   prefix, and {!recover_from_image} replays them (redo history, undo
+   losers) to exactly the committed-prefix state.  {!open_files} does
+   the same over real files: the last checkpoint's image plus the log
+   file's bytes. *)
 
 let wal_exn t =
   match t.wal with Some w -> w | None -> db_error "no write-ahead log attached"
 
 (* Sharp checkpoint: flush every dirty page (the WAL-before-data rule
    forces the log out first), then log a checkpoint record carrying the
-   catalog so recovery can start its replay here. *)
+   catalog so recovery can start its replay here.  A database opened
+   from files first renames a new image into place — until then the
+   log file's records must stay valid redo over the old image — and
+   restarts its log file last. *)
 let wal_checkpoint t =
   let w = wal_exn t in
   if in_txn t then db_error "checkpoint inside an open transaction";
   BP.flush_all t.pool;
-  Wal.log_checkpoint w ~payload:(Some (wal_payload t))
+  Option.iter (fun f -> save t f.image) t.files;
+  let lsn = Wal.log_checkpoint w ~payload:(Some (wal_payload t)) in
+  Option.iter (fun f -> Wal.start_file w f.log) t.files;
+  lsn
 
 (* What a crash right now would leave behind. *)
 let crash_image t = Recovery.capture t.disk (wal_exn t)
@@ -1690,18 +1591,42 @@ let replicate_undo t (images : (int * int * string) list) =
     images;
   mvcc_refresh_all t
 
-let recover_from_image ?frames ?pool_partitions (img : Recovery.image) : t =
+(* A fresh database over a replayed disk, with a fresh WAL attached.
+   Its catalog is the log's newest payload; when the log holds none,
+   [fallback] supplies the physical configuration and catalog. *)
+let of_replay ?frames ?pool_partitions ?fallback (img : Recovery.image) : t =
   let outcome = Recovery.replay img in
-  let src = Option.map Codec.source_of_string outcome.Recovery.catalog in
-  let layout, clustering =
-    match src with
-    | None -> (MD.SS3, true)
-    | Some src -> get_physical ~what:"Db.recover_from_image" src
+  let (layout, clustering), src =
+    match (outcome.Recovery.catalog, fallback) with
+    | Some payload, _ ->
+        let src = Codec.source_of_string payload in
+        (get_physical ~what:"Db.recover_from_image" src, Some src)
+    | None, Some (physical, src) -> (physical, Some src)
+    | None, None -> ((MD.SS3, true), None)
   in
   let t = make ?frames ?pool_partitions ~layout ~clustering outcome.Recovery.disk in
   Option.iter (decode_catalog t) src;
   attach_wal t;
   mvcc_refresh_all t;
+  t
+
+let recover_from_image ?frames ?pool_partitions img = of_replay ?frames ?pool_partitions img
+
+(* Open a database kept in an image file plus a log file: replay the
+   log over the image's pages, then checkpoint at once — the recovered
+   state becomes the new image and the log file restarts, so the new
+   log's LSNs start clean. *)
+let open_files ?frames ~image ~log () : t =
+  let wal =
+    match if Sys.file_exists log then Wal.file_records log else Some "" with
+    | Some records -> records
+    | None -> db_error "%s: not an AIM-II log file (a statement journal from an older build?)" log
+  in
+  if not (Sys.file_exists image) then save (create ()) image;
+  let page_size, layout, clustering, pages, src = read_image image in
+  let t = of_replay ?frames ~fallback:((layout, clustering), src) { Recovery.page_size; pages; wal } in
+  t.files <- Some { image; log };
+  ignore (wal_checkpoint t);
   t
 
 (* --- tuple names ------------------------------------------------------------------ *)

@@ -147,6 +147,7 @@ val execute : t -> prepared -> Atom.t list -> result
     valid across save/load because the page images persist
     byte-for-byte; indexes are rebuilt on load. *)
 
+(** Writes [path ^ ".tmp"], fsyncs it and renames it over [path]. *)
 val save : t -> string -> unit
 
 (** @raise Db_error on a malformed file, or one written with page
@@ -156,46 +157,29 @@ val load : ?frames:int -> ?pool_partitions:int -> string -> t
 (** {1 Transactions (single-user)}
 
     [BEGIN; ...; COMMIT] / [ROLLBACK] in the language, or the calls
-    below.  Without a WAL, BEGIN snapshots the database image and
-    ROLLBACK restores it.  With a WAL attached, BEGIN opens a logged
-    transaction: ROLLBACK rewinds only the touched pages from the
-    log's before-images, and COMMIT forces the log.  Either way COMMIT
-    publishes the transaction's buffered journal entries, so a crash
-    mid-transaction recovers to the pre-BEGIN state. *)
+    below.  Every transaction runs through the write-ahead log, which
+    BEGIN attaches ({!attach_wal}) when the database has none yet:
+    ROLLBACK rewinds the touched pages from the log's before-images,
+    COMMIT forces the log.  A database that never opens a transaction
+    stays unlogged. *)
 
 val begin_txn : t -> unit
 val commit : t -> unit
 val rollback : t -> unit
 val in_txn : t -> bool
 
-(** {1 Journaling and crash recovery}
+(** {1 Write-ahead logging and crash recovery}
 
-    A logical statement journal turns {!save} checkpoints into a
-    recoverable store: every successfully executed mutating script is
-    appended (length-prefixed) and flushed; {!recover} loads the last
-    checkpoint and replays committed entries, tolerating a torn tail. *)
-
-val attach_journal : t -> string -> unit
-val detach_journal : t -> unit
-
-(** Persist the image and truncate the journal atomically enough for
-    this single-user prototype. *)
-val checkpoint : t -> db_path:string -> unit
-
-(** Load [db_path] (or start empty) and replay [journal_path]. *)
-val recover : ?frames:int -> db_path:string -> journal_path:string -> unit -> t
-
-(** {1 Write-ahead logging and physical crash recovery}
-
-    The physical counterpart of the logical journal: with a WAL
-    attached, every page change is captured as an LSN-stamped
-    before/after-image record, mutating statements run as logged
-    transactions, and no dirty page reaches disk before its log record
-    (see {!Nf2_storage.Buffer_pool}).  A crash at {e any} physical
-    write — injected deterministically via {!Nf2_storage.Faulty_disk} —
-    leaves the surviving page images plus the log's durable prefix;
-    {!recover_from_image} replays them (redo history, then undo losers)
-    to exactly the committed-prefix state.  See [docs/recovery.md]. *)
+    With a WAL attached, every page change is captured as an
+    LSN-stamped before/after-image record, mutating statements run as
+    logged transactions, and no dirty page reaches disk before its log
+    record (see {!Nf2_storage.Buffer_pool}).  A crash at {e any}
+    physical write — injected deterministically via
+    {!Nf2_storage.Faulty_disk} — leaves the surviving page images plus
+    the log's durable prefix; {!recover_from_image} replays them (redo
+    history, then undo losers) to exactly the committed-prefix state.
+    {!open_files} keeps the same two parts in real files.  See
+    [docs/recovery.md]. *)
 
 (** Attach a write-ahead log (idempotent).  Flushes the pool first so
     the log's base state is on disk. *)
@@ -206,9 +190,19 @@ val wal : t -> Nf2_storage.Wal.t option
 (** Sharp checkpoint: flush all dirty pages, then log a checkpoint
     record carrying the catalog; recovery starts its replay here.
     Returns the checkpoint record's LSN — the durable LSN this
-    checkpoint covers.
+    checkpoint covers.  On a database opened by {!open_files} it also
+    {!save}s the image file first and restarts the log file last.
     @raise Db_error without a WAL or inside an open transaction. *)
 val wal_checkpoint : t -> Nf2_storage.Wal.lsn
+
+(** A crash-durable database in two files: [image], a {!save} image as
+    of the last checkpoint, and [log], the WAL's durable bytes since
+    then ({!Nf2_storage.Wal.start_file}).  Replays the log over the
+    image's pages (the catalog comes from [image] when the log has no
+    commit), then checkpoints at once.  Either file may be missing.
+    @raise Db_error if [log] is not a log file (for instance a
+    statement journal from an older build) or [image] is malformed. *)
+val open_files : ?frames:int -> image:string -> log:string -> unit -> t
 
 (** What a crash right now would leave behind: the physical page images
     (buffer-pool frames are lost) plus the log's durable prefix.

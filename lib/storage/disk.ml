@@ -52,10 +52,12 @@ let set_write_hook t hook = t.write_hook <- hook
 
 let alloc t =
   if t.npages = Array.length t.pages then begin
-    let bigger = Array.make (2 * Array.length t.pages) Bytes.empty in
+    (* [of_pages] may start from an empty array *)
+    let cap = max 16 (2 * t.npages) in
+    let bigger = Array.make cap Bytes.empty in
     Array.blit t.pages 0 bigger 0 t.npages;
     t.pages <- bigger;
-    let bigger_lsns = Array.make (2 * Array.length t.page_lsns) 0 in
+    let bigger_lsns = Array.make cap 0 in
     Array.blit t.page_lsns 0 bigger_lsns 0 t.npages;
     t.page_lsns <- bigger_lsns
   end;

@@ -60,6 +60,7 @@ type t = {
   work : Condition.t;  (* signalled when the async appender has commits to drain *)
   mutable appender : Thread.t option;  (* dedicated batch-fsync thread *)
   mutable appender_run : bool;  (* appender drains until this drops *)
+  mutable file : out_channel option;  (* log file mirroring the durable prefix *)
   stats : stats;
 }
 
@@ -82,6 +83,7 @@ let create () =
     work = Condition.create ();
     appender = None;
     appender_run = false;
+    file = None;
     stats =
       {
         records = 0;
@@ -263,7 +265,14 @@ let log_alloc t ~tx ~page : lsn = append t (fun _ -> Alloc { tx; page })
    [flush] is the fsync: it asks the sync hook (default: persist
    everything) how many pending bytes reach stable storage.  A partial
    answer advances the durable mark by that much and then raises
-   {!Disk.Crash} — the fsync failed and the machine died. *)
+   {!Disk.Crash} — the fsync failed and the machine died.  With a log
+   file attached, the bytes that became durable are appended to it and
+   fsynced for real, so a torn fsync tears the file the same way. *)
+
+let write_synced oc s =
+  Out_channel.output_string oc s;
+  Out_channel.flush oc;
+  Unix.fsync (Unix.descr_of_out_channel oc)
 
 let flush_unlocked ?(forced = false) t =
   let total = Buffer.length t.buf in
@@ -275,6 +284,7 @@ let flush_unlocked ?(forced = false) t =
     let persisted =
       match t.sync_hook with None -> pending | Some h -> max 0 (min pending (h pending))
     in
+    Option.iter (fun oc -> write_synced oc (Buffer.sub t.buf t.durable_len persisted)) t.file;
     t.durable_len <- t.durable_len + persisted;
     (* advance durable_lsn to the last record wholly inside the prefix:
        [recs] is newest-first with monotone end offsets, so the first
@@ -457,6 +467,28 @@ let log_checkpoint t ~payload =
       let lsn = append_unlocked t (fun _ -> Checkpoint { payload }) in
       flush_unlocked t;
       lsn)
+
+(* --- log file -------------------------------------------------------------
+
+   The file is the header followed by the durable bytes since it was
+   last (re)started.  The header keeps a file of another format from
+   being read as a torn tail of an empty log; a file that is only a
+   (possibly torn) prefix of the header holds no records. *)
+
+let file_header = "AIMII-WAL1\n"
+
+let start_file t path =
+  with_mu t (fun () ->
+      Option.iter Out_channel.close t.file;
+      let oc = Out_channel.open_bin path in
+      write_synced oc file_header;
+      t.file <- Some oc)
+
+let file_records path =
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let n = min (String.length data) (String.length file_header) in
+  if String.sub data 0 n <> String.sub file_header 0 n then None
+  else Some (String.sub data n (String.length data - n))
 
 (* --- introspection ------------------------------------------------------ *)
 

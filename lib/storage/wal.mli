@@ -119,6 +119,18 @@ val log_checkpoint : t -> payload:string option -> lsn
     @raise Disk.Crash when an armed sync fault fires. *)
 val flush : ?forced:bool -> t -> unit
 
+(** {1 Log file} *)
+
+(** Start (or restart) a log file at [path], truncated to its header.
+    From then on every fsync appends the bytes it made durable and
+    calls [Unix.fsync]; a sync hook's partial answer tears the file as
+    it tears {!durable_contents}. *)
+val start_file : t -> string -> unit
+
+(** The record bytes after a log file's header ([""] for a torn
+    header); [None] if the file does not start with the header. *)
+val file_records : string -> string option
+
 (** {1 Reading} *)
 
 val contents : t -> string

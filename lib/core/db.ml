@@ -16,7 +16,8 @@ module TI = Nf2_index.Text_index
 module VS = Nf2_temporal.Version_store
 module Mvcc = Nf2_temporal.Mvcc
 module Tname = Nf2_tname.Tuple_name
-module StrSet = Set.Make (String)
+module SMap = Map.Make (String)
+module TidSet = Set.Make (Tid)
 module Wal = Nf2_storage.Wal
 module Recovery = Nf2_storage.Recovery
 module Plan = Nf2_plan.Plan
@@ -55,7 +56,7 @@ type t = {
   mutable files : files option; (* image + log files, when opened from them *)
   mvcc : Mvcc.t; (* committed version chains for lock-free snapshot reads *)
   sys : Sysr.t; (* SYS introspection providers (engine + host layers) *)
-  mutable dirty : StrSet.t; (* tables touched since the last MVCC publish *)
+  mutable dirty : dirty SMap.t; (* tables touched since the last MVCC publish *)
   mutable plan_force_seq : bool; (* planner ablation: sequential plans only *)
   mutable last_plan_tree : Plan.node option;
   (* access-path counters; atomic because parallel readers plan too *)
@@ -63,6 +64,11 @@ type t = {
   pc_index_scans : int Atomic.t;
   pc_index_intersections : int Atomic.t;
 }
+
+(* What a table changed since the last MVCC publish: the roots DML
+   inserted, updated or deleted, or (DDL, load, recovery, replica
+   apply) the whole table. *)
+and dirty = Whole | Roots of TidSet.t
 
 (* A WAL transaction: the log holds its page before-images for physical
    undo; [saved_catalog] is the cheap in-memory metadata snapshot
@@ -339,7 +345,7 @@ let make ?(frames = 256) ?pool_partitions ~layout ~clustering disk =
       files = None;
       mvcc = Mvcc.create ();
       sys = Sysr.create ();
-      dirty = StrSet.empty;
+      dirty = SMap.empty;
       plan_force_seq = false;
       last_plan_tree = None;
       pc_seq_scans = Atomic.make 0;
@@ -436,7 +442,7 @@ let catalog t : Eval.catalog =
             Some
               (fun lsn ->
                 match Mvcc.resolve_at (Mvcc.view t.mvcc) ti.schema.Schema.name ~lsn with
-                | Some v -> v.Mvcc.v_tuples
+                | Some v -> Mvcc.scan v
                 | None -> [])
       in
       Some
@@ -454,30 +460,65 @@ let catalog t : Eval.catalog =
 
 (* --- MVCC publication --------------------------------------------------------
 
-   Every committed mutation publishes, per touched table, a full
-   immutable version stamped with the commit LSN into [t.mvcc]
-   (lib/temporal/mvcc).  Mutating statements record the tables they
-   touch in [t.dirty]; the capture below runs on the write side — at
-   WAL commit, or right after an unlogged autocommitted mutation — so
-   readers holding a snapshot handle never
-   look at shared storage at all.  Versioned tables additionally freeze
-   their Section 5 time-version store into pure data, keeping date-ASOF
-   queries answerable from a snapshot. *)
+   Every committed mutation publishes, per touched table, an immutable
+   version stamped with the commit LSN into [t.mvcc]
+   (lib/temporal/mvcc).  Mutating statements record what they touch in
+   [t.dirty]: DML the roots it inserts, updates and deletes, DDL the
+   whole table.  The capture below runs on the write side — at WAL
+   commit, or right after an unlogged autocommitted mutation — so
+   readers holding a snapshot handle never look at shared storage at
+   all.  A table with only touched roots publishes a patch: those roots
+   are fetched (or found gone) and keyed by heap position, and every
+   other object is shared with the previous version, so a commit costs
+   O(objects changed).  A whole-table mark — or a table with no live
+   version of the same schema to patch — captures every object.
+   Versioned tables always capture their Section 5 time-version store
+   in full and freeze it into pure data, keeping date-ASOF queries
+   answerable from a snapshot. *)
 
-let touch t name = t.dirty <- StrSet.add (String.uppercase_ascii name) t.dirty
+let mark t name f =
+  let key = String.uppercase_ascii name in
+  t.dirty <- SMap.add key (f (SMap.find_opt key t.dirty)) t.dirty
 
-let capture_table t name : Mvcc.input =
+(* The whole table changed (DDL, bulk registration). *)
+let touch t name = mark t name (fun _ -> Whole)
+
+(* A DML statement runs on the table: it publishes a version even when
+   it changes no object. *)
+let touch_rows t name = mark t name (function Some d -> d | None -> Roots TidSet.empty)
+
+(* [root] is about to be inserted, changed or deleted.  Recorded before
+   the change, so an unlogged statement failing halfway still
+   publishes the object it left behind. *)
+let touch_root t name root =
+  mark t name (function
+    | Some Whole -> Whole
+    | Some (Roots s) -> Roots (TidSet.add root s)
+    | None -> Roots (TidSet.singleton root))
+
+let capture_table t name (d : dirty) : Mvcc.input =
   match find_table t name with
   | None -> Mvcc.Drop
-  | Some ti ->
-      let tuples =
-        match ti.vstore with
-        | Some vs -> VS.current_all vs ti.schema
-        | None -> List.map (OS.fetch ti.store ti.schema) (OS.roots ti.store)
-      in
-      ti.stat_rows <- List.length tuples;
-      let asof = Option.map (fun vs -> VS.freeze vs ti.schema) ti.vstore in
-      Mvcc.Publish { schema = ti.schema; versioned = ti.versioned; tuples; asof }
+  | Some ti -> (
+      match ti.vstore, d, Mvcc.resolve (Mvcc.view t.mvcc) name with
+      | Some vs, _, _ ->
+          let objects = List.mapi (fun i tup -> ((0, i), tup)) (VS.current_all vs ti.schema) in
+          Mvcc.Publish
+            { schema = ti.schema; versioned = true; objects; asof = Some (VS.freeze vs ti.schema) }
+      | None, Roots roots, Some head when head.Mvcc.v_schema = ti.schema ->
+          Mvcc.Patch
+            (List.map
+               (fun root ->
+                 ( OS.root_position ti.store root,
+                   if OS.is_root ti.store root then Some (OS.fetch ti.store ti.schema root) else None ))
+               (TidSet.elements roots))
+      | None, _, _ ->
+          let objects =
+            List.map
+              (fun root -> (OS.root_position ti.store root, OS.fetch ti.store ti.schema root))
+              (OS.roots ti.store)
+          in
+          Mvcc.Publish { schema = ti.schema; versioned = false; objects; asof = None })
 
 (* Commit LSN: the WAL's last appended record (the commit record, when
    called right after [Wal.commit]); without a WAL, an internal counter. *)
@@ -486,22 +527,34 @@ let next_publish_lsn t =
   | Some w -> Wal.last_lsn w
   | None -> Mvcc.snapshot_lsn t.mvcc + 1
 
-let mvcc_publish ?lsn ?monotonize t =
-  let names = StrSet.elements t.dirty in
-  t.dirty <- StrSet.empty;
+(* Publish [changes], then take each live table's planner row count
+   from the version just published. *)
+let publish_changes ?lsn ?monotonize t (changes : (string * dirty) list) =
   let lsn = match lsn with Some l -> l | None -> next_publish_lsn t in
-  Mvcc.publish t.mvcc ?monotonize ~lsn (List.map (fun n -> (n, capture_table t n)) names)
+  Mvcc.publish t.mvcc ?monotonize ~lsn (List.map (fun (n, d) -> (n, capture_table t n d)) changes);
+  let view = Mvcc.view t.mvcc in
+  List.iter
+    (fun (n, _) ->
+      match find_table t n, Mvcc.resolve view n with
+      | Some ti, Some v -> ti.stat_rows <- v.Mvcc.v_rows
+      | _ -> ())
+    changes
+
+let mvcc_publish ?lsn ?monotonize t =
+  let changes = SMap.bindings t.dirty in
+  t.dirty <- SMap.empty;
+  publish_changes ?lsn ?monotonize t changes
 
 (* Wholesale refresh (load, recovery, replica catalog apply): publish
-   every live table, tombstoning chains whose table disappeared. *)
+   every live table in full, tombstoning chains whose table
+   disappeared. *)
 let mvcc_refresh_all ?lsn ?monotonize t =
-  t.dirty <- StrSet.empty;
+  t.dirty <- SMap.empty;
   let names =
     List.sort_uniq String.compare
       (Hashtbl.fold (fun k _ acc -> k :: acc) t.tables (Mvcc.live_names t.mvcc))
   in
-  let lsn = match lsn with Some l -> l | None -> next_publish_lsn t in
-  Mvcc.publish t.mvcc ?monotonize ~lsn (List.map (fun n -> (n, capture_table t n)) names)
+  publish_changes ?lsn ?monotonize t (List.map (fun n -> (n, Whole)) names)
 
 (* --- index maintenance ------------------------------------------------------ *)
 
@@ -514,33 +567,6 @@ let reindex_object ti root =
   List.iter (fun (_, tix) -> TI.insert_object tix root) ti.text_indexes
 
 (* --- helpers for DML -------------------------------------------------------- *)
-
-(* Roots of objects satisfying [where]; tuples are bound to an implicit
-   variable so unqualified attributes resolve. *)
-let matching_roots t ti (where : Ast.pred option) : (Tid.t * Value.tuple) list =
-  let roots = OS.roots ti.store in
-  List.filter_map
-    (fun root ->
-      let tup = OS.fetch ti.store ti.schema root in
-      let keep =
-        match where with
-        | None -> true
-        | Some w -> Eval.eval_pred (catalog t) [ ("#row", (ti.schema.Schema.table, tup)) ] w
-      in
-      if keep then Some (root, tup) else None)
-    roots
-
-let matching_ids t ti (where : Ast.pred option) : int list =
-  match ti.vstore with
-  | None -> db_error "internal: matching_ids on unversioned table"
-  | Some vs ->
-      List.filter
-        (fun id ->
-          let tup = VS.current vs ti.schema id in
-          match where with
-          | None -> true
-          | Some w -> Eval.eval_pred (catalog t) [ ("#row", (ti.schema.Schema.table, tup)) ] w)
-        (VS.ids vs)
 
 let eval_ts t (e : Ast.expr option) ~(vs : VS.t) : int =
   match e with
@@ -736,8 +762,13 @@ let decode_catalog t src =
         ids = [];
         indexes;
         text_indexes;
-        (* initial estimate; refined at the next MVCC publish *)
-        stat_rows = List.length (OS.roots store);
+        (* the published row count: a rollback restores the state the
+           head version holds, and load, recovery and replica apply
+           publish every table afresh right after *)
+        stat_rows =
+          (match Mvcc.resolve (Mvcc.view t.mvcc) schema.Schema.name with
+          | Some v -> v.Mvcc.v_rows
+          | None -> 0);
       }
   done;
   let nnames = Codec.get_uvarint src in
@@ -838,7 +869,7 @@ let abort_wal_txn t w (st : wal_txn_state) =
   Wal.log_abort w st.wtx;
   BP.set_tx t.pool Wal.system_tx;
   t.wal_txn <- None;
-  t.dirty <- StrSet.empty; (* nothing committed: publish nothing *)
+  t.dirty <- SMap.empty; (* nothing committed: publish nothing *)
   restore_catalog t st.saved_catalog
 
 (* Run [f] as its own logged transaction when a WAL is attached and no
@@ -866,7 +897,7 @@ let logged t (f : unit -> 'a) : 'a =
          script may have partially applied and the snapshot must track
          the actual state *)
       let publish () =
-        if t.wal_txn = None && not (StrSet.is_empty t.dirty) then mvcc_publish t
+        if t.wal_txn = None && not (SMap.is_empty t.dirty) then mvcc_publish t
       in
       (match f () with
       | r ->
@@ -933,12 +964,46 @@ let rebuild_table t ti (schema' : Schema.t) (tuples : Value.tuple list) =
     (String.uppercase_ascii schema'.Schema.name)
     { ti with schema = schema'; store; indexes; text_indexes; stat_rows = List.length tuples }
 
+(* Element schemas along a subtable path, innermost first. *)
+let subtable_scopes ti (sub_path : string list) : Schema.table list =
+  List.fold_left
+    (fun (tbl, acc) attr ->
+      match Schema.find_field tbl attr with
+      | Some (_, { Schema.attr = Schema.Table sub; _ }) -> (sub, sub :: acc)
+      | _ -> db_error "%s is not a subtable" (String.concat "." sub_path))
+    (ti.schema.Schema.table, []) sub_path
+  |> snd
+
+(* The atomic attributes of [tup] (of table [tbl]) after [sets], each
+   SET expression evaluated in [env]. *)
+let set_atoms t (tbl : Schema.table) (tup : Value.tuple) (env : Eval.env)
+    (sets : (string * Ast.expr) list) : Atom.t list =
+  List.filter_map
+    (fun (f : Schema.field) ->
+      match f.Schema.attr with
+      | Schema.Table _ -> None
+      | Schema.Atomic ty -> (
+          match
+            List.find_opt
+              (fun (a, _) -> String.uppercase_ascii a = String.uppercase_ascii f.Schema.name)
+              sets
+          with
+          | None -> ( match Value.field tbl tup f.Schema.name with Value.Atom a -> Some a | _ -> None)
+          | Some (_, e) -> (
+              match Eval.eval_expr (catalog t) env e with
+              | Value.Atom a ->
+                  let a = match ty, a with Atom.Tfloat, Atom.Int v -> Atom.Float (float_of_int v) | _ -> a in
+                  if not (Atom.conforms ty a) then db_error "SET %s: type mismatch" f.Schema.name;
+                  Some a
+              | _ -> db_error "SET %s: expected atomic value" f.Schema.name)))
+    tbl.Schema.fields
+
 (* Elements of the subtable at [sub_path] (inside every nesting level)
-   satisfying [where]; returns (steps-to-element, env) pairs where env
-   binds the element and all its ancestors for SET expressions. *)
-let matching_elements t ti (root : Tid.t) (sub_path : string list) (where : Ast.pred option) :
-    (OS.step list * Eval.env) list =
-  let tup = OS.fetch ti.store ti.schema root in
+   of the object [tup] satisfying [where]; returns (steps-to-element,
+   element, env) triples where env binds the element and all its
+   ancestors for SET expressions. *)
+let matching_elements t ti (tup : Value.tuple) (sub_path : string list) (where : Ast.pred option) :
+    (OS.step list * Value.tuple * Eval.env) list =
   let acc = ref [] in
   let rec go (tbl : Schema.table) (cur : Value.tuple) (steps_rev : OS.step list) (env : Eval.env)
       (path : string list) =
@@ -959,7 +1024,7 @@ let matching_elements t ti (root : Tid.t) (sub_path : string list) (where : Ast.
                         | None -> true
                         | Some w -> Eval.eval_pred (catalog t) env' w
                       in
-                      if keep then acc := (List.rev steps_rev', env') :: !acc
+                      if keep then acc := (List.rev steps_rev', etup, env') :: !acc
                     end
                     else go sub etup steps_rev' env' rest)
                   inner.Value.tuples
@@ -1024,6 +1089,65 @@ let planner_counters t =
 let set_plan_force_seq t v = t.plan_force_seq <- v
 let plan_force_seq t = t.plan_force_seq
 let last_plan_tree t = t.last_plan_tree
+
+(* --- DML targets ---------------------------------------------------------------
+
+   UPDATE and DELETE, and subtable INSERT, UPDATE and DELETE, find their
+   objects through the planner: the WHERE clause is planned as the
+   one-range block [#row IN table] ({!Driver.candidate_roots}), so a
+   sargable conjunct probes an index — a value or range probe,
+   CONTAINS, or the Section 4.2 hierarchical-prefix intersection —
+   instead of fetching every object.  Candidates are visited in heap
+   order, the order a full scan visits them, so statement effects never
+   depend on the path chosen; each is fetched once and re-checked
+   against the full predicate.  Targets are collected before any
+   mutation, which keeps [SET <indexed key> = ...] correct. *)
+
+let row_matches t ti (where : Ast.pred option) (tup : Value.tuple) =
+  match where with
+  | None -> true
+  | Some w -> Eval.eval_pred (catalog t) [ ("#row", (ti.schema.Schema.table, tup)) ] w
+
+(* Objects an index path says may satisfy [where], in heap order; every
+   root when the plan is a scan.  [inner]: the element schemas of a
+   subtable statement, innermost first. *)
+let candidate_roots t ti ?inner (where : Ast.pred option) : Tid.t list =
+  let name = ti.schema.Schema.name in
+  match
+    Driver.candidate_roots ~force_seq:t.plan_force_seq ?inner ~stats:(stats_of t) (catalog t)
+      ~table:name where
+  with
+  | Some (roots, kind) ->
+      count_access t name kind;
+      List.map (fun r -> (OS.root_position ti.store r, r)) roots
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.map snd
+  | None ->
+      count_access t name `Seq;
+      OS.roots ti.store
+
+(* The objects an UPDATE or DELETE changes, with their current tuples.
+   Versioned tables have no index paths (CREATE INDEX refuses them), so
+   every time-version id is a candidate. *)
+let dml_targets t ti (where : Ast.pred option) :
+    [ `Ids of VS.t * (int * Value.tuple) list | `Roots of (Tid.t * Value.tuple) list ] =
+  match ti.vstore with
+  | Some vs ->
+      count_access t ti.schema.Schema.name `Seq;
+      `Ids
+        ( vs,
+          List.filter_map
+            (fun id ->
+              let tup = VS.current vs ti.schema id in
+              if row_matches t ti where tup then Some (id, tup) else None)
+            (VS.ids vs) )
+  | None ->
+      `Roots
+        (List.filter_map
+           (fun root ->
+             let tup = OS.fetch ti.store ti.schema root in
+             if row_matches t ti where tup then Some (root, tup) else None)
+           (candidate_roots t ti where))
 
 let run_query ?trace ?rewrite t q =
   (* plan notes accumulate locally and are stored in one assignment:
@@ -1097,7 +1221,7 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       Msg (Printf.sprintf "text index on %s(%s) created" (String.uppercase_ascii table) (String.concat "." path))
   | Ast.Insert { table; sub_path = []; where = None; rows } ->
       let ti = table_exn t table in
-      touch t table;
+      touch_rows t table;
       let tuples = List.map (tuple_of_literals ti.schema.Schema.table) rows in
       (match ti.vstore with
       | Some vs -> List.iter (fun tup -> ignore (VS.insert vs ti.schema ~ts:vs.VS.clock tup)) tuples
@@ -1105,6 +1229,7 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
           List.iter
             (fun tup ->
               let root = OS.insert ti.store ti.schema tup in
+              touch_root t table root;
               reindex_object ti root)
             tuples);
       Msg (Printf.sprintf "%d row(s) inserted into %s" (List.length rows) (String.uppercase_ascii table))
@@ -1119,12 +1244,17 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
         | Schema.Table sub -> sub
         | Schema.Atomic _ -> db_error "%s is not a subtable" (String.concat "." sub_path)
       in
-      touch t table;
+      touch_rows t table;
       let tuples = List.map (tuple_of_literals sub) rows in
       let steps = List.map (fun a -> OS.Attr a) sub_path in
-      let targets = matching_roots t ti where in
+      let targets =
+        List.filter
+          (fun root -> Option.is_none where || row_matches t ti where (OS.fetch ti.store ti.schema root))
+          (candidate_roots t ti where)
+      in
       List.iter
-        (fun (root, _) ->
+        (fun root ->
+          touch_root t table root;
           deindex_object ti root;
           List.iter (fun tup -> OS.append_element ti.store ti.schema root steps tup) tuples;
           reindex_object ti root)
@@ -1196,14 +1326,11 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       Msg (Printf.sprintf "attribute %s dropped from %s" (String.uppercase_ascii attr) (String.uppercase_ascii table))
   | Ast.Update { table; sub_path = _ :: _ as sub_path; sets; where; at } ->
       let ti = table_exn t table in
-      touch t table;
+      touch_rows t table;
       if ti.versioned then db_error "subtable update on versioned tables is not supported";
       if at <> None then db_error "AT applies to versioned tables only";
-      let sub =
-        match Schema.resolve_path ti.schema.Schema.table sub_path with
-        | Schema.Table sub -> sub
-        | Schema.Atomic _ -> db_error "%s is not a subtable" (String.concat "." sub_path)
-      in
+      let inner = subtable_scopes ti sub_path in
+      let sub = List.hd inner in
       (* reject SETs of unknown or non-atomic element attributes *)
       List.iter
         (fun (a, _) ->
@@ -1215,72 +1342,47 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       let count = ref 0 in
       List.iter
         (fun root ->
-          let targets = matching_elements t ti root sub_path where in
-          if targets <> [] then begin
+          let tup = OS.fetch ti.store ti.schema root in
+          (* every new element is computed before the object changes *)
+          let updates =
+            List.map
+              (fun (steps, etup, env) -> (steps, set_atoms t sub etup env sets))
+              (matching_elements t ti tup sub_path where)
+          in
+          if updates <> [] then begin
+            touch_root t table root;
             deindex_object ti root;
             List.iter
-              (fun (steps, env) ->
-                match OS.fetch_path ti.store ti.schema root steps with
-                | Value.Table { tuples = [ etup ]; _ } ->
-                    let atoms =
-                      List.filter_map
-                        (fun (f : Schema.field) ->
-                          match f.Schema.attr with
-                          | Schema.Table _ -> None
-                          | Schema.Atomic ty -> (
-                              match
-                                List.find_opt
-                                  (fun (a, _) -> String.uppercase_ascii a = String.uppercase_ascii f.Schema.name)
-                                  sets
-                              with
-                              | None -> (
-                                  match Value.field sub etup f.Schema.name with
-                                  | Value.Atom a -> Some a
-                                  | _ -> None)
-                              | Some (_, e) -> (
-                                  match Eval.eval_expr (catalog t) env e with
-                                  | Value.Atom a ->
-                                      let a =
-                                        match ty, a with
-                                        | Atom.Tfloat, Atom.Int v -> Atom.Float (float_of_int v)
-                                        | _ -> a
-                                      in
-                                      if not (Atom.conforms ty a) then db_error "SET %s: type mismatch" f.Schema.name;
-                                      Some a
-                                  | _ -> db_error "SET %s: expected atomic value" f.Schema.name)))
-                        sub.Schema.fields
-                    in
-                    OS.update_atoms ti.store ti.schema root steps atoms;
-                    incr count
-                | _ -> ())
-              targets;
+              (fun (steps, atoms) ->
+                OS.update_atoms ti.store ti.schema root steps atoms;
+                incr count)
+              updates;
             reindex_object ti root
           end)
-        (OS.roots ti.store);
+        (candidate_roots t ti ~inner where);
       Msg (Printf.sprintf "%d element(s) updated in %s" !count (String.concat "." sub_path))
   | Ast.Delete { table; sub_path = _ :: _ as sub_path; where; at } ->
       let ti = table_exn t table in
-      touch t table;
+      touch_rows t table;
       if ti.versioned then db_error "subtable delete on versioned tables is not supported";
       if at <> None then db_error "AT applies to versioned tables only";
-      (match Schema.resolve_path ti.schema.Schema.table sub_path with
-      | Schema.Table _ -> ()
-      | Schema.Atomic _ -> db_error "%s is not a subtable" (String.concat "." sub_path));
+      let inner = subtable_scopes ti sub_path in
       let count = ref 0 in
       List.iter
         (fun root ->
-          let targets = matching_elements t ti root sub_path where in
+          let tup = OS.fetch ti.store ti.schema root in
+          let targets = matching_elements t ti tup sub_path where in
           if targets <> [] then begin
+            touch_root t table root;
             deindex_object ti root;
             (* delete deepest-last indices first so shallower ones stay valid *)
             let sorted =
-              List.sort
-                (fun (a, _) (b, _) -> compare (List.rev a) (List.rev b))
-                targets
+              List.map (fun (steps, _, _) -> steps) targets
+              |> List.sort (fun a b -> compare (List.rev a) (List.rev b))
               |> List.rev
             in
             List.iter
-              (fun (steps, _) ->
+              (fun steps ->
                 match List.rev steps with
                 | OS.Elem idx :: rev_prefix ->
                     OS.delete_element ti.store ti.schema root (List.rev rev_prefix) ~idx;
@@ -1289,36 +1391,11 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
               sorted;
             reindex_object ti root
           end)
-        (OS.roots ti.store);
+        (candidate_roots t ti ~inner where);
       Msg (Printf.sprintf "%d element(s) deleted from %s" !count (String.concat "." sub_path))
   | Ast.Update { table; sub_path = []; sets; where; at } -> (
       let ti = table_exn t table in
-      touch t table;
-      (* updated first-level atoms of a tuple *)
-      let new_atoms (tup : Value.tuple) : Atom.t list =
-        let env = [ ("#row", (ti.schema.Schema.table, tup)) ] in
-        List.filter_map
-          (fun (f : Schema.field) ->
-            match f.Schema.attr with
-            | Schema.Table _ -> None
-            | Schema.Atomic ty -> (
-                let current = Value.field ti.schema.Schema.table tup f.Schema.name in
-                match
-                  List.find_opt
-                    (fun (a, _) -> String.uppercase_ascii a = String.uppercase_ascii f.Schema.name)
-                    sets
-                with
-                | None -> ( match current with Value.Atom a -> Some a | _ -> None)
-                | Some (_, e) -> (
-                    match Eval.eval_expr (catalog t) env e with
-                    | Value.Atom a ->
-                        let a = match ty, a with Atom.Tfloat, Atom.Int v -> Atom.Float (float_of_int v) | _ -> a in
-                        if not (Atom.conforms ty a) then
-                          db_error "SET %s: type mismatch" f.Schema.name;
-                        Some a
-                    | _ -> db_error "SET %s: expected atomic value" f.Schema.name)))
-          ti.schema.Schema.table.Schema.fields
-      in
+      touch_rows t table;
       (* reject SETs of unknown or table-valued attributes *)
       List.iter
         (fun (a, _) ->
@@ -1327,42 +1404,42 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
           | Some _ -> db_error "SET %s: only atomic attributes can be updated" a
           | None -> db_error "SET %s: unknown attribute" a)
         sets;
-      match ti.vstore with
-      | Some vs ->
+      let new_atoms tup =
+        set_atoms t ti.schema.Schema.table tup [ ("#row", (ti.schema.Schema.table, tup)) ] sets
+      in
+      let updated n = Msg (Printf.sprintf "%d row(s) updated in %s" n (String.uppercase_ascii table)) in
+      match dml_targets t ti where with
+      | `Ids (vs, targets) ->
           let ts = eval_ts t at ~vs in
-          let ids = matching_ids t ti where in
-          List.iter
-            (fun id ->
-              let tup = VS.current vs ti.schema id in
-              VS.update_atoms vs ti.schema id ~ts [] (new_atoms tup))
-            ids;
-          Msg (Printf.sprintf "%d row(s) updated in %s" (List.length ids) (String.uppercase_ascii table))
-      | None ->
-          let targets = matching_roots t ti where in
+          List.iter (fun (id, tup) -> VS.update_atoms vs ti.schema id ~ts [] (new_atoms tup)) targets;
+          updated (List.length targets)
+      | `Roots targets ->
           List.iter
             (fun (root, tup) ->
+              let atoms = new_atoms tup in
+              touch_root t table root;
               deindex_object ti root;
-              OS.update_atoms ti.store ti.schema root [] (new_atoms tup);
+              OS.update_atoms ti.store ti.schema root [] atoms;
               reindex_object ti root)
             targets;
-          Msg (Printf.sprintf "%d row(s) updated in %s" (List.length targets) (String.uppercase_ascii table)))
+          updated (List.length targets))
   | Ast.Delete { table; sub_path = []; where; at } -> (
       let ti = table_exn t table in
-      touch t table;
-      match ti.vstore with
-      | Some vs ->
+      touch_rows t table;
+      let deleted n = Msg (Printf.sprintf "%d row(s) deleted from %s" n (String.uppercase_ascii table)) in
+      match dml_targets t ti where with
+      | `Ids (vs, targets) ->
           let ts = eval_ts t at ~vs in
-          let ids = matching_ids t ti where in
-          List.iter (fun id -> VS.delete vs ti.schema id ~ts) ids;
-          Msg (Printf.sprintf "%d row(s) deleted from %s" (List.length ids) (String.uppercase_ascii table))
-      | None ->
-          let targets = matching_roots t ti where in
+          List.iter (fun (id, _) -> VS.delete vs ti.schema id ~ts) targets;
+          deleted (List.length targets)
+      | `Roots targets ->
           List.iter
             (fun (root, _) ->
+              touch_root t table root;
               deindex_object ti root;
               OS.delete ti.store ti.schema root)
             targets;
-          Msg (Printf.sprintf "%d row(s) deleted from %s" (List.length targets) (String.uppercase_ascii table)))
+          deleted (List.length targets))
 
 (* Mutations evaluate their predicates and SET expressions through
    Eval directly; a nested SELECT inside one runs as a block of this
@@ -1435,8 +1512,8 @@ let insert_tuple t ~table (tup : Value.tuple) : Tid.t =
   let ti = table_exn t table in
   (match ti.vstore with Some _ -> db_error "use the language for versioned tables" | None -> ());
   logged t (fun () ->
-      touch t table;
       let root = OS.insert ti.store ti.schema tup in
+      touch_root t table root;
       reindex_object ti root;
       ti.stat_rows <- ti.stat_rows + 1;
       root)
@@ -1669,28 +1746,27 @@ let set_mvcc_budget t n = Mvcc.set_budget t.mvcc n
 let mvcc_budget t = Mvcc.budget t.mvcc
 
 (* Catalog over a pinned snapshot: scans come from the frozen version's
-   tuples, so evaluation touches no shared storage at all (index access
+   objects, so evaluation touches no shared storage at all (index access
    paths are deliberately absent — they point into live pages). *)
 let snapshot_catalog (s : Mvcc.snapshot) : Eval.catalog =
  fun name ->
   match Mvcc.resolve s name with
   | None -> None
   | Some v ->
-      let tuples = v.Mvcc.v_tuples in
       let scan_asof_lsn =
         if v.Mvcc.v_versioned then None
         else
           Some
             (fun lsn ->
               match Mvcc.resolve_at s name ~lsn with
-              | Some v -> v.Mvcc.v_tuples
+              | Some v -> Mvcc.scan v
               | None -> [])
       in
       Some
         {
           Eval.schema = v.Mvcc.v_schema;
           versioned = v.Mvcc.v_versioned;
-          scan = (fun () -> tuples);
+          scan = (fun () -> Mvcc.scan v);
           scan_asof = v.Mvcc.v_asof;
           scan_asof_lsn;
           roots = None;
@@ -1702,10 +1778,9 @@ let snapshot_catalog (s : Mvcc.snapshot) : Eval.catalog =
 let snapshot_table_names (s : Mvcc.snapshot) =
   List.map (fun (_, v) -> v.Mvcc.v_schema.Schema.name) (Mvcc.live_tables s)
 
-(* Snapshot statistics: frozen versions are already materialized tuple
-   lists, so the row count is exact. *)
+(* Snapshot statistics: each version carries its exact row count. *)
 let snapshot_stats (s : Mvcc.snapshot) : Pstats.provider =
- fun name -> Option.map (fun v -> { Pstats.rows = List.length v.Mvcc.v_tuples }) (Mvcc.resolve s name)
+ fun name -> Option.map (fun v -> { Pstats.rows = v.Mvcc.v_rows }) (Mvcc.resolve s name)
 
 let run_query_snap ?trace ?rewrite t (s : Mvcc.snapshot) q =
   let notes = ref [ Printf.sprintf "snapshot @ LSN %d" (Mvcc.lsn s) ] in

@@ -67,15 +67,17 @@ val last_plan : t -> string list
 val last_plan_tree : t -> Nf2_plan.Plan.node option
 
 (** Planner ablation: when set, the cost-based planner only emits
-    sequential plans (no index access paths, no index joins).  Results
-    are byte-identical; only the access paths change. *)
+    sequential plans (no index access paths, no index joins), and DML
+    visits every object.  Results are byte-identical; only the access
+    paths change. *)
 val set_plan_force_seq : t -> bool -> unit
 
 val plan_force_seq : t -> bool
 
 (** Cumulative access-path counters since [create]: how many range
-    accesses ran as full scans, single-index scans, and multi-index
-    (address-prefix) intersections. *)
+    accesses — and how many DML target searches — ran as full scans,
+    single-index scans, and multi-index (address-prefix)
+    intersections. *)
 type planner_counters = { seq_scans : int; index_scans : int; index_intersections : int }
 
 val planner_counters : t -> planner_counters
@@ -248,7 +250,9 @@ val replicate_undo : t -> (int * int * string) list -> unit
     Every commit publishes, per touched table, a new immutable version
     stamped with the commit LSN into an engine-wide multi-version store
     ({!Nf2_temporal.Mvcc}); the database's {e snapshot LSN} advances
-    monotonically with it.  A snapshot pins that state with one atomic
+    monotonically with it.  A commit of DML fetches only the objects it
+    inserted, updated or deleted; every other object is shared with the
+    previous version.  A snapshot pins that state with one atomic
     read: read-only statements evaluated through {!exec_read} resolve
     every table to its newest version at or below the snapshot LSN and
     touch no shared storage at all — no predicate locks, no engine
@@ -283,8 +287,8 @@ val set_mvcc_budget : t -> int option -> unit
 val mvcc_budget : t -> int option
 
 (** Evaluator catalog over a pinned snapshot — scans serve the frozen
-    version's tuples; index access paths are absent by design (they
-    point into live pages). *)
+    version's objects, in the order a live scan lists them; index access
+    paths are absent by design (they point into live pages). *)
 val snapshot_catalog : Nf2_temporal.Mvcc.snapshot -> Nf2_lang.Eval.catalog
 
 (** Execute one read-only statement (SELECT / EXPLAIN [ANALYZE] /

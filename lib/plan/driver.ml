@@ -46,6 +46,15 @@ let intersect_sorted (a : Tid.t list) (b : Tid.t list) : Tid.t list =
   in
   go [] a b
 
+(* Run a plan's candidate-set probes and intersect their answers. *)
+let probe_sets (sets : Planner.cand_set list) : Tid.t list =
+  match sets with
+  | [] -> assert false
+  | s0 :: rest ->
+      List.fold_left
+        (fun acc (cs : Planner.cand_set) -> intersect_sorted acc (cs.Planner.cs_probe ()))
+        (s0.Planner.cs_probe ()) rest
+
 (* Execute one planned block.  [outer] binds the enclosing blocks'
    variables ([] at top level); [span] is the trace node this block's
    spans hang from. *)
@@ -85,14 +94,7 @@ let execute ?plan_note ?on_access ?span ~(pl : Planner.t) (catalog : Eval.catalo
           in
           let table = st.Eval.schema.Schema.table in
           fun _env ->
-            let cands =
-              match sets with
-              | [] -> assert false
-              | s0 :: rest ->
-                  List.fold_left
-                    (fun acc (cs : Planner.cand_set) -> intersect_sorted acc (cs.Planner.cs_probe ()))
-                    (s0.Planner.cs_probe ()) rest
-            in
+            let cands = probe_sets sets in
             let desc =
               String.concat " & " (List.map (fun cs -> cs.Planner.cs_desc) sets)
             in
@@ -305,3 +307,102 @@ let explain ?(force_seq = false) ?(rewrite = true) ~stats (catalog : Eval.catalo
   let q = if rewrite then Rewrite.rewrite_query q else q in
   ignore (Eval.type_query catalog [] q);
   (Planner.plan ~force_seq ~stats catalog q).Planner.tree
+
+(* --- DML predicates ------------------------------------------------------
+
+   UPDATE, DELETE and subtable INSERT evaluate their WHERE clause with
+   the statement's object bound to [#row] and attributes written
+   unqualified.  Planning it as the one-range block [#row IN table]
+   needs those attributes spelled as paths of [#row]: [qualify_row]
+   rewrites every reference that resolves to the row exactly as the
+   evaluator resolves it — a bound variable name wins, then the
+   innermost scope owning the attribute, and a quantifier source that
+   names a stored table stays that table.  Quantifiers over a subtable
+   extend the scope; every other construct is left as written, which
+   can only make a conjunct non-sargable, never change a result: the
+   rewritten predicate is only planned, and each candidate is
+   re-checked with the original one. *)
+
+let row_var = "#row"
+
+let qualify_row (catalog : Eval.catalog) (scope : (string * Schema.table) list) (w : pred) : pred =
+  let up = String.uppercase_ascii in
+  (* the path and the schema of the scope entry it starts from *)
+  let resolve scope (p : path) =
+    match p.var with
+    | None -> None
+    | Some h -> (
+        match List.find_opt (fun (v, _) -> up v = up h) scope with
+        | Some (_, tbl) -> Some (p, tbl)
+        | None ->
+            List.find_opt (fun (_, tbl) -> Schema.find_field tbl h <> None) scope
+            |> Option.map (fun (v, tbl) -> ({ var = Some v; steps = Field h :: p.steps }, tbl)))
+  in
+  let expr scope = function
+    | Path p -> ( match resolve scope p with Some (p, _) -> Path p | None -> Path p)
+    | e -> e
+  in
+  (* the element schema a quantifier over [p] binds *)
+  let subtable scope (p : path) =
+    match resolve scope p with
+    | None -> None
+    | Some (p, tbl) -> (
+        let rec fields acc = function
+          | [] -> Some (List.rev acc)
+          | Field f :: rest -> fields (f :: acc) rest
+          | Subscript _ :: _ -> None
+        in
+        match fields [] p.steps with
+        | None -> None
+        | Some sp -> (
+            match Schema.resolve_path tbl sp with
+            | Schema.Table sub -> Some (p, sub)
+            | Schema.Atomic _ -> None
+            | exception Schema.Schema_error _ -> None))
+  in
+  let rec pred scope = function
+    | Cmp (op, a, b) -> Cmp (op, expr scope a, expr scope b)
+    | And (a, b) -> And (pred scope a, pred scope b)
+    | Contains (e, pat) -> Contains (expr scope e, pat)
+    | Exists (({ asof = None; _ } as r), body) as p -> (
+        let src =
+          match r.source with
+          | Path_src src -> Some src
+          | Table_src name when catalog name = None -> Some { var = Some name; steps = [] }
+          | Table_src _ -> None
+        in
+        match Option.bind src (subtable scope) with
+        | Some (src, sub) -> Exists ({ r with source = Path_src src }, pred ((r.rvar, sub) :: scope) body)
+        | None -> p)
+    | p -> p
+  in
+  pred scope w
+
+(* Candidate objects for a DML predicate on [table]: the roots an index
+   path yields for the block [#row IN table] planned under the
+   statement's statistics, with the access kind taken; [None] when the
+   plan is a sequential scan (no sargable conjunct, an index that loses
+   on cost, no WHERE clause, or [force_seq]) and every object is a
+   candidate.  [inner] are the element schemas a subtable statement
+   binds around the row, innermost first: attributes they own shadow
+   the row's.  The roots are TID-sorted; the caller fetches each one
+   and re-checks the full predicate. *)
+let candidate_roots ?(force_seq = false) ?(inner = []) ~stats (catalog : Eval.catalog) ~table
+    (where : pred option) : (Tid.t list * access_kind) option =
+  match where, catalog table with
+  | None, _ | _, None -> None
+  | Some w, Some st -> (
+      let scope = List.map (fun sub -> ("#elem", sub)) inner @ [ (row_var, st.Eval.schema.Schema.table) ] in
+      let q =
+        {
+          distinct = false;
+          select = Star;
+          from = [ { rvar = row_var; source = Table_src table; asof = None } ];
+          where = Some (qualify_row catalog scope w);
+          order_by = [];
+        }
+      in
+      match (Planner.plan ~force_seq ~stats catalog q).Planner.first with
+      | Some (Planner.F_index { sets; intersect; _ }) ->
+          Some (probe_sets sets, if intersect then `Intersect else `Index)
+      | _ -> None)

@@ -7,15 +7,17 @@
 type t = {
   pool : Buffer_pool.t;
   mutable pages : int list; (* newest first *)
+  ranks : (int, int) Hashtbl.t; (* page -> position in the append-only page list *)
   fsm : (int, int) Hashtbl.t; (* page -> usable free bytes *)
 }
 
-let create pool = { pool; pages = []; fsm = Hashtbl.create 64 }
+let create pool = { pool; pages = []; ranks = Hashtbl.create 64; fsm = Hashtbl.create 64 }
 
 (* Re-attach a heap to pages persisted earlier; the free-space map is
    rebuilt by inspecting each page. *)
 let restore pool ~pages =
-  let t = { pool; pages; fsm = Hashtbl.create 64 } in
+  let t = { pool; pages; ranks = Hashtbl.create 64; fsm = Hashtbl.create 64 } in
+  List.iteri (fun rank page -> Hashtbl.replace t.ranks page rank) (List.rev pages);
   List.iter
     (fun page -> Buffer_pool.read pool page (fun buf -> Hashtbl.replace t.fsm page (Page.usable_free buf)))
     pages;
@@ -41,6 +43,7 @@ let alloc_page t =
   Buffer_pool.write t.pool page (fun buf ->
       Page.init buf;
       note_free t page buf);
+  Hashtbl.replace t.ranks page (Hashtbl.length t.ranks);
   t.pages <- page :: t.pages;
   page
 
@@ -259,6 +262,31 @@ let iter t fn =
           | Record.Spilled _ -> ())
         records)
     (List.rev t.pages)
+
+(* Where [iter] visits the record homed at [tid]: the rank of its page
+   in the append-only page list, then its slot.  Pages are never
+   removed, so a position stays valid after its record is deleted. *)
+let position t (tid : Tid.t) =
+  match Hashtbl.find_opt t.ranks tid.Tid.page with
+  | Some rank -> (rank, tid.Tid.slot)
+  | None -> invalid_arg (Printf.sprintf "Heap.position: page %d is not in this heap" tid.Tid.page)
+
+(* Does [iter] visit a record under [tid]?  False for free slots and for
+   slots holding a spilled copy or a continuation chunk. *)
+let is_home t (tid : Tid.t) =
+  Hashtbl.mem t.ranks tid.Tid.page
+  &&
+  match read_raw t tid with
+  | None -> false
+  | Some s -> (
+      match Record.decode s with
+      | Record.Plain _ -> true
+      | Record.Chunk { scan_root; _ } -> scan_root
+      | Record.Spilled _ -> false
+      | Record.Forward target -> (
+          match read_raw t target with
+          | Some s2 -> ( match Record.decode s2 with Record.Forward _ -> false | _ -> true)
+          | None -> false))
 
 let fold t fn init =
   let acc = ref init in

@@ -36,4 +36,13 @@ val update : t -> Tid.t -> string -> unit
 val iter : t -> (Tid.t -> string -> unit) -> unit
 
 val fold : t -> ('a -> Tid.t -> string -> 'a) -> 'a -> 'a
+
+(** Where {!iter} visits the record homed at a TID: (rank of its page in
+    the append-only page list, slot).  Positions order exactly as
+    [iter] visits, and stay valid after the record is deleted.
+    @raise Invalid_argument for a page this heap does not own. *)
+val position : t -> Tid.t -> int * int
+
+(** Is a live record homed at this TID (one {!iter} would visit)? *)
+val is_home : t -> Tid.t -> bool
 val count : t -> int

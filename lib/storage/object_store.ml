@@ -1240,3 +1240,5 @@ let restore ?(layout = Mini_directory.SS3) ?(clustering = true) pool ~dir_pages 
 (* All root TIDs in the store. *)
 let iter_roots t fn = Heap.iter t.dir (fun tid _ -> fn tid)
 let roots t = List.rev (Heap.fold t.dir (fun acc tid _ -> tid :: acc) [])
+let root_position t root = Heap.position t.dir root
+let is_root t root = Heap.is_home t.dir root

@@ -56,6 +56,14 @@ val roots : t -> Tid.t list
 
 val iter_roots : t -> (Tid.t -> unit) -> unit
 
+(** A root's place in {!roots} order: (rank of its directory page, slot).
+    Valid for deleted roots too — the directory's pages are never
+    released — so a commit can key what it removed. *)
+val root_position : t -> Tid.t -> int * int
+
+(** Is an object rooted at this TID? *)
+val is_root : t -> Tid.t -> bool
+
 (** {1 Partial access}
 
     Paths address arbitrary parts of a complex object:

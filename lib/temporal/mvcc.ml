@@ -9,6 +9,12 @@
    commit-consistent boundary — there is no moment at which a reader
    can see table A after a commit and table B before it.
 
+   A version holds its objects in a persistent map keyed by heap
+   position.  A commit that touched a few objects publishes a [Patch]:
+   the new version's map is the previous one with those keys replaced
+   or removed, so it shares every untouched object with its
+   predecessor and costs O(change log n) to build.
+
    GC runs inside publish: every chain keeps its newest [retain]
    versions plus everything a pinned snapshot might still resolve;
    older versions are dropped and the chain remembers that it was
@@ -21,20 +27,46 @@ module SMap = Map.Make (String)
 
 exception Snapshot_too_old of { table : string; lsn : int; floor : int }
 
+type key = int * int
+
+module KMap = Map.Make (struct
+  type t = key
+
+  let compare (r1, s1) (r2, s2) = match Int.compare r1 r2 with 0 -> Int.compare s1 s2 | c -> c
+end)
+
+(* A version's objects, plus the scan list built from them on first
+   use.  The cache is an [Atomic] rather than a [Lazy]: snapshot readers
+   on several domains may force it at once, and a lost race only builds
+   the same list twice. *)
+type objects = { objs : Value.tuple KMap.t; scan_cache : Value.tuple list option Atomic.t }
+
 type version = {
   v_lsn : int;
   v_schema : Schema.t;
   v_versioned : bool;
-  v_tuples : Value.tuple list;
+  v_objects : objects;
+  v_rows : int;
   v_asof : (int -> Value.tuple list) option;
   v_live : bool; (* false: drop tombstone — the table is gone above v_lsn *)
-  v_bytes : int; (* approximate payload size, for the byte budget *)
+  v_bytes : int; (* approximate payload size of all its objects *)
+  v_own_bytes : int; (* the part not shared with its predecessor *)
 }
 
-(* Approximate in-memory size of a version's payload.  Per-constructor
-   constants stand in for boxing + list-cons overhead; only string
-   payloads vary.  Exactness does not matter — the budget needs a
-   monotone, stable measure, not an allocator audit. *)
+let objects_of objs = { objs; scan_cache = Atomic.make None }
+
+let scan (v : version) =
+  match Atomic.get v.v_objects.scan_cache with
+  | Some l -> l
+  | None ->
+      let l = KMap.fold (fun _ tup acc -> tup :: acc) v.v_objects.objs [] |> List.rev in
+      Atomic.set v.v_objects.scan_cache (Some l);
+      l
+
+(* Approximate in-memory size of a tuple.  Per-constructor constants
+   stand in for boxing + list-cons overhead; only string payloads vary.
+   Exactness does not matter — the budget needs a monotone, stable
+   measure, not an allocator audit. *)
 let rec approx_bytes_v = function
   | Value.Atom (Nf2_model.Atom.Str s) -> 32 + String.length s
   | Value.Atom _ -> 16
@@ -43,16 +75,14 @@ let rec approx_bytes_v = function
 
 and approx_bytes_tuple tup = List.fold_left (fun acc v -> acc + 16 + approx_bytes_v v) 16 tup
 
-let approx_bytes_tuples tuples =
-  List.fold_left (fun acc tup -> acc + approx_bytes_tuple tup) 0 tuples
-
 type input =
   | Publish of {
       schema : Schema.t;
       versioned : bool;
-      tuples : Value.tuple list;
+      objects : (key * Value.tuple) list;
       asof : (int -> Value.tuple list) option;
     }
+  | Patch of (key * Value.tuple option) list
   | Drop
 
 (* [c_trimmed]: GC has dropped versions off the old end, so resolution
@@ -122,7 +152,14 @@ let gc_chain (t : t) ~retain ~keep_lsn (c : chain) : chain =
     { c_versions = kept; c_trimmed = true }
   end
 
-let state_bytes tables = SMap.fold (fun _ c n -> List.fold_left (fun n v -> n + v.v_bytes) n c.c_versions) tables 0
+(* Bytes a chain holds: its oldest kept version in full, and what each
+   newer version added on top of the one before it. *)
+let chain_bytes (c : chain) =
+  match List.rev c.c_versions with
+  | [] -> 0
+  | oldest :: newer -> List.fold_left (fun n v -> n + v.v_own_bytes) oldest.v_bytes newer
+
+let state_bytes tables = SMap.fold (fun _ c n -> n + chain_bytes c) tables 0
 
 (* GC over a whole table map.  First pass honours the configured
    [retain]; if the byte budget is still exceeded, a pressure pass
@@ -147,26 +184,52 @@ let publish (t : t) ?(monotonize = true) ~lsn (inputs : (string * input) list) =
             (fun tables (name, input) ->
               let key = String.uppercase_ascii name in
               let old = SMap.find_opt key tables in
-              match input, old with
+              let head = Option.map (fun c -> List.hd c.c_versions) old in
+              let push v =
+                let c =
+                  match old with
+                  | Some c -> { c with c_versions = v :: c.c_versions }
+                  | None -> { c_versions = [ v ]; c_trimmed = false }
+                in
+                SMap.add key c tables
+              in
+              match input, head with
               | Drop, None -> tables (* drop of a never-published table *)
-              | Drop, Some c ->
-                  let prev = List.hd c.c_versions in
-                  let v =
-                    { prev with v_lsn = lsn; v_tuples = []; v_asof = None; v_live = false; v_bytes = 0 }
+              | Drop, Some prev ->
+                  push
+                    { prev with v_lsn = lsn; v_objects = objects_of KMap.empty; v_rows = 0;
+                      v_asof = None; v_live = false; v_bytes = 0; v_own_bytes = 0 }
+              | Publish { schema; versioned; objects; asof }, _ ->
+                  let objs, bytes =
+                    List.fold_left
+                      (fun (m, b) (k, tup) -> (KMap.add k tup m, b + approx_bytes_tuple tup))
+                      (KMap.empty, 0) objects
                   in
-                  SMap.add key { c with c_versions = v :: c.c_versions } tables
-              | Publish { schema; versioned; tuples; asof }, _ ->
-                  let v =
+                  push
                     { v_lsn = lsn; v_schema = schema; v_versioned = versioned;
-                      v_tuples = tuples; v_asof = asof; v_live = true;
-                      v_bytes = approx_bytes_tuples tuples }
+                      v_objects = objects_of objs; v_rows = KMap.cardinal objs; v_asof = asof;
+                      v_live = true; v_bytes = bytes; v_own_bytes = bytes }
+              | Patch changes, Some prev when prev.v_live ->
+                  let objs, rows, bytes, own =
+                    List.fold_left
+                      (fun (m, rows, bytes, own) (k, tup) ->
+                        let rows, bytes =
+                          match KMap.find_opt k m with
+                          | Some old -> (rows - 1, bytes - approx_bytes_tuple old)
+                          | None -> (rows, bytes)
+                        in
+                        match tup with
+                        | Some tup ->
+                            let b = approx_bytes_tuple tup in
+                            (KMap.add k tup m, rows + 1, bytes + b, own + b)
+                        | None -> (KMap.remove k m, rows, bytes, own))
+                      (prev.v_objects.objs, prev.v_rows, prev.v_bytes, 0)
+                      changes
                   in
-                  let c =
-                    match old with
-                    | Some c -> { c with c_versions = v :: c.c_versions }
-                    | None -> { c_versions = [ v ]; c_trimmed = false }
-                  in
-                  SMap.add key c tables)
+                  push
+                    { prev with v_lsn = lsn; v_objects = objects_of objs; v_rows = rows;
+                      v_bytes = bytes; v_own_bytes = own }
+              | Patch _, _ -> invalid_arg ("Mvcc.publish: patch of " ^ key ^ " without a live version"))
             cur.s_tables inputs
         in
         let keep_lsn = min (oldest_pin_locked t) lsn in

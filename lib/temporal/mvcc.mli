@@ -10,6 +10,13 @@
     and always see a transaction-consistent state: the newest version
     of every table at or below the snapshot LSN.
 
+    A version holds its objects in a persistent map keyed by heap
+    position ({!key}).  A commit that changed a few objects publishes
+    a {!Patch} of just those keys: the new version shares every other
+    object with its predecessor, so publishing costs O(objects
+    changed), not O(table).  Row count and byte size are carried along
+    the same way.
+
     Publication happens only on the engine's write side (which is
     serialised by the server's exclusive latch, or single-threaded in
     embedded use); an internal mutex additionally serialises publishers
@@ -29,27 +36,53 @@ module Value = Nf2_model.Value
     needed to answer were reclaimed. *)
 exception Snapshot_too_old of { table : string; lsn : int; floor : int }
 
+(** An object's place in its table's scan order: for a stored table,
+    the rank of its root's directory page in the heap's append-only
+    page list, then the root's slot ([Object_store.root_position]).
+    Keys order as the live store scans, so a snapshot scan lists the
+    objects exactly as a live scan would. *)
+type key = int * int
+
+type objects
+(** A version's objects: a persistent map from {!key} to tuple, shared
+    with the neighbouring versions of the chain. *)
+
 (** One immutable committed state of one table. *)
 type version = {
   v_lsn : int;  (** commit LSN that published this version *)
   v_schema : Schema.t;
   v_versioned : bool;  (** carries a Section 5 time-version store *)
-  v_tuples : Value.tuple list;  (** full contents, scan order *)
+  v_objects : objects;  (** contents; read them with {!scan} *)
+  v_rows : int;  (** number of objects *)
   v_asof : (int -> Value.tuple list) option;
       (** frozen date-ASOF reader (versioned tables): pure, touches no
           shared storage *)
   v_live : bool;  (** [false]: drop tombstone — the table is gone above [v_lsn] *)
-  v_bytes : int;  (** approximate payload size (byte-budget accounting) *)
+  v_bytes : int;
+      (** approximate payload size of all its objects, kept up to date
+          in O(change) by each patch *)
+  v_own_bytes : int;
+      (** the part of [v_bytes] this version does not share with its
+          predecessor: all of it for a full publish, the new objects'
+          size for a patch — what {!stats}' [bytes_live] adds up *)
 }
+
+val scan : version -> Value.tuple list
+(** The objects in key order.  Built on first use and kept with the
+    version, so repeated scans of one version cost one list walk. *)
 
 (** What a commit publishes for one table. *)
 type input =
   | Publish of {
       schema : Schema.t;
       versioned : bool;
-      tuples : Value.tuple list;
+      objects : (key * Value.tuple) list;
       asof : (int -> Value.tuple list) option;
-    }
+    }  (** the table's full contents (after DDL, load, recovery, replica apply) *)
+  | Patch of (key * Value.tuple option) list
+      (** the objects a commit touched: [Some] replaces or adds, [None]
+          removes; every other object is shared with the current head,
+          which must be live *)
   | Drop  (** the table was dropped; readers above this LSN skip it *)
 
 type t
@@ -63,7 +96,9 @@ type snapshot
 type stats = {
   snapshot_lsn : int;  (** newest published LSN *)
   versions_live : int;  (** versions currently reachable, all chains *)
-  bytes_live : int;  (** approximate bytes held by reachable versions *)
+  bytes_live : int;
+      (** approximate bytes held by reachable versions, shared objects
+          counted once *)
   gc_reclaimed : int;  (** versions reclaimed since [create] *)
   gc_floor : int;  (** highest LSN any reclamation has passed *)
   pins : int;  (** live pinned snapshots *)

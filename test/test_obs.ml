@@ -330,6 +330,46 @@ let test_planner_gauges () =
     [ "aimii_plan_index_scans 1"; "aimii_plan_seq_scans 1"; "aimii_plan_index_intersections 0";
       "aimii_mvcc_bytes_live" ]
 
+(* DML predicates run through the planner, so an UPDATE by indexed key
+   charges one index scan (and no seq scan) to its SYS_STATEMENTS
+   shape; forced-seq, the same shape is charged one seq scan. *)
+let test_dml_plan_columns () =
+  let db = Db.create () in
+  ignore (Db.exec db "CREATE TABLE T (OID INT, CUST TEXT)");
+  ignore
+    (Db.exec db
+       ("INSERT INTO T VALUES "
+       ^ String.concat ", " (List.init 200 (fun k -> Printf.sprintf "(%d, 'c%d')" k k))));
+  ignore (Db.exec db "CREATE INDEX ON T (OID)");
+  let mgr = Session.create_manager ~metrics:(Metrics.create ()) db in
+  let sess = Session.open_session mgr ~sid:1 in
+  let plan_columns () =
+    match
+      Session.handle sess
+        (P.Query
+           "SELECT st.SHAPE, st.CALLS, st.PLAN_SEQ, st.PLAN_INDEX, st.PLAN_INTERSECT FROM st IN \
+            SYS_STATEMENTS;")
+    with
+    | P.Result_table { rows; _ } -> (
+        match List.filter (fun row -> contains (List.hd row) "UPDATE T") rows with
+        | [ [ _; calls; seq; idx; isect ] ] ->
+            List.map int_of_string [ calls; seq; idx; isect ]
+        | _ -> Alcotest.fail "expected one UPDATE shape")
+    | _ -> Alcotest.fail "SYS_STATEMENTS read failed"
+  in
+  let update k =
+    match Session.handle sess (P.Query (Printf.sprintf "UPDATE T SET CUST = 'x' WHERE OID = %d;" k)) with
+    | P.Row_count _ -> ()
+    | _ -> Alcotest.fail "update failed"
+  in
+  update 5;
+  Alcotest.(check (list int)) "calls, seq, index, intersect" [ 1; 0; 1; 0 ] (plan_columns ());
+  Db.set_plan_force_seq db true;
+  update 6;
+  Db.set_plan_force_seq db false;
+  Alcotest.(check (list int)) "forced-seq adds one seq scan" [ 2; 1; 1; 0 ] (plan_columns ());
+  Session.close_session sess
+
 (* --- slow-query log ------------------------------------------------------- *)
 
 let test_slow_query_log () =
@@ -379,6 +419,7 @@ let () =
       ( "planner gauges",
         [
           Alcotest.test_case "exposition series" `Quick test_planner_gauges;
+          Alcotest.test_case "DML plan columns per shape" `Quick test_dml_plan_columns;
         ] );
       ( "explain analyze",
         [

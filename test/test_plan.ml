@@ -429,6 +429,167 @@ let test_differential_snapshot_and_txn () =
     @ [ "SELECT x.K, (SELECT y.N FROM y IN T WHERE y.K = 99) = M FROM x IN T WHERE x.K < 3" ]);
   ignore (Db.exec db "ROLLBACK")
 
+(* --- DML differential: planned targets vs forced-seq targets -------------
+
+   An UPDATE, DELETE or subtable INSERT finds its objects through the
+   planner; under [set_plan_force_seq] it visits every object.  Each
+   statement below runs on two identical fresh databases, one each way:
+   the affected count and every table's physical image (objects in
+   scan order) must be byte-equal, and indexed reads afterwards must
+   still agree with scans (the indexes were maintained). *)
+
+let dml_db () =
+  let module G = Nf2_workload.Generator in
+  let module P = Nf2_workload.Paper_data in
+  let db = Db.create () in
+  let depts = G.departments ~params:{ G.default_dept_params with G.departments = 60; seed = 5 } () in
+  Db.register_table db P.departments depts;
+  Db.register_table db P.employees_1nf
+    (List.filter
+       (function Value.Atom (Atom.Int e) :: _ -> e < 10200 | _ -> false)
+       (G.employees_for ~seed:5 depts));
+  Db.register_table db P.reports (G.reports ~params:{ G.default_report_params with G.reports = 60 } ());
+  ignore (Db.exec db "CREATE TABLE SHADOW (K INT, SUB TABLE (K INT, V INT))");
+  ignore
+    (Db.exec db
+       ("INSERT INTO SHADOW VALUES "
+       ^ String.concat ", "
+           (List.init 40 (fun i -> Printf.sprintf "(%d, {(%d, 1), (%d, 2)})" (i mod 8) (i mod 5) i))));
+  List.iter
+    (fun ddl -> ignore (Db.exec db ddl))
+    [
+      "CREATE INDEX ON DEPARTMENTS (DNO)";
+      "CREATE INDEX ON DEPARTMENTS (BUDGET)";
+      "CREATE INDEX ON DEPARTMENTS (PROJECTS.PNO)";
+      "CREATE INDEX ON DEPARTMENTS (PROJECTS.MEMBERS.FUNCTION)";
+      "CREATE INDEX ON EMPLOYEES_1NF (EMPNO)";
+      "CREATE TEXT INDEX ON REPORTS (TITLE)";
+      "CREATE INDEX ON SHADOW (K)";
+    ];
+  db
+
+let dml_tables = [ "DEPARTMENTS"; "EMPLOYEES_1NF"; "REPORTS"; "SHADOW" ]
+
+(* Every object of every table, in scan order. *)
+let table_image db =
+  String.concat "\n"
+    (List.concat_map
+       (fun table ->
+         table
+         :: List.map
+              (fun r -> Value.render_tuple (Db.fetch_tuple db ~table r))
+              (Db.table_roots db ~table))
+       dml_tables)
+
+let dml_reads =
+  [
+    "SELECT x.DNO, x.BUDGET FROM x IN DEPARTMENTS WHERE x.DNO = 117";
+    "SELECT x.DNO FROM x IN DEPARTMENTS WHERE x.DNO >= 1150";
+    "SELECT x.DNO FROM x IN DEPARTMENTS WHERE x.BUDGET < 400000";
+    "SELECT x.DNO FROM x IN DEPARTMENTS WHERE EXISTS y IN x.PROJECTS : y.PNO = 999";
+    "SELECT x.DNO FROM x IN DEPARTMENTS WHERE EXISTS y IN x.PROJECTS : EXISTS z IN y.MEMBERS : \
+     z.FUNCTION = 'Boss'";
+    "SELECT x.REPNO FROM x IN REPORTS WHERE x.TITLE CONTAINS '*computer*'";
+    "SELECT x.K, x.SUB FROM x IN SHADOW WHERE x.K = 3";
+  ]
+
+(* (statement, access the planned run must take: `Index, `Intersect,
+   `Seq for no index path, `Mixed for probed targets whose SET runs a
+   scanning nested block) *)
+let dml_statements =
+  [
+    (* value, range, CONTAINS, hierarchical intersection *)
+    ("UPDATE DEPARTMENTS SET BUDGET = 1 WHERE DNO = 117", `Index);
+    (* each bound of a range is its own candidate set *)
+    ("UPDATE DEPARTMENTS SET MGRNO = 7 WHERE BUDGET >= 300000 AND BUDGET < 330000", `Intersect);
+    ("DELETE FROM DEPARTMENTS WHERE DNO >= 150 AND DNO < 153", `Intersect);
+    ("DELETE FROM REPORTS WHERE TITLE CONTAINS '*minicomputer*'", `Index);
+    ( "UPDATE DEPARTMENTS SET BUDGET = 2 WHERE EXISTS y IN PROJECTS : (y.PNO = 17 AND EXISTS z \
+       IN y.MEMBERS : z.FUNCTION = 'Consultant')",
+      `Intersect );
+    ("DELETE FROM DEPARTMENTS WHERE EXISTS y IN PROJECTS : y.PNO = 42", `Index);
+    ("UPDATE DEPARTMENTS SET BUDGET = 5 WHERE DNO = 999", `Index);
+    (* no index path: OR, a nested SELECT, EXISTS over a stored table,
+       ALL, no WHERE at all *)
+    ("DELETE FROM DEPARTMENTS WHERE DNO = 120 OR DNO = 121", `Seq);
+    ( "UPDATE DEPARTMENTS SET BUDGET = 3 WHERE MGRNO = (SELECT e.EMPNO FROM e IN EMPLOYEES_1NF \
+       WHERE e.EMPNO + 0 = 10001)",
+      `Seq );
+    ("UPDATE DEPARTMENTS SET BUDGET = 4 WHERE EXISTS e IN EMPLOYEES_1NF : e.EMPNO = MGRNO", `Seq);
+    ("DELETE FROM DEPARTMENTS WHERE ALL y IN PROJECTS : y.PNO > 100", `Seq);
+    ("UPDATE DEPARTMENTS SET BUDGET = 0", `Seq);
+    (* each SET sees the targets changed before it: targets must be
+       visited in scan order whichever path found them *)
+    ( "UPDATE DEPARTMENTS SET BUDGET = MAX((SELECT x.BUDGET FROM x IN DEPARTMENTS)) + 1 WHERE \
+       DNO >= 140",
+      `Mixed );
+    (* a SET of the indexed key: onto a fresh key, and onto a taken one *)
+    ("UPDATE DEPARTMENTS SET DNO = DNO + 1000 WHERE DNO >= 150", `Index);
+    ("UPDATE DEPARTMENTS SET DNO = 118 WHERE DNO = 117", `Index);
+    (* subtable DML: a root conjunct probes, the element conjunct
+       re-checks *)
+    ("DELETE FROM DEPARTMENTS.PROJECTS WHERE DNO = 130 AND PNO > 0", `Index);
+    ("UPDATE DEPARTMENTS.PROJECTS SET PNAME = 'X' WHERE DNO = 131 AND PNAME <> 'Y'", `Index);
+    ("INSERT INTO DEPARTMENTS.PROJECTS WHERE DNO = 132 VALUES (999, 'NEW', {(1, 'Staff')})", `Index);
+    ( "UPDATE DEPARTMENTS.PROJECTS.MEMBERS SET FUNCTION = 'Boss' WHERE DNO = 133 AND FUNCTION = \
+       'Staff'",
+      `Index );
+    ( "DELETE FROM DEPARTMENTS.PROJECTS WHERE DNO = 134 AND EXISTS z IN MEMBERS : z.FUNCTION = \
+       'Leader'",
+      `Index );
+    ("UPDATE DEPARTMENTS.PROJECTS SET PNAME = 'Z' WHERE PNO > 200", `Seq);
+    (* the element's K shadows the row's indexed K: no root probe *)
+    ("DELETE FROM SHADOW.SUB WHERE K = 3", `Seq);
+    ("UPDATE SHADOW.SUB SET V = 9 WHERE K = 3 AND V = 1", `Seq);
+    ("INSERT INTO SHADOW.SUB WHERE K = 3 VALUES (7, 7)", `Index);
+  ]
+
+let access_delta db f =
+  let a = Db.planner_counters db in
+  let r = f () in
+  let b = Db.planner_counters db in
+  ( r,
+    ( b.Db.seq_scans - a.Db.seq_scans,
+      b.Db.index_scans - a.Db.index_scans,
+      b.Db.index_intersections - a.Db.index_intersections ) )
+
+let test_dml_differential () =
+  List.iter
+    (fun (stmt, expect) ->
+      let run force_seq =
+        let db = dml_db () in
+        Db.set_plan_force_seq db force_seq;
+        let msg, counts = access_delta db (fun () -> Db.render_result (Db.exec1 db stmt)) in
+        Db.set_plan_force_seq db false;
+        (db, msg, table_image db, counts)
+      in
+      let pdb, pmsg, pimage, (pseq, pidx, pisect) = run false in
+      let _, smsg, simage, (sseq, sidx, sisect) = run true in
+      checks (stmt ^ ": affected") smsg pmsg;
+      checks (stmt ^ ": resulting tables") simage pimage;
+      (* top-level access of the statement itself; nested blocks add
+         their own (the nested SELECT probes EMPLOYEES_1NF) *)
+      let got =
+        if pisect > 0 then `Intersect
+        else if pidx > 0 then if pseq = 0 then `Index else `Mixed
+        else `Seq
+      in
+      let name = function
+        | `Index -> "index"
+        | `Intersect -> "intersect"
+        | `Mixed -> "index + nested scans"
+        | `Seq -> "seq"
+      in
+      checks (stmt ^ ": planned access") (name expect) (name got);
+      checki (stmt ^ ": forced-seq probes nothing") 0 (sidx + sisect);
+      checkb (stmt ^ ": forced-seq scans") true (sseq >= 1);
+      List.iter
+        (fun q ->
+          let auto, seq = both_ways pdb q in
+          checks (stmt ^ " then " ^ q) seq auto)
+        dml_reads)
+    dml_statements
+
 let () =
   Alcotest.run "plan"
     [
@@ -455,5 +616,6 @@ let () =
           Alcotest.test_case "forced-seq vs planner" `Quick test_differential;
           Alcotest.test_case "randomized workload" `Quick test_differential_randomized;
           Alcotest.test_case "snapshots and transactions" `Quick test_differential_snapshot_and_txn;
+          Alcotest.test_case "DML: forced-seq vs planner" `Quick test_dml_differential;
         ] );
     ]

@@ -5,7 +5,8 @@
    shape is asserted.
 
    Run with:  dune exec bench/main.exe            (all sections)
-              dune exec bench/main.exe -- T5 F7   (selected sections) *)
+              dune exec bench/main.exe -- F6 F7   (selected sections)
+   An unknown section id exits with status 2 and lists the valid ids. *)
 
 module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
@@ -2065,6 +2066,12 @@ let sections : (string * (unit -> unit)) list =
 
 let () =
   let requested = List.tl (Array.to_list Sys.argv) in
+  (match List.filter (fun id -> not (List.mem_assoc id sections)) requested with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown section id(s): %s\nvalid ids: %s\n" (String.concat " " unknown)
+        (String.concat " " (List.map fst sections));
+      exit 2);
   let to_run =
     if requested = [] then sections else List.filter (fun (id, _) -> List.mem id requested) sections
   in

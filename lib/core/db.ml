@@ -293,40 +293,41 @@ let register_builtin_sys t =
   Sysr.register t.sys (sys_mvcc_provider t);
   Sysr.register t.sys (sys_tables_provider t)
 
-(* Wrap a catalog with the SYS fallback.  One wrapper is built per
-   statement, so the lazy cell freezes each touched SYS table exactly
-   once for that statement: repeated references (self-joins, EXISTS
-   subqueries) see the same materialization, and the next statement
-   sees fresh state. *)
-let with_sys t (base : Eval.catalog) : Eval.catalog =
-  let memo : (string, Eval.source_table) Hashtbl.t = Hashtbl.create 4 in
-  fun name ->
+(* Wrap a read view's catalog with the SYS fallback.  A SYS name
+   resolves to its provider only where the view's own catalog has no
+   table of that name, so the view, not the live table set, decides what
+   is a SYS table.  One wrapper is built per statement, so the lazy cell
+   freezes each touched SYS table exactly once for that statement:
+   repeated references (self-joins, EXISTS subqueries) see the same
+   materialization, and the next statement sees fresh state.  The
+   second result tells whether a name resolved to a provider. *)
+let with_sys t (base : Eval.catalog) : Eval.catalog * (string -> bool) =
+  let memo : (string, Schema.t * Value.tuple list Lazy.t) Hashtbl.t = Hashtbl.create 4 in
+  let frozen up =
+    match Hashtbl.find_opt memo up with
+    | Some _ as r -> r
+    | None ->
+        Option.map
+          (fun p ->
+            let e = (p.Sysr.schema, lazy (p.Sysr.materialize ())) in
+            Hashtbl.replace memo up e;
+            e)
+          (Sysr.find t.sys up)
+  in
+  let catalog name =
     match base name with
     | Some _ as r -> r
-    | None -> (
-        let up = String.uppercase_ascii name in
-        match Hashtbl.find_opt memo up with
-        | Some src -> Some src
-        | None -> (
-            match if Hashtbl.mem t.tables up then None else Sysr.find t.sys up with
-            | None -> None
-            | Some p ->
-                let frozen = lazy (p.Sysr.materialize ()) in
-                let src =
-                  {
-                    Eval.schema = p.Sysr.schema;
-                    versioned = false;
-                    scan = (fun () -> Lazy.force frozen);
-                    scan_asof = None;
-                    scan_asof_lsn = None;
-                    roots = None;
-                    fetch_root = None;
-                    indexes = [];
-                    text_indexes = [];
-                  }
-                in
-                Hashtbl.replace memo up src;
-                Some src))
+    | None ->
+        Option.map
+          (fun (schema, rows) ->
+            {
+              Eval.schema;
+              scan = (function Eval.Current -> Lazy.force rows | _ -> Eval.not_versioned name);
+              index = None;
+            })
+          (frozen (String.uppercase_ascii name))
+  in
+  (catalog, fun name -> Hashtbl.mem memo (String.uppercase_ascii name))
 
 (* An empty catalog over [disk]; [create], [load] and [of_replay] all
    start here. *)
@@ -411,52 +412,36 @@ and tuple_of_literals (tbl : Schema.table) (row : Ast.literal_value list) : Valu
 
 (* --- catalog for the evaluator ------------------------------------------- *)
 
+(* [ASOF <int>] on an unversioned table: MVCC time travel to the newest
+   version of [name] committed at or below [lsn] within [s]. *)
+let scan_at_lsn (s : Mvcc.snapshot) name lsn =
+  match Mvcc.resolve_at s name ~lsn with Some v -> Mvcc.scan v | None -> []
+
 let catalog t : Eval.catalog =
  fun name ->
   match find_table t name with
   | None -> None
   | Some ti ->
-      let scan () =
+      let scan, index =
         match ti.vstore with
-        | Some vs -> VS.current_all vs ti.schema
-        | None -> List.map (OS.fetch ti.store ti.schema) (OS.roots ti.store)
-      in
-      let scan_asof =
-        match ti.vstore with
-        | Some vs -> Some (fun ts -> VS.snapshot vs ti.schema ~ts)
-        | None -> None
-      in
-      let roots, fetch_root =
-        match ti.vstore with
-        | Some _ -> (None, None)
+        | Some vs ->
+            ( (function
+              | Eval.Current -> VS.current_all vs ti.schema
+              | Eval.Asof_date ts | Eval.Asof_int ts -> VS.snapshot vs ti.schema ~ts),
+              None )
         | None ->
-            ( Some (fun () -> OS.roots ti.store),
-              Some (fun root -> OS.fetch ti.store ti.schema root) )
+            ( (function
+              | Eval.Current -> List.map (OS.fetch ti.store ti.schema) (OS.roots ti.store)
+              | Eval.Asof_int lsn -> scan_at_lsn (Mvcc.view t.mvcc) name lsn
+              | Eval.Asof_date _ -> Eval.not_versioned name),
+              Some
+                {
+                  Eval.fetch = OS.fetch ti.store ti.schema;
+                  indexes = List.map (fun ii -> (ii.ipath, ii.vindex)) ti.indexes;
+                  text_indexes = ti.text_indexes;
+                } )
       in
-      let scan_asof_lsn =
-        match ti.vstore with
-        | Some _ -> None
-        | None ->
-            (* ASOF <int> on an unversioned table: MVCC time-travel to
-               the newest committed version at or below that LSN *)
-            Some
-              (fun lsn ->
-                match Mvcc.resolve_at (Mvcc.view t.mvcc) ti.schema.Schema.name ~lsn with
-                | Some v -> Mvcc.scan v
-                | None -> [])
-      in
-      Some
-        {
-          Eval.schema = ti.schema;
-          versioned = ti.versioned;
-          scan;
-          scan_asof;
-          scan_asof_lsn;
-          roots;
-          fetch_root;
-          indexes = List.map (fun ii -> (ii.ipath, ii.vindex)) ti.indexes;
-          text_indexes = ti.text_indexes;
-        }
+      Some { Eval.schema = ti.schema; scan; index }
 
 (* --- MVCC publication --------------------------------------------------------
 
@@ -1067,15 +1052,10 @@ let new_trace ?label t : Trace.t =
 let stats_of t : Pstats.provider =
  fun name -> Option.map (fun ti -> { Pstats.rows = ti.stat_rows }) (find_table t name)
 
-(* SYS scans are deliberately invisible to the plan-path counters:
-   introspecting the engine must not perturb what it reports. *)
-let count_access t name kind =
-  if is_sys_table t name then ()
-  else
-    match kind with
-    | `Seq -> Atomic.incr t.pc_seq_scans
-    | `Index -> Atomic.incr t.pc_index_scans
-    | `Intersect -> Atomic.incr t.pc_index_intersections
+let count_access t = function
+  | `Seq -> Atomic.incr t.pc_seq_scans
+  | `Index -> Atomic.incr t.pc_index_scans
+  | `Intersect -> Atomic.incr t.pc_index_intersections
 
 type planner_counters = { seq_scans : int; index_scans : int; index_intersections : int }
 
@@ -1118,12 +1098,12 @@ let candidate_roots t ti ?inner (where : Ast.pred option) : Tid.t list =
       ~table:name where
   with
   | Some (roots, kind) ->
-      count_access t name kind;
+      count_access t kind;
       List.map (fun r -> (OS.root_position ti.store r, r)) roots
       |> List.sort (fun (a, _) (b, _) -> compare a b)
       |> List.map snd
   | None ->
-      count_access t name `Seq;
+      count_access t `Seq;
       OS.roots ti.store
 
 (* The objects an UPDATE or DELETE changes, with their current tuples.
@@ -1133,7 +1113,7 @@ let dml_targets t ti (where : Ast.pred option) :
     [ `Ids of VS.t * (int * Value.tuple) list | `Roots of (Tid.t * Value.tuple) list ] =
   match ti.vstore with
   | Some vs ->
-      count_access t ti.schema.Schema.name `Seq;
+      count_access t `Seq;
       `Ids
         ( vs,
           List.filter_map
@@ -1149,25 +1129,108 @@ let dml_targets t ti (where : Ast.pred option) :
              if row_matches t ti where tup then Some (root, tup) else None)
            (candidate_roots t ti where))
 
-let run_query ?trace ?rewrite t q =
-  (* plan notes accumulate locally and are stored in one assignment:
-     parallel readers may run this concurrently, and [last_plan] is a
-     last-writer-wins debugging aid, not shared state *)
-  let notes = ref [] in
+(* --- read statements ------------------------------------------------------------
+
+   SELECT, SHOW TABLES, DESCRIBE and EXPLAIN [ANALYZE] run through
+   {!exec_view} over a read view: the catalog the statement's tables
+   resolve in, the planner statistics that go with it, the table names
+   SHOW TABLES lists, and a plan-note prefix naming the state read.  Two
+   functions make views: {!live_view} over the current tables (the
+   caller holds the engine latch), and {!snapshot_view} over a pinned
+   MVCC snapshot, which reads no engine state but the SYS providers. *)
+
+type view = {
+  catalog : Eval.catalog;
+  stats : Pstats.provider;
+  names : unit -> string list;
+  note : string option;
+}
+
+let live_view t = { catalog = catalog t; stats = stats_of t; names = (fun () -> table_names t); note = None }
+
+(* Scans serve the frozen version's objects, so evaluation touches no
+   shared storage at all.  Index access paths are absent: they point
+   into live pages.  Each version carries its exact row count. *)
+let snapshot_view (s : Mvcc.snapshot) =
+  let catalog name =
+    Option.map
+      (fun v ->
+        let scan asof =
+          match asof, v.Mvcc.v_asof with
+          | Eval.Current, _ -> Mvcc.scan v
+          | (Eval.Asof_date ts | Eval.Asof_int ts), Some date_reader -> date_reader ts
+          | Eval.Asof_int lsn, None -> scan_at_lsn s name lsn
+          | Eval.Asof_date _, None -> Eval.not_versioned name
+        in
+        { Eval.schema = v.Mvcc.v_schema; scan; index = None })
+      (Mvcc.resolve s name)
+  in
+  {
+    catalog;
+    stats = (fun name -> Option.map (fun v -> { Pstats.rows = v.Mvcc.v_rows }) (Mvcc.resolve s name));
+    names = (fun () -> List.map (fun (_, v) -> v.Mvcc.v_schema.Schema.name) (Mvcc.live_tables s));
+    note = Some (Printf.sprintf "snapshot @ LSN %d" (Mvcc.lsn s));
+  }
+
+(* Plan and run one query; returns its plan notes and plan tree too.
+   SYS scans are deliberately invisible to the plan-path counters:
+   introspecting the engine must not perturb what it reports. *)
+let run_query ?trace ?rewrite t view q =
+  (* plan notes accumulate locally: parallel readers may run this
+     concurrently, and [last_plan] is a last-writer-wins debugging aid,
+     not shared state *)
+  let notes = ref (Option.to_list view.note) in
+  let catalog, is_sys = with_sys t view.catalog in
   let rel, tree =
     Driver.run
       ~plan_note:(fun p -> notes := p :: !notes)
       ?trace ~force_seq:t.plan_force_seq
-      ~on_access:(count_access t)
-      ?rewrite ~stats:(stats_of t) (with_sys t (catalog t)) q
+      ~on_access:(fun name kind -> if not (is_sys name) then count_access t kind)
+      ?rewrite ~stats:view.stats catalog q
   in
   t.last_plan <- !notes;
   t.last_plan_tree <- Some tree;
-  rel
+  (rel, List.rev !notes, tree)
+
+let exec_view ?trace ?rewrite t view (stmt : Ast.stmt) : result =
+  match stmt with
+  | Ast.Select q ->
+      let rel, _, _ = run_query ?trace ?rewrite t view q in
+      Rows rel
+  | Ast.Show_tables -> Msg (String.concat "\n" (view.names ()))
+  | Ast.Describe name -> (
+      match fst (with_sys t view.catalog) name with
+      | Some { Eval.schema; _ } ->
+          Msg (Schema.to_string schema ^ "\n" ^ Schema.render_segment_tree schema)
+      | None -> db_error "no such table: %s" name)
+  | Ast.Explain q ->
+      (* plan only — typing runs (errors surface) but nothing executes *)
+      let tree =
+        Driver.explain ~force_seq:t.plan_force_seq ?rewrite ~stats:view.stats
+          (fst (with_sys t view.catalog)) q
+      in
+      t.last_plan_tree <- Some tree;
+      let note = match view.note with Some n -> "  " ^ n ^ "\n" | None -> "" in
+      Msg (Printf.sprintf "plan:\n%s%s" note (Plan.render ~indent:2 tree))
+  | Ast.Explain_analyze q ->
+      (* execute the query under a trace wired to this database's
+         storage counters, then render plan + annotated operator tree *)
+      let tr = new_trace t in
+      let root = Trace.root tr in
+      let rel, notes, tree = Trace.timed tr root (fun () -> run_query ~trace:tr ?rewrite t view q) in
+      Trace.add_rows root (Rel.cardinality rel);
+      let plan = match notes with [] -> [ "in-memory evaluation" ] | ps -> ps in
+      Msg
+        (Printf.sprintf "plan:\n  %s\ntree:\n%strace:\n%sresult: %d row(s), schema %s"
+           (String.concat "\n  " plan) (Plan.render ~indent:2 tree) (Trace.render tr)
+           (Rel.cardinality rel)
+           (Format.asprintf "%a" Schema.pp_table rel.Rel.schema))
+  | _ -> db_error "exec_read: statement is not read-only"
 
 let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
   match stmt with
-  | Ast.Select q -> Rows (run_query ?trace ?rewrite t q)
+  | Ast.Select _ | Ast.Show_tables | Ast.Describe _ | Ast.Explain _ | Ast.Explain_analyze _ ->
+      exec_view ?trace ?rewrite t (live_view t) stmt
   | Ast.Begin_txn ->
       begin_txn t;
       Msg "transaction started"
@@ -1177,16 +1240,6 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
   | Ast.Rollback ->
       rollback t;
       Msg "rolled back"
-  | Ast.Show_tables -> Msg (String.concat "\n" (table_names t))
-  | Ast.Describe name -> (
-      match find_table t name with
-      | Some ti -> Msg (Schema.to_string ti.schema ^ "\n" ^ Schema.render_segment_tree ti.schema)
-      | None -> (
-          match Sysr.find t.sys name with
-          | Some p ->
-              Msg
-                (Schema.to_string p.Sysr.schema ^ "\n" ^ Schema.render_segment_tree p.Sysr.schema)
-          | None -> db_error "no such table: %s" name))
   | Ast.Create_table { name; fields; versioned } ->
       if find_table t name <> None then db_error "table %s already exists" name;
       let schema =
@@ -1262,29 +1315,6 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       Msg
         (Printf.sprintf "%d row(s) inserted into %s of %d object(s)" (List.length rows)
            (String.concat "." sub_path) (List.length targets))
-  | Ast.Explain q ->
-      (* plan only — typing runs (errors surface) but nothing executes *)
-      let tree =
-        Driver.explain ~force_seq:t.plan_force_seq ?rewrite ~stats:(stats_of t)
-          (with_sys t (catalog t)) q
-      in
-      t.last_plan_tree <- Some tree;
-      Msg (Printf.sprintf "plan:\n%s" (Plan.render ~indent:2 tree))
-  | Ast.Explain_analyze q ->
-      (* execute the query under a trace wired to this database's
-         storage counters, then render plan + annotated operator tree *)
-      let tr = new_trace t in
-      let root = Trace.root tr in
-      let rel = Trace.timed tr root (fun () -> run_query ~trace:tr ?rewrite t q) in
-      Trace.add_rows root (Rel.cardinality rel);
-      let plan = match last_plan t with [] -> [ "in-memory evaluation" ] | ps -> ps in
-      let tree =
-        match t.last_plan_tree with Some n -> Plan.render ~indent:2 n | None -> ""
-      in
-      Msg
-        (Printf.sprintf "plan:\n  %s\ntree:\n%strace:\n%sresult: %d row(s), schema %s"
-           (String.concat "\n  " plan) tree (Trace.render tr) (Rel.cardinality rel)
-           (Format.asprintf "%a" Schema.pp_table rel.Rel.schema))
   | Ast.Alter_add { table; field } ->
       let ti = table_exn t table in
       if ti.versioned then db_error "ALTER on versioned tables is not supported";
@@ -1445,7 +1475,8 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
    Eval directly; a nested SELECT inside one runs as a block of this
    statement. *)
 let exec_stmt ?trace ?rewrite t (stmt : Ast.stmt) : result =
-  Driver.with_statement ~force_seq:t.plan_force_seq ~on_access:(count_access t)
+  Driver.with_statement ~force_seq:t.plan_force_seq
+    ~on_access:(fun _ kind -> count_access t kind)
     ~stats:(stats_of t) (fun () -> exec_stmt_body ?trace ?rewrite t stmt)
 
 let is_txn_control = function Ast.Begin_txn | Ast.Commit | Ast.Rollback -> true | _ -> false
@@ -1745,93 +1776,8 @@ let set_mvcc_retain t n = Mvcc.set_retain t.mvcc n
 let set_mvcc_budget t n = Mvcc.set_budget t.mvcc n
 let mvcc_budget t = Mvcc.budget t.mvcc
 
-(* Catalog over a pinned snapshot: scans come from the frozen version's
-   objects, so evaluation touches no shared storage at all (index access
-   paths are deliberately absent — they point into live pages). *)
-let snapshot_catalog (s : Mvcc.snapshot) : Eval.catalog =
- fun name ->
-  match Mvcc.resolve s name with
-  | None -> None
-  | Some v ->
-      let scan_asof_lsn =
-        if v.Mvcc.v_versioned then None
-        else
-          Some
-            (fun lsn ->
-              match Mvcc.resolve_at s name ~lsn with
-              | Some v -> Mvcc.scan v
-              | None -> [])
-      in
-      Some
-        {
-          Eval.schema = v.Mvcc.v_schema;
-          versioned = v.Mvcc.v_versioned;
-          scan = (fun () -> Mvcc.scan v);
-          scan_asof = v.Mvcc.v_asof;
-          scan_asof_lsn;
-          roots = None;
-          fetch_root = None;
-          indexes = [];
-          text_indexes = [];
-        }
-
-let snapshot_table_names (s : Mvcc.snapshot) =
-  List.map (fun (_, v) -> v.Mvcc.v_schema.Schema.name) (Mvcc.live_tables s)
-
-(* Snapshot statistics: each version carries its exact row count. *)
-let snapshot_stats (s : Mvcc.snapshot) : Pstats.provider =
- fun name -> Option.map (fun v -> { Pstats.rows = v.Mvcc.v_rows }) (Mvcc.resolve s name)
-
-let run_query_snap ?trace ?rewrite t (s : Mvcc.snapshot) q =
-  let notes = ref [ Printf.sprintf "snapshot @ LSN %d" (Mvcc.lsn s) ] in
-  let rel, tree =
-    Driver.run
-      ~plan_note:(fun p -> notes := p :: !notes)
-      ?trace ~force_seq:t.plan_force_seq
-      ~on_access:(count_access t)
-      ?rewrite ~stats:(snapshot_stats s) (with_sys t (snapshot_catalog s)) q
-  in
-  t.last_plan <- !notes;
-  t.last_plan_tree <- Some tree;
-  rel
-
 (* Execute one read-only statement against a pinned snapshot.  Callers
    classify statements first (the server's statement rewrite does);
    anything mutating is rejected here as a backstop. *)
 let exec_read ?trace ?rewrite t (s : Mvcc.snapshot) (stmt : Ast.stmt) : result =
-  match stmt with
-  | Ast.Select q -> Rows (run_query_snap ?trace ?rewrite t s q)
-  | Ast.Show_tables -> Msg (String.concat "\n" (snapshot_table_names s))
-  | Ast.Describe name -> (
-      match Mvcc.resolve s name with
-      | Some v ->
-          Msg (Schema.to_string v.Mvcc.v_schema ^ "\n" ^ Schema.render_segment_tree v.Mvcc.v_schema)
-      | None -> (
-          match if find_table t name <> None then None else Sysr.find t.sys name with
-          | Some p ->
-              Msg
-                (Schema.to_string p.Sysr.schema ^ "\n" ^ Schema.render_segment_tree p.Sysr.schema)
-          | None -> db_error "no such table: %s" name))
-  | Ast.Explain q ->
-      let tree =
-        Driver.explain ~force_seq:t.plan_force_seq ?rewrite ~stats:(snapshot_stats s)
-          (with_sys t (snapshot_catalog s)) q
-      in
-      t.last_plan_tree <- Some tree;
-      Msg
-        (Printf.sprintf "plan:\n  snapshot @ LSN %d\n%s" (Mvcc.lsn s)
-           (Plan.render ~indent:2 tree))
-  | Ast.Explain_analyze q ->
-      let tr = new_trace t in
-      let root = Trace.root tr in
-      let rel = Trace.timed tr root (fun () -> run_query_snap ~trace:tr ?rewrite t s q) in
-      Trace.add_rows root (Rel.cardinality rel);
-      let plan = match last_plan t with [] -> [ "in-memory evaluation" ] | ps -> ps in
-      let tree =
-        match t.last_plan_tree with Some n -> Plan.render ~indent:2 n | None -> ""
-      in
-      Msg
-        (Printf.sprintf "plan:\n  %s\ntree:\n%strace:\n%sresult: %d row(s), schema %s"
-           (String.concat "\n  " plan) tree (Trace.render tr) (Rel.cardinality rel)
-           (Format.asprintf "%a" Schema.pp_table rel.Rel.schema))
-  | _ -> db_error "exec_read: statement is not read-only"
+  exec_view ?trace ?rewrite t (snapshot_view s) stmt

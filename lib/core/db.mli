@@ -286,14 +286,30 @@ val set_mvcc_budget : t -> int option -> unit
 
 val mvcc_budget : t -> int option
 
-(** Evaluator catalog over a pinned snapshot — scans serve the frozen
-    version's objects, in the order a live scan lists them; index access
-    paths are absent by design (they point into live pages). *)
-val snapshot_catalog : Nf2_temporal.Mvcc.snapshot -> Nf2_lang.Eval.catalog
+(** What a read statement runs over.  SELECT, SHOW TABLES, DESCRIBE
+    and EXPLAIN [ANALYZE] have one implementation, parameterised by a
+    view: {!exec_stmt} runs them over the live tables, {!exec_read}
+    over {!snapshot_view}.  A name the view's catalog lacks falls back
+    to a SYS provider — the view, not the live table set, decides which
+    names are SYS tables. *)
+type view = {
+  catalog : Nf2_lang.Eval.catalog;  (** the stored tables it reads *)
+  stats : Nf2_plan.Stats.provider;  (** planner row counts for them *)
+  names : unit -> string list;  (** what SHOW TABLES lists *)
+  note : string option;  (** leading plan note, e.g. ["snapshot @ LSN 7"] *)
+}
+
+(** The view of a pinned snapshot: scans serve the frozen version's
+    objects, in the order a live scan lists them, and touch no shared
+    storage.  Its sources carry no index access (index paths point into
+    live pages), so its plans are scans.  Its plan note is
+    ["snapshot @ LSN <n>"]. *)
+val snapshot_view : Nf2_temporal.Mvcc.snapshot -> view
 
 (** Execute one read-only statement (SELECT / EXPLAIN [ANALYZE] /
-    SHOW TABLES / DESCRIBE) against a pinned snapshot.  The plan notes
-    lead with ["snapshot @ LSN <n>"].
+    SHOW TABLES / DESCRIBE) over {!snapshot_view}.  Its answers are
+    those {!exec_stmt} gives on the live tables at the snapshot's LSN;
+    its plans are scans and lead with the snapshot note.
     @raise Db_error on a mutating statement.
     @raise Nf2_temporal.Mvcc.Snapshot_too_old for [ASOF <lsn>] below
     the GC horizon. *)

@@ -204,55 +204,6 @@ let iter t fn = List.iter (fun (k, p) -> fn k p) (range t ())
 
 let keys t = List.map fst (range t ())
 
-(* Streaming cursor over an inclusive key range: the volcano-style
-   executor pulls entries one at a time instead of materializing the
-   whole range (an index-scan iterator stops as soon as its consumer
-   does).  Leaf hops are charged to the visit counter like [range]. *)
-type 'a cursor = {
-  c_tree : 'a t;
-  mutable c_leaf : 'a leaf option;
-  mutable c_keys : string list;
-  mutable c_posts : 'a list list;
-  c_lo : string option;
-  c_hi : string option;
-}
-
-let cursor t ?lo ?hi () =
-  let start = match lo with Some k -> find_leaf t t.root k | None -> leftmost_leaf t in
-  { c_tree = t; c_leaf = Some start; c_keys = start.keys; c_posts = start.postings; c_lo = lo; c_hi = hi }
-
-let rec cursor_next c =
-  match c.c_keys, c.c_posts with
-  | [], [] -> (
-      match c.c_leaf with
-      | None -> None
-      | Some l -> (
-          match l.next with
-          | None ->
-              c.c_leaf <- None;
-              None
-          | Some n ->
-              c.c_tree.visits <- c.c_tree.visits + 1;
-              c.c_leaf <- Some n;
-              c.c_keys <- n.keys;
-              c.c_posts <- n.postings;
-              cursor_next c))
-  | k :: ks, p :: ps ->
-      c.c_keys <- ks;
-      c.c_posts <- ps;
-      let ge_lo = match c.c_lo with Some lo -> String.compare k lo >= 0 | None -> true in
-      let le_hi = match c.c_hi with Some hi -> String.compare k hi <= 0 | None -> true in
-      if not le_hi then begin
-        (* past the upper bound: keys are sorted, nothing further matches *)
-        c.c_leaf <- None;
-        c.c_keys <- [];
-        c.c_posts <- [];
-        None
-      end
-      else if ge_lo then Some (k, p)
-      else cursor_next c
-  | _ -> assert false
-
 (* Prefix scan over the key space (used by the text index: fragment
    keys share prefixes).  Bounded above by the prefix's successor so
    the scan stays local. *)

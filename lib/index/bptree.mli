@@ -40,17 +40,6 @@ val keys : 'a t -> string list
 (** All entries whose key starts with the prefix (bounded scan). *)
 val prefix_range : 'a t -> string -> (string * 'a list) list
 
-(** Streaming cursor over an inclusive key range (omitted bounds are
-    open): the executor's index-scan iterator pulls entries one at a
-    time and stops early without materializing the rest.  Mutating the
-    tree invalidates open cursors. *)
-type 'a cursor
-
-val cursor : 'a t -> ?lo:string -> ?hi:string -> unit -> 'a cursor
-
-(** Next [<key, postings>] entry in key order, or [None] at the end. *)
-val cursor_next : 'a cursor -> (string * 'a list) option
-
 (** Structural invariant check (sortedness, fanout, balance).
     @raise Failure when violated — used by property tests. *)
 val check : 'a t -> unit

@@ -163,26 +163,6 @@ let prefix_join (a : t) atom_a (b : t) atom_b : Tid.t list =
       |> List.sort_uniq Tid.compare
   | _ -> invalid_arg "prefix_join requires hierarchical indexes"
 
-(* Streaming root cursor over an inclusive key range: pulls one index
-   entry at a time, yielding the distinct root TIDs of that key's
-   postings.  Consumers that stop early never touch the rest of the
-   range (the planner's index-scan iterator).  Roots may repeat across
-   keys; callers dedup if they need set semantics. *)
-let root_cursor t ?lo ?hi () : unit -> Tid.t list option =
-  (match t.strategy with
-  | Data_tid -> invalid_arg "root_cursor: data-TID indexes cannot produce roots"
-  | Root_tid | Hierarchical -> ());
-  let cur = Bptree.cursor t.tree ?lo:(Option.map Atom.to_key lo) ?hi:(Option.map Atom.to_key hi) () in
-  fun () ->
-    match Bptree.cursor_next cur with
-    | None -> None
-    | Some (_k, postings) ->
-        Some
-          (List.filter_map
-             (function A_root r -> Some r | A_hier h -> Some h.OS.root | A_data _ -> None)
-             postings
-          |> List.sort_uniq Tid.compare)
-
 let strategy t = t.strategy
 let path t = t.path
 

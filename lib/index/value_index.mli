@@ -67,12 +67,6 @@ val hiers_for : t -> Atom.t -> OS.hier list
     indexes are [Hierarchical]. *)
 val prefix_join : t -> Atom.t -> t -> Atom.t -> Tid.t list
 
-(** Streaming root cursor over an inclusive key range (omitted bounds
-    open): yields each key's distinct root TIDs one entry at a time so
-    an index-scan iterator can stop early.  Roots may repeat across
-    keys.  @raise Invalid_argument for [Data_tid] indexes. *)
-val root_cursor : t -> ?lo:Atom.t -> ?hi:Atom.t -> unit -> unit -> Tid.t list option
-
 val strategy : t -> strategy
 val path : t -> Schema.path
 

@@ -25,17 +25,23 @@ module Tr = Nf2_obs.Trace
 
 (* --- catalog interface ------------------------------------------------ *)
 
-type source_table = {
-  schema : Schema.t;
-  versioned : bool;
-  scan : unit -> Value.tuple list;
-  scan_asof : (int -> Value.tuple list) option;
-  scan_asof_lsn : (int -> Value.tuple list) option;
-  roots : (unit -> Tid.t list) option;
-  fetch_root : (Tid.t -> Value.tuple) option;
+type asof = Current | Asof_date of int | Asof_int of int
+
+type index_access = {
+  fetch : Tid.t -> Value.tuple;
   indexes : (Schema.path * VI.t) list;
   text_indexes : (Schema.path * TI.t) list;
 }
+
+type source_table = {
+  schema : Schema.t;
+  scan : asof -> Value.tuple list;
+  index : index_access option;
+}
+
+let not_versioned table =
+  eval_error "table %s is not versioned (DATE ASOF unavailable; ASOF <lsn> reads an old snapshot)"
+    table
 
 type catalog = string -> source_table option
 
@@ -400,40 +406,27 @@ and eval_agg agg (tb : Value.table) : Atom.t =
 (* --- range iteration -------------------------------------------------------------- *)
 
 and range_tuples (catalog : catalog) (env : env) (r : range) : Schema.table * Value.tuple list =
-  let ts_of_asof () =
-    (* [`Date]: a Section 5 time-version timestamp; [`Lsn]: an integer,
-       which versioned tables also read as a timestamp (timestamps are
-       logical ints) while unversioned tables read it as a commit LSN
-       (MVCC time-travel = an old snapshot) *)
+  let asof () =
     match r.asof with
-    | None -> None
+    | None -> Current
     | Some e -> (
         match eval_expr catalog env e with
-        | Value.Atom (Atom.Date d) -> Some (`Date, d)
-        | Value.Atom (Atom.Int i) -> Some (`Lsn, i)
+        | Value.Atom (Atom.Date d) -> Asof_date d
+        | Value.Atom (Atom.Int i) -> Asof_int i
         | _ -> eval_error "ASOF expression must be a date or integer timestamp")
   in
   match r.source with
   | Table_src name -> (
       match catalog name with
-      | Some st -> (
-          match ts_of_asof () with
-          | None -> (st.schema.Schema.table, st.scan ())
-          | Some (kind, ts) -> (
-              match st.scan_asof, kind, st.scan_asof_lsn with
-              | Some f, _, _ -> (st.schema.Schema.table, f ts)
-              | None, `Lsn, Some f -> (st.schema.Schema.table, f ts)
-              | None, _, _ ->
-                  eval_error "table %s is not versioned (DATE ASOF unavailable; ASOF <lsn> reads an old snapshot)"
-                    name))
+      | Some st -> (st.schema.Schema.table, st.scan (asof ()))
       | None -> (
           (* unqualified subtable attribute of a variable in scope *)
-          if ts_of_asof () <> None then eval_error "ASOF applies to stored tables only";
+          if asof () <> Current then eval_error "ASOF applies to stored tables only";
           match resolve_path env { var = Some name; steps = [] } with
           | P_value (Schema.Table sub, Value.Table inner) -> (sub, inner.Value.tuples)
           | _ -> eval_error "unknown table or subtable %s" name))
   | Path_src p -> (
-      if ts_of_asof () <> None then eval_error "ASOF applies to stored tables only";
+      if asof () <> Current then eval_error "ASOF applies to stored tables only";
       match resolve_path env p with
       | P_value (Schema.Table sub, Value.Table inner) -> (sub, inner.Value.tuples)
       | P_tuple _ -> eval_error "range source %s is a tuple, not a table" (path_to_string p)

@@ -17,23 +17,35 @@ module Tid = Nf2_storage.Tid
 
 exception Eval_error of string
 
-(** What the evaluator needs to know about one stored table. *)
-type source_table = {
-  schema : Schema.t;
-  versioned : bool;
-  scan : unit -> Value.tuple list;  (** current contents *)
-  scan_asof : (int -> Value.tuple list) option;
-      (** versioned tables: date/timestamp ASOF (Section 5) *)
-  scan_asof_lsn : (int -> Value.tuple list) option;
-      (** unversioned tables under MVCC: [ASOF <int>] selects the
-          newest committed version at or below that commit LSN
-          (time-travel = old snapshot); raises
-          {!Nf2_temporal.Mvcc.Snapshot_too_old} below the GC horizon *)
-  roots : (unit -> Tid.t list) option;  (** for index plans *)
-  fetch_root : (Tid.t -> Value.tuple) option;
+(** The state a range reads: the current one, or [ASOF] a date or an
+    integer.  Versioned tables (Section 5) read both as a timestamp;
+    other tables read the integer as a commit LSN — the newest committed
+    version at or below it (time travel to an old snapshot). *)
+type asof = Current | Asof_date of int | Asof_int of int
+
+(** Index access paths of a stored table (Section 4.2).  The paths
+    address live objects, so they come with the function that fetches
+    a root's current tuple. *)
+type index_access = {
+  fetch : Tid.t -> Value.tuple;
   indexes : (Schema.path * VI.t) list;
   text_indexes : (Schema.path * TI.t) list;
 }
+
+(** What the evaluator needs to know about one stored table. *)
+type source_table = {
+  schema : Schema.t;
+  scan : asof -> Value.tuple list;
+      (** the table's objects in heap order at that state.  A table
+          with no such state raises {!Eval_error} through
+          {!not_versioned}; [ASOF <int>] below the MVCC GC horizon
+          raises {!Nf2_temporal.Mvcc.Snapshot_too_old}. *)
+  index : index_access option;  (** [None]: every plan scans *)
+}
+
+(** Raise the error for an [ASOF] that [table] (as the query names it)
+    cannot answer. *)
+val not_versioned : string -> 'a
 
 (** Case-insensitive table lookup. *)
 type catalog = string -> source_table option

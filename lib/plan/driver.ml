@@ -87,11 +87,8 @@ let execute ?plan_note ?on_access ?span ~(pl : Planner.t) (catalog : Eval.catalo
     (* one access function per FROM range *)
     let mk (r : range) kind : Eval.env -> Schema.table * Value.tuple list =
       match kind with
-      | `First (Planner.F_index { name; sets; intersect; _ }) ->
+      | `First (Planner.F_index { name; sets; intersect; fetch; _ }) ->
           let st = match catalog name with Some st -> st | None -> assert false in
-          let fetch =
-            match st.Eval.fetch_root with Some f -> f | None -> assert false
-          in
           let table = st.Eval.schema.Schema.table in
           fun _env ->
             let cands = probe_sets sets in
@@ -102,7 +99,7 @@ let execute ?plan_note ?on_access ?span ~(pl : Planner.t) (catalog : Eval.catalo
               (Printf.sprintf "scan %s via %s -> %d candidate object(s)" name desc
                  (List.length cands));
             fire name (if intersect then `Intersect else `Index);
-            (table, Exec.to_list (Exec.index_scan ~fetch cands))
+            (table, List.map fetch cands)
       | `First (Planner.F_range { scan_note; seq }) ->
           fun env ->
             (match scan_note with Some s -> note s | None -> ());
@@ -118,7 +115,7 @@ let execute ?plan_note ?on_access ?span ~(pl : Planner.t) (catalog : Eval.catalo
                    match List.nth tup ai with
                    | Value.Atom a -> Some (Atom.to_key a)
                    | Value.Table _ -> None)
-                 (st.Eval.scan ()))
+                 (st.Eval.scan Eval.Current))
           in
           note join_note;
           fun env -> (
@@ -130,12 +127,9 @@ let execute ?plan_note ?on_access ?span ~(pl : Planner.t) (catalog : Eval.catalo
             | None ->
                 (* probe references a later variable: full scan *)
                 Eval.range_tuples catalog env r)
-      | `Inner (Planner.I_inl { name; probe; vi; join_note }) ->
+      | `Inner (Planner.I_inl { name; probe; vi; fetch; join_note }) ->
           let st = match catalog name with Some st -> st | None -> assert false in
           let table = st.Eval.schema.Schema.table in
-          let fetch =
-            match st.Eval.fetch_root with Some f -> f | None -> assert false
-          in
           note join_note;
           fun env -> (
             match try Some (Eval.eval_expr catalog env probe) with Eval.Eval_error _ -> None with
@@ -143,7 +137,7 @@ let execute ?plan_note ?on_access ?span ~(pl : Planner.t) (catalog : Eval.catalo
                 match Eval.coerce_atom v with
                 | Some a ->
                     fire name `Index;
-                    (table, Exec.to_list (Exec.index_scan ~fetch (VI.roots_for vi a)))
+                    (table, List.map fetch (VI.roots_for vi a))
                 | None -> Eval.range_tuples catalog env r)
             | None -> Eval.range_tuples catalog env r)
       | `Inner (Planner.I_bnl _) ->

@@ -20,6 +20,7 @@
 
 module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
+module Value = Nf2_model.Value
 module VI = Nf2_index.Value_index
 module TI = Nf2_index.Text_index
 module Tid = Nf2_storage.Tid
@@ -104,8 +105,11 @@ let find_path sp l =
   let norm p = List.map up p in
   List.find_opt (fun (ip, _) -> norm ip = norm sp) l |> Option.map snd
 
-let find_index (st : Eval.source_table) sp = find_path sp st.Eval.indexes
-let find_text_index (st : Eval.source_table) sp = find_path sp st.Eval.text_indexes
+let find_index (st : Eval.source_table) sp =
+  Option.bind st.Eval.index (fun ix -> find_path sp ix.Eval.indexes)
+
+let find_text_index (st : Eval.source_table) sp =
+  Option.bind st.Eval.index (fun ix -> find_path sp ix.Eval.text_indexes)
 
 (* One sargable conjunct with a deferred probe: planning prices the
    probe without running it. *)
@@ -118,14 +122,26 @@ type cand_set = {
 
 (* Access decision for the first FROM range. *)
 type first =
-  | F_index of { name : string; sets : cand_set list; est : int; intersect : bool }
+  | F_index of {
+      name : string;
+      sets : cand_set list;
+      est : int;
+      intersect : bool;
+      fetch : Tid.t -> Value.tuple;
+    }
   | F_range of { scan_note : string option; seq : bool }
       (* {!Eval.range_tuples}: a stored-table scan ([seq]), an ASOF
          scan, or an unnest of a subtable *)
 
 (* Access decision for a non-first FROM range. *)
 type inner =
-  | I_inl of { name : string; probe : expr; vi : VI.t; join_note : string }
+  | I_inl of {
+      name : string;
+      probe : expr;
+      vi : VI.t;
+      fetch : Tid.t -> Value.tuple;
+      join_note : string;
+    }
   | I_hash of { name : string; ai : int; probe : expr; join_note : string }
   | I_bnl of { name : string }
   | I_range of { seq : bool }
@@ -283,8 +299,8 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
                 ( F_range { scan_note = Some (Printf.sprintf "full scan of %s" name); seq = true },
                   scan_node name rows )
               in
-              match st.Eval.roots, st.Eval.fetch_root with
-              | Some _, Some _ when not force_seq -> (
+              match st.Eval.index with
+              | Some ix when not force_seq -> (
                   match enumerate st r w ~rows with
                   | [] -> seq_fallback ()
                   | sets ->
@@ -307,7 +323,7 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
                           Printf.sprintf "%s via %s" (up name)
                             (String.concat " & " (List.map (fun c -> c.cs_desc) sets))
                         in
-                        ( F_index { name; sets; est; intersect },
+                        ( F_index { name; sets; est; intersect; fetch = ix.Eval.fetch },
                           Plan.node ~detail ~est_rows:est ~cost:cost_index op )
                       else seq_fallback ())
               | _ -> seq_fallback ()))
@@ -344,11 +360,10 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
                   let vi_opt =
                     (* index-nested-loop is only order-safe when the final
                        dedup sort normalizes row order (no ORDER BY) *)
-                    if q.order_by <> [] then None
-                    else
-                      match find_index st [ attr ], st.Eval.fetch_root with
-                      | Some vi, Some _ when VI.strategy vi <> VI.Data_tid -> Some vi
-                      | _ -> None
+                    match find_index st [ attr ], st.Eval.index with
+                    | Some vi, Some ix when q.order_by = [] && VI.strategy vi <> VI.Data_tid ->
+                        Some (vi, ix.Eval.fetch)
+                    | _ -> None
                   in
                   let hash_case () =
                     let distinct =
@@ -375,7 +390,7 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
                       +. (float_of_int est *. Cost.c_emit) )
                   in
                   match vi_opt with
-                  | Some vi ->
+                  | Some (vi, fetch) ->
                       let m = max 1 (rows_i / max 1 (VI.key_count vi)) in
                       let per_probe =
                         Cost.descend vi +. (float_of_int m *. (Cost.c_post +. Cost.c_fetch))
@@ -394,6 +409,7 @@ let plan ?(force_seq = false) ~(stats : Stats.provider) (catalog : Eval.catalog)
                               name;
                               probe;
                               vi;
+                              fetch;
                               join_note = Printf.sprintf "index join %s on %s" name attr;
                             },
                           node,

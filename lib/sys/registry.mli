@@ -7,7 +7,7 @@
     The engine's catalog falls back to this registry when a name does
     not resolve to a stored table, treating the materialized relation
     as a scan-only source — no index paths, frozen at first touch for
-    the duration of one statement (see [Db.catalog]).
+    the duration of one statement (see [Db.view]).
 
     Providers must be pure producers: a [materialize] thunk may take
     its subsystem's own locks but must never call back into query

@@ -80,7 +80,7 @@ let random_stmt ?(flat = flat) rng =
 let render_scan = function
   | None -> "<absent>"
   | Some (st : Nf2_lang.Eval.source_table) ->
-      String.concat "\n" (List.map Value.render_tuple (st.Nf2_lang.Eval.scan ()))
+      String.concat "\n" (List.map Value.render_tuple (st.Nf2_lang.Eval.scan Nf2_lang.Eval.Current))
 
 (* The newest snapshot holds exactly the live tables: the same objects
    in the same order. *)
@@ -90,7 +90,7 @@ let check_snapshot_is_live ?(tables = tables) db what =
     (fun t ->
       checks (Printf.sprintf "%s: snapshot = live, table %s" what t)
         (render_scan (Db.catalog db t))
-        (render_scan (Db.snapshot_catalog snap t)))
+        (render_scan ((Db.snapshot_view snap).Db.catalog t)))
     tables;
   Db.release_snapshot db snap
 

@@ -71,6 +71,41 @@ let test_shadowing () =
   | [ [ _ ] ] -> ()
   | _ -> Alcotest.fail "provider row should be back"
 
+(* A snapshot decides SYS names from its own tables: a user table
+   created after the pin hides the provider from later snapshots only.
+   SYS scans stay off the plan-path counters through the snapshot, and
+   the user table's scan counts. *)
+let test_snapshot_shadowing () =
+  let db = Db.create ~wal:true () in
+  let read snap sql =
+    match Nf2_lang.Parser.parse_script sql with
+    | [ stmt ] -> Db.exec_read db snap stmt
+    | _ -> Alcotest.fail "one statement"
+  in
+  let describe snap =
+    match read snap "DESCRIBE SYS_WAL" with Db.Msg m -> m | Db.Rows _ -> Alcotest.fail "DESCRIBE rows"
+  in
+  let seq_scans () = (Db.planner_counters db).Db.seq_scans in
+  let old = Db.snapshot db in
+  ignore (Db.exec db "CREATE TABLE SYS_WAL (A INT)");
+  ignore (Db.exec db "INSERT INTO SYS_WAL VALUES (7)");
+  checkb "old snapshot describes the provider" true (contains (describe old) "ATTACHED");
+  let before = seq_scans () in
+  (match read old "SELECT x.ATTACHED FROM x IN SYS_WAL" with
+  | Db.Rows rel ->
+      checkb "old snapshot reads the provider's row" true
+        (Rel.tuples rel = [ [ Value.Atom (Nf2_model.Atom.Bool true) ] ])
+  | Db.Msg m -> Alcotest.fail m);
+  checki "provider scan not counted" before (seq_scans ());
+  Db.release_snapshot db old;
+  let fresh = Db.snapshot db in
+  checkb "new snapshot describes the user table" false (contains (describe fresh) "ATTACHED");
+  (match read fresh "SELECT * FROM x IN SYS_WAL" with
+  | Db.Rows rel -> checkb "new snapshot reads the user row" true (Rel.tuples rel = [ [ Value.Atom (Nf2_model.Atom.Int 7) ] ])
+  | Db.Msg m -> Alcotest.fail m);
+  checki "user table scan counted" (before + 1) (seq_scans ());
+  Db.release_snapshot db fresh
+
 let test_freeze_and_explain () =
   let db = Db.create () in
   let reg = Db.sys_registry db in
@@ -415,6 +450,7 @@ let () =
         [
           Alcotest.test_case "providers queryable" `Quick test_embedded_providers;
           Alcotest.test_case "user tables shadow SYS" `Quick test_shadowing;
+          Alcotest.test_case "snapshots shadow SYS at their LSN" `Quick test_snapshot_shadowing;
           Alcotest.test_case "freeze at first touch" `Quick test_freeze_and_explain;
         ] );
       ( "wire",

@@ -38,13 +38,6 @@ let project (r : Rel.t) (names : string list) =
   let tuples = List.map (fun tup -> List.map (fun (i, _) -> List.nth tup i) picks) (Rel.tuples r) in
   keep_kind r schema tuples
 
-(* Generalised projection: each output attribute is computed by a
-   function of the input tuple, with an explicit output field type. *)
-let map_project (r : Rel.t) (outs : (Schema.field * (Value.tuple -> Value.v)) list) =
-  let schema = { r.schema with Schema.fields = List.map fst outs } in
-  let tuples = List.map (fun tup -> List.map (fun (_, f) -> f tup) outs) (Rel.tuples r) in
-  keep_kind r schema tuples
-
 let rename (r : Rel.t) (renames : (string * string) list) =
   let fields =
     List.map
@@ -274,9 +267,6 @@ let order_by (r : Rel.t) ~key =
   trusted
     { r.schema with Schema.kind = Schema.List }
     { Value.kind = Schema.List; tuples }
-
-let as_list (r : Rel.t) =
-  trusted { r.schema with Schema.kind = Schema.List } { r.data with Value.kind = Schema.List }
 
 let as_set (r : Rel.t) =
   set_tuples { r.schema with Schema.kind = Schema.Set } (Rel.tuples r)

@@ -20,10 +20,6 @@ val select : Rel.t -> (Value.tuple -> bool) -> Rel.t
     @raise Rel.Algebra_error on unknown names or empty list. *)
 val project : Rel.t -> string list -> Rel.t
 
-(** Generalised projection: each output field computed from the input
-    tuple. *)
-val map_project : Rel.t -> (Schema.field * (Value.tuple -> Value.v)) list -> Rel.t
-
 val rename : Rel.t -> (string * string) list -> Rel.t
 
 (** {1 Set operations} — operands must be structurally compatible. *)
@@ -66,7 +62,6 @@ val nest_apply : Rel.t -> attr:string -> (Rel.t -> Rel.t) -> Rel.t
 (** Stable sort by a computed key; the result is List-kind. *)
 val order_by : Rel.t -> key:(Value.tuple -> Value.tuple) -> Rel.t
 
-val as_list : Rel.t -> Rel.t
 val as_set : Rel.t -> Rel.t
 
 (** 1-based subscript (the paper's [AUTHORS\[1\]]); [None] when out of

@@ -37,7 +37,6 @@ type table_info = {
   versioned : bool;
   store : OS.t;
   vstore : VS.t option;
-  mutable ids : (Tid.t * int) list; (* versioned: root (stale) unused; id list *)
   mutable indexes : index_info list;
   mutable text_indexes : (Schema.path * TI.t) list;
   mutable stat_rows : int; (* planner statistic: current object count *)
@@ -744,7 +743,6 @@ let decode_catalog t src =
         versioned;
         store;
         vstore;
-        ids = [];
         indexes;
         text_indexes;
         (* the published row count: a rollback restores the state the
@@ -1023,28 +1021,25 @@ let matching_elements t ti (tup : Value.tuple) (sub_path : string list) (where :
 
 module Trace = Nf2_obs.Trace
 
-(* A trace wired to this database's storage tier: pool, disk and WAL
-   stats are registered as counter sources, so every span delta-
-   snapshots them.  The WAL source reads [t.wal] at call time (BEGIN
-   may attach one). *)
+(* The engine's counter sources beyond the pool's and the disk's:
+   the WAL source reads [t.wal] at call time (BEGIN may attach one). *)
+let wal_counters t = Wal.counters t.wal
+let mvcc_counters t = Mvcc.counters t.mvcc
+
+let plan_counters t =
+  [
+    ("plan.seq_scans", Atomic.get t.pc_seq_scans);
+    ("plan.index_scans", Atomic.get t.pc_index_scans);
+    ("plan.index_intersections", Atomic.get t.pc_index_intersections);
+  ]
+
+(* A trace wired to this database's storage tier: the pool, disk and
+   WAL sources, so every span delta-snapshots them. *)
 let new_trace ?label t : Trace.t =
   let tr = Trace.create ?label () in
-  Trace.add_source tr (fun () ->
-      let s = BP.stats t.pool in
-      [
-        ("pool.hits", s.BP.hits);
-        ("pool.misses", s.BP.misses);
-        ("pool.evictions", s.BP.evictions);
-      ]);
-  Trace.add_source tr (fun () ->
-      let s = Disk.stats t.disk in
-      [ ("disk.reads", s.Disk.reads); ("disk.writes", s.Disk.writes) ]);
-  Trace.add_source tr (fun () ->
-      match t.wal with
-      | Some w ->
-          let s = Wal.stats w in
-          [ ("wal.records", s.Wal.records); ("wal.bytes", s.Wal.bytes); ("wal.fsyncs", s.Wal.flushes) ]
-      | None -> [ ("wal.records", 0); ("wal.bytes", 0); ("wal.fsyncs", 0) ]);
+  Trace.add_source tr (fun () -> BP.counters t.pool);
+  Trace.add_source tr (fun () -> Disk.counters t.disk);
+  Trace.add_source tr (fun () -> wal_counters t);
   tr
 
 (* Planner statistics: cached row counts (maintained at publish /
@@ -1248,7 +1243,7 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       let store = OS.create ~layout:t.layout ~clustering:t.clustering t.pool in
       let vstore = if versioned then Some (VS.create store t.pool) else None in
       Hashtbl.replace t.tables (String.uppercase_ascii name)
-        { schema; versioned; store; vstore; ids = []; indexes = []; text_indexes = []; stat_rows = 0 };
+        { schema; versioned; store; vstore; indexes = []; text_indexes = []; stat_rows = 0 };
       touch t name;
       Msg (Printf.sprintf "table %s created%s" (String.uppercase_ascii name) (if versioned then " (versioned)" else ""))
   | Ast.Drop_table name ->
@@ -1527,7 +1522,6 @@ let register_table t (schema : Schema.t) ?(versioned = false) (rows : Value.tupl
           versioned;
           store;
           vstore;
-          ids = [];
           indexes = [];
           text_indexes = [];
           stat_rows = List.length rows;

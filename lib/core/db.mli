@@ -333,13 +333,22 @@ val catalog : t -> Nf2_lang.Eval.catalog
 (** {1 Observability}
 
     See [docs/OBSERVABILITY.md].  A trace made by {!new_trace} carries
-    this database's storage counters (buffer-pool hits/misses/evictions,
-    disk reads/writes, WAL records/bytes/fsyncs) as delta-snapshot
-    sources; passing it to {!exec_stmt} makes the evaluator open one
-    span per operator on it.  [EXPLAIN ANALYZE <query>] does this
-    internally and renders the annotated operator tree. *)
+    this database's storage counter sources ({!BP.counters},
+    {!Disk.counters}, {!wal_counters}) as delta snapshots; passing it
+    to {!exec_stmt} makes the evaluator open one span per operator on
+    it.  [EXPLAIN ANALYZE <query>] does this internally and renders the
+    annotated operator tree. *)
 
 val new_trace : ?label:string -> t -> Nf2_obs.Trace.t
+
+(** Counter sources ([layer.counter] names, read live): the attached
+    WAL's ([wal.*], zeros before one is attached), the version store's
+    ([mvcc.*]) and the planner's access-path counts ([plan.*], the
+    values of {!planner_counters}). *)
+val wal_counters : t -> (string * int) list
+
+val mvcc_counters : t -> (string * int) list
+val plan_counters : t -> (string * int) list
 
 (**/**)
 

@@ -4,8 +4,7 @@
 
    Deletion removes postings from leaves (and drops empty keys) without
    structural rebalancing — standard lazy deletion; lookups and range
-   scans are unaffected.  Node visits are counted so access-path
-   experiments can report index traversal costs. *)
+   scans are unaffected. *)
 
 let order = 16 (* max keys per node *)
 
@@ -27,13 +26,10 @@ and 'a inner = {
 type 'a t = {
   mutable root : 'a node;
   mutable entries : int; (* number of distinct keys *)
-  mutable visits : int; (* node visits, for cost accounting *)
 }
 
-let create () = { root = Leaf { keys = []; postings = []; next = None }; entries = 0; visits = 0 }
+let create () = { root = Leaf { keys = []; postings = []; next = None }; entries = 0 }
 
-let visits t = t.visits
-let reset_visits t = t.visits <- 0
 let entry_count t = t.entries
 
 let rec height_node = function Leaf _ -> 1 | Inner i -> 1 + height_node (List.hd i.children)
@@ -53,14 +49,13 @@ let nth_child (i : 'a inner) n = List.nth i.children n
 
 (* --- search --------------------------------------------------------- *)
 
-let rec find_leaf t node key =
-  t.visits <- t.visits + 1;
+let rec find_leaf node key =
   match node with
   | Leaf l -> l
-  | Inner i -> find_leaf t (nth_child i (child_for i key)) key
+  | Inner i -> find_leaf (nth_child i (child_for i key)) key
 
 let find t key =
-  let l = find_leaf t t.root key in
+  let l = find_leaf t.root key in
   let rec go keys postings =
     match keys, postings with
     | k :: _, p :: _ when k = key -> p
@@ -99,7 +94,6 @@ let split_list n xs =
   go 0 [] xs
 
 let rec insert_node t node key v : 'a split =
-  t.visits <- t.visits + 1;
   match node with
   | Leaf l ->
       let had = List.mem key l.keys in
@@ -150,7 +144,7 @@ let insert t ~key v =
 (* Remove postings matching [p] under [key]; drops the key if its
    postings list becomes empty (lazy deletion, no rebalance). *)
 let remove t ~key p =
-  let l = find_leaf t t.root key in
+  let l = find_leaf t.root key in
   let rec go keys postings =
     match keys, postings with
     | [], [] -> ([], [])
@@ -176,17 +170,15 @@ let remove t ~key p =
 
 let leftmost_leaf t =
   let rec go node =
-    t.visits <- t.visits + 1;
     match node with Leaf l -> l | Inner i -> go (List.hd i.children)
   in
   go t.root
 
 (* Inclusive range scan; [lo]/[hi] omitted means open end. *)
 let range t ?lo ?hi () =
-  let start = match lo with Some k -> find_leaf t t.root k | None -> leftmost_leaf t in
+  let start = match lo with Some k -> find_leaf t.root k | None -> leftmost_leaf t in
   let acc = ref [] in
   let rec walk (l : 'a leaf) =
-    t.visits <- t.visits + 1;
     let stop = ref false in
     List.iter2
       (fun k p ->

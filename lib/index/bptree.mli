@@ -3,17 +3,11 @@
     in Section 4.2 of the paper.
 
     Deletion removes postings from leaves (dropping empty keys) without
-    structural rebalancing — standard lazy deletion.  Node visits are
-    counted for access-path cost reporting. *)
+    structural rebalancing — standard lazy deletion. *)
 
 type 'a t
 
 val create : unit -> 'a t
-
-(** Lifetime node-visit counter. *)
-val visits : 'a t -> int
-
-val reset_visits : 'a t -> unit
 
 (** Number of distinct keys. *)
 val entry_count : 'a t -> int

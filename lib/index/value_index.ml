@@ -171,5 +171,3 @@ let path t = t.path
 let key_count t = Bptree.entry_count t.tree
 let height t = Bptree.height t.tree
 
-let tree_visits t = Bptree.visits t.tree
-let reset_visits t = Bptree.reset_visits t.tree

@@ -77,5 +77,3 @@ val key_count : t -> int
 (** Height of the underlying B+-tree (probe cost). *)
 val height : t -> int
 
-val tree_visits : t -> int
-val reset_visits : t -> unit

@@ -164,13 +164,3 @@ let rewrite_stmt (s : stmt) : stmt =
       Delete { d with where = Option.map rewrite_pred d.where; at = Option.map rewrite_expr d.at }
   | Create_table _ | Drop_table _ | Create_index _ | Create_text_index _ | Alter_add _
   | Alter_drop _ | Begin_txn | Commit | Rollback | Show_tables | Describe _ -> s
-
-(* Conjunction flattening with deduplication — used by EXPLAIN and the
-   planner to see through repeated conjuncts. *)
-let conjuncts_dedup (p : pred) : pred list =
-  let rec flat = function And (a, b) -> flat a @ flat b | p -> [ p ] in
-  let rec dedup seen = function
-    | [] -> List.rev seen
-    | p :: rest -> if List.mem p seen then dedup seen rest else dedup (p :: seen) rest
-  in
-  dedup [] (flat p)

@@ -18,9 +18,6 @@ val rewrite_stmt : Ast.stmt -> Ast.stmt
     rewritten again. *)
 val rewrite_count : unit -> int
 
-(** Flattened, deduplicated conjuncts of a predicate. *)
-val conjuncts_dedup : Ast.pred -> Ast.pred list
-
 val is_true : Ast.pred -> bool
 val is_false : Ast.pred -> bool
 val tt : Ast.pred

@@ -166,6 +166,18 @@ let create () =
 
 let stats t = t.lstats
 
+let counters t =
+  let s = t.lstats in
+  [
+    ("lock.acquires", s.acquires);
+    ("lock.blocks", s.blocks);
+    ("lock.deadlocks", s.deadlocks);
+    ("lock.wait_ns", s.wait_ns);
+    ("lock.shared_acquired", s.shared_grants);
+    ("lock.exclusive_acquired", s.exclusive_grants);
+    ("lock.upgrades", s.upgrades);
+  ]
+
 let reset_stats t =
   t.lstats.acquires <- 0;
   t.lstats.blocks <- 0;

@@ -56,6 +56,9 @@ type stats = {
 val create : unit -> t
 val stats : t -> stats
 val reset_stats : t -> unit
+
+(** The lock table's counter source, [lock.*] names. *)
+val counters : t -> (string * int) list
 val add_wait_ns : t -> int -> unit
 val begin_txn : t -> txn
 

@@ -187,7 +187,6 @@ let int_ name = atom name Atom.Tint
 let str_ name = atom name Atom.Tstring
 let float_ name = atom name Atom.Tfloat
 let bool_ name = atom name Atom.Tbool
-let date_ name = atom name Atom.Tdate
 let set_ name fields = { name; attr = Table { kind = Set; fields } }
 let list_ name fields = { name; attr = Table { kind = List; fields } }
 let relation name fields = validate { name; table = { kind = Set; fields } }

@@ -80,7 +80,6 @@ val int_ : string -> field
 val str_ : string -> field
 val float_ : string -> field
 val bool_ : string -> field
-val date_ : string -> field
 
 (** Relation-valued attribute. *)
 val set_ : string -> field list -> field

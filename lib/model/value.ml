@@ -16,7 +16,6 @@ exception Value_error of string
 
 let value_error fmt = Fmt.kstr (fun s -> raise (Value_error s)) fmt
 
-let empty_set = Table { kind = Set; tuples = [] }
 let set tuples = Table { kind = Set; tuples }
 let list_ tuples = Table { kind = List; tuples }
 let int_ v = Atom (Atom.Int v)
@@ -24,14 +23,6 @@ let str v = Atom (Atom.Str v)
 let float_ v = Atom (Atom.Float v)
 let bool_ v = Atom (Atom.Bool v)
 let null = Atom Atom.Null
-
-let as_atom = function
-  | Atom a -> a
-  | Table _ -> value_error "expected atomic value, got table"
-
-let as_table = function
-  | Table t -> t
-  | Atom a -> value_error "expected table value, got atom %s" (Atom.to_string a)
 
 (* --- comparison ---------------------------------------------------- *)
 

@@ -17,7 +17,6 @@ val value_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** {1 Construction helpers} *)
 
-val empty_set : v
 val set : tuple list -> v
 val list_ : tuple list -> v
 val int_ : int -> v
@@ -25,11 +24,6 @@ val str : string -> v
 val float_ : float -> v
 val bool_ : bool -> v
 val null : v
-
-(** @raise Value_error when the value is of the other shape. *)
-val as_atom : v -> Atom.t
-
-val as_table : v -> table
 
 (** {1 Comparison}
 

@@ -42,10 +42,6 @@ type link_fault =
 
 exception Link_severed
 
-(* The registry keeps only [incr]/[add] for labeled series; a labeled
-   gauge is set by adding the delta. *)
-let set_labeled m name labels v = Metrics.add_labeled m name labels (v - Metrics.get_labeled m name labels)
-
 (* --- primary side -------------------------------------------------------- *)
 
 module Primary = struct
@@ -83,29 +79,50 @@ module Primary = struct
     mutable faults_fired : int;
   }
 
+  let with_mu p f =
+    Mutex.lock p.mu;
+    Fun.protect ~finally:(fun () -> Mutex.unlock p.mu) f
+
+  (* The shipper's counter source, read live by the registry: per-link
+     applied LSN and lag (dead links stay, for lag history), the
+     durable LSN, and the connected count. *)
+  let counters p () =
+    let durable = Wal.durable_lsn p.wal in
+    with_mu p (fun () ->
+        ("repl.durable_lsn", durable)
+        :: ("repl.replicas_connected", List.length (List.filter (fun l -> l.l_connected) p.links))
+        :: List.concat_map
+             (fun l ->
+               let labeled name = Metrics.labeled_key name [ ("replica", string_of_int l.l_rid) ] in
+               [
+                 (labeled "repl.applied_lsn", l.l_applied);
+                 (labeled "repl.lag_records", max 0 (durable - l.l_applied));
+               ])
+             p.links)
+
   let create ?(heartbeat = 0.05) ?(max_batch = 4 * 1024 * 1024) ?metrics (db : Db.t) : t =
     let wal =
       match Db.wal db with
       | Some w -> w
       | None -> invalid_arg "Repl.Primary.create: database has no WAL attached"
     in
-    {
-      db;
-      wal;
-      heartbeat;
-      max_batch;
-      metrics;
-      mu = Mutex.create ();
-      links = [];
-      next_rid = 1;
-      fault = None;
-      batches_total = 0;
-      faults_fired = 0;
-    }
-
-  let with_mu p f =
-    Mutex.lock p.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock p.mu) f
+    let p =
+      {
+        db;
+        wal;
+        heartbeat;
+        max_batch;
+        metrics;
+        mu = Mutex.create ();
+        links = [];
+        next_rid = 1;
+        fault = None;
+        batches_total = 0;
+        faults_fired = 0;
+      }
+    in
+    Option.iter (fun m -> Metrics.add_source m (counters p)) metrics;
+    p
 
   let set_link_fault p f = with_mu p (fun () -> p.fault <- f)
   let faults_fired p = with_mu p (fun () -> p.faults_fired)
@@ -124,23 +141,6 @@ module Primary = struct
               bytes = l.l_bytes;
             })
           p.links)
-
-  let connected_count p =
-    with_mu p (fun () -> List.length (List.filter (fun l -> l.l_connected) p.links))
-
-  let update_link_metrics p (l : link) =
-    match p.metrics with
-    | None -> ()
-    | Some m ->
-        let labels = [ ("replica", string_of_int l.l_rid) ] in
-        set_labeled m "repl_applied_lsn" labels l.l_applied;
-        set_labeled m "repl_lag_records" labels (max 0 (Wal.durable_lsn p.wal - l.l_applied));
-        Metrics.set m "repl_durable_lsn" (Wal.durable_lsn p.wal)
-
-  let update_conn_gauge p =
-    match p.metrics with
-    | None -> ()
-    | Some m -> Metrics.set m "repl_replicas_connected" (connected_count p)
 
   (* The effective handshake start.  A replica resuming from [start]
      lost its in-memory undo tracking with its process, so transactions
@@ -217,7 +217,6 @@ module Primary = struct
       | Some (P.Repl_ack { applied_lsn }) ->
           l.l_shipped <- max l.l_shipped last;
           l.l_applied <- max l.l_applied applied_lsn;
-          update_link_metrics p l;
           loop ()
       | Some P.Quit -> ( try P.send_response fd P.Bye with _ -> ())
       | Some _ ->
@@ -246,11 +245,8 @@ module Primary = struct
          idle timeout must not cut a healthy but quiet stream *)
       (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0. with Unix.Unix_error _ -> ());
       let l = register p (effective_start p.wal start_lsn) in
-      update_conn_gauge p;
       Fun.protect
-        ~finally:(fun () ->
-          l.l_connected <- false;
-          update_conn_gauge p)
+        ~finally:(fun () -> l.l_connected <- false)
         (fun () ->
           try ship_loop p l fd with
           | Link_severed -> ( try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
@@ -312,17 +308,17 @@ module Replica = struct
   let locked_engine t f =
     match t.srv with Some s -> Session.with_engine (Server.session_manager s) f | None -> f ()
 
-  let update_metrics t =
-    match t.srv with
-    | None -> ()
-    | Some s ->
-        let m = Server.metrics s in
-        Metrics.set m "repl_applied_lsn" t.applied_lsn;
-        Metrics.set m "repl_source_durable_lsn" t.source_durable;
-        Metrics.set m "repl_lag_records" (max 0 (t.source_durable - t.applied_lsn));
-        Metrics.set m "repl_reconnects" t.reconnects;
-        Metrics.set m "repl_batches_applied" t.batches;
-        Metrics.set m "repl_records_applied" t.records_applied
+  (* The applier's counter source, registered on the serving
+     registry (see [serve]). *)
+  let counters t () =
+    [
+      ("repl.applied_lsn", t.applied_lsn);
+      ("repl.source_durable_lsn", t.source_durable);
+      ("repl.lag_records", max 0 (t.source_durable - t.applied_lsn));
+      ("repl.reconnects", t.reconnects);
+      ("repl.batches_applied", t.batches);
+      ("repl.records_applied", t.records_applied);
+    ]
 
   (* Replay one shipped batch: redo every record in LSN order, track
      undo images of still-unresolved transactions (for promote), then
@@ -389,7 +385,6 @@ module Replica = struct
                   | Some (P.Repl_batch { records; durable_lsn }) ->
                       apply_batch t records durable_lsn;
                       t.batches <- t.batches + 1;
-                      update_metrics t;
                       P.send_request fd (P.Repl_ack { applied_lsn = t.applied_lsn });
                       pump ()
                   | Some (P.Error { code; message }) ->
@@ -415,7 +410,6 @@ module Replica = struct
             if not t.stop_flag then begin
               if attempt > 0 then begin
                 t.reconnects <- t.reconnects + 1;
-                update_metrics t;
                 Thread.delay retry
               end;
               ignore (run_once t ~host ~port);
@@ -479,7 +473,6 @@ module Replica = struct
           let p = Primary.create ~metrics:(Server.metrics s) t.db in
           Server.set_repl_handler s (fun fd ~start_lsn -> Primary.serve p fd ~start_lsn)
       | None -> ());
-      update_metrics t;
       Printf.sprintf
         "promoted to primary at LSN %d (%d unresolved transaction(s) undone, checkpoint LSN %d)"
         t.applied_lsn ntxns ckpt
@@ -497,7 +490,7 @@ module Replica = struct
     Session.set_read_only mgr t.read_only;
     Session.set_promote_handler mgr (fun () -> promote t);
     t.srv <- Some srv;
-    update_metrics t;
+    Metrics.add_source (Server.metrics srv) (counters t);
     srv
 
   let server t = t.srv

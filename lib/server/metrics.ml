@@ -1,9 +1,11 @@
 (* Metrics registry for the server tier: named counters and latency
-   histograms behind one mutex.  Histograms use logarithmic buckets
-   (factor 2 from 1µs), which keeps observation O(1) and makes
-   p50/p95/p99 a bucket scan; quantiles report the bucket's upper
-   bound, so they are upper estimates with <= 2x resolution — plenty
-   for a prototype's dashboard. *)
+   histograms behind one mutex, plus pull sources — thunks each layer
+   registers once and every read ([get], [dump], both renders) calls
+   live, so a layer's counters are never copied into the registry.
+   Histograms use logarithmic buckets (factor 2 from 1µs), which keeps
+   observation O(1) and makes p50/p95/p99 a bucket scan; quantiles
+   report the bucket's upper bound, so they are upper estimates with
+   <= 2x resolution — plenty for a prototype's dashboard. *)
 
 type histogram = {
   buckets : int array;  (* counts per bucket *)
@@ -24,16 +26,18 @@ let bucket_bound i = bucket_floor *. Float.of_int (1 lsl i)
 type t = {
   mu : Mutex.t;
   counters : (string, int ref) Hashtbl.t;
-  floats : (string, float ref) Hashtbl.t; (* float-valued gauges *)
   histograms : (string, histogram) Hashtbl.t;
+  mutable sources : (unit -> (string * int) list) list; (* registration order *)
+  mutable float_sources : (unit -> (string * float) list) list;
 }
 
 let create () =
   {
     mu = Mutex.create ();
     counters = Hashtbl.create 32;
-    floats = Hashtbl.create 8;
     histograms = Hashtbl.create 8;
+    sources = [];
+    float_sources = [];
   }
 
 let with_mu t f =
@@ -50,8 +54,47 @@ let counter_ref t name =
 
 let add t name n = with_mu t (fun () -> let r = counter_ref t name in r := !r + n)
 let incr t name = add t name 1
-let get t name = with_mu t (fun () -> match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0)
-let set t name v = with_mu t (fun () -> counter_ref t name := v)
+
+(* --- pull sources ---------------------------------------------------------- *)
+
+let add_source t f = with_mu t (fun () -> t.sources <- t.sources @ [ f ])
+let add_float_source t f = with_mu t (fun () -> t.float_sources <- t.float_sources @ [ f ])
+
+let sanitize_name s =
+  String.map
+    (fun c ->
+      if
+        (c >= 'a' && c <= 'z')
+        || (c >= 'A' && c <= 'Z')
+        || (c >= '0' && c <= '9')
+        || c = '_' || c = ':'
+      then c
+      else '_')
+    s
+
+(* "name{labels}" -> base name + "{labels}" suffix *)
+let split_key key =
+  match String.index_opt key '{' with
+  | None -> (key, "")
+  | Some i -> (String.sub key 0 i, String.sub key i (String.length key - i))
+
+(* A source's [layer.counter] name as a registry key: the base
+   sanitized ([pool.hits] -> [pool_hits]), a label suffix kept. *)
+let key_of name =
+  let base, labels = split_key name in
+  sanitize_name base ^ labels
+
+(* Sources are called outside the registry mutex: they take their own
+   layers' latches, which must never nest inside this one. *)
+let pull sources = List.concat_map (fun f -> List.map (fun (n, v) -> (key_of n, v)) (f ())) sources
+
+let pulled t = pull (with_mu t (fun () -> t.sources))
+let pulled_floats t = pull (with_mu t (fun () -> t.float_sources))
+
+let get t name =
+  match with_mu t (fun () -> Option.map ( ! ) (Hashtbl.find_opt t.counters name)) with
+  | Some v -> v
+  | None -> Option.value (List.assoc_opt name (pulled t)) ~default:0
 
 (* Prometheus label-value escaping: exactly backslash, double quote
    and newline are escaped — nothing else.  (OCaml's [%S] is close but
@@ -85,28 +128,10 @@ let labeled_key name labels =
 let add_labeled t name labels n = add t (labeled_key name labels) n
 let incr_labeled t name labels = add_labeled t name labels 1
 let get_labeled t name labels = get t (labeled_key name labels)
-let set_labeled t name labels v = set t (labeled_key name labels) v
 
-(* Float-valued gauges (uptime, thresholds, build info): a separate
-   table so integer counters keep their exact arithmetic. *)
-let float_ref t name =
-  match Hashtbl.find_opt t.floats name with
-  | Some r -> r
-  | None ->
-      let r = ref 0. in
-      Hashtbl.replace t.floats name r;
-      r
+let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
-let set_float t name v = with_mu t (fun () -> float_ref t name := v)
-
-let get_float t name =
-  with_mu t (fun () -> match Hashtbl.find_opt t.floats name with Some r -> !r | None -> 0.)
-
-let set_float_labeled t name labels v = set_float t (labeled_key name labels) v
-
-let dump_floats t : (string * float) list =
-  with_mu t (fun () -> Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.floats [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let dump_floats t : (string * float) list = by_name (pulled_floats t)
 
 let histogram_ref t name =
   match Hashtbl.find_opt t.histograms name with
@@ -164,11 +189,9 @@ type hdump = {
 }
 
 let dump t : (string * int) list * (string * hdump) list =
+  let pulled = pulled t in
   with_mu t (fun () ->
-      let counters =
-        Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
+      let counters = by_name (Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters pulled) in
       let histograms =
         Hashtbl.fold
           (fun name h acc ->
@@ -177,7 +200,7 @@ let dump t : (string * int) list * (string * hdump) list =
             in
             (name, { bounds; counts = Array.copy h.buckets; total = h.hcount; sum = h.hsum }) :: acc)
           t.histograms []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> by_name
       in
       (counters, histograms))
 
@@ -189,53 +212,24 @@ let fmt_seconds (s : float) =
   else Printf.sprintf "%.3fs" s
 
 let render t : string =
+  let counters, _ = dump t in
+  let b = Buffer.create 512 in
+  List.iter (fun (name, v) -> Buffer.add_string b (Printf.sprintf "%-32s %d\n" name v)) counters;
+  List.iter (fun (name, v) -> Buffer.add_string b (Printf.sprintf "%-32s %g\n" name v)) (dump_floats t);
   with_mu t (fun () ->
-      let b = Buffer.create 512 in
-      let counters =
-        Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      List.iter (fun (name, v) -> Buffer.add_string b (Printf.sprintf "%-32s %d\n" name v)) counters;
-      let floats =
-        Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.floats []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      List.iter (fun (name, v) -> Buffer.add_string b (Printf.sprintf "%-32s %g\n" name v)) floats;
-      let histograms =
-        Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.histograms []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      List.iter
-        (fun (name, h) ->
-          let avg = if h.hcount = 0 then 0. else h.hsum /. Float.of_int h.hcount in
-          Buffer.add_string b
-            (Printf.sprintf "%-32s count=%d avg=%s p50=%s p95=%s p99=%s\n" name h.hcount
-               (fmt_seconds avg)
-               (fmt_seconds (percentile_of h 0.50))
-               (fmt_seconds (percentile_of h 0.95))
-               (fmt_seconds (percentile_of h 0.99))))
-        histograms;
-      Buffer.contents b)
+      Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.histograms []
+      |> by_name
+      |> List.iter (fun (name, h) ->
+             let avg = if h.hcount = 0 then 0. else h.hsum /. Float.of_int h.hcount in
+             Buffer.add_string b
+               (Printf.sprintf "%-32s count=%d avg=%s p50=%s p95=%s p99=%s\n" name h.hcount
+                  (fmt_seconds avg)
+                  (fmt_seconds (percentile_of h 0.50))
+                  (fmt_seconds (percentile_of h 0.95))
+                  (fmt_seconds (percentile_of h 0.99)))));
+  Buffer.contents b
 
 (* --- Prometheus text exposition ------------------------------------------ *)
-
-let sanitize_name s =
-  String.map
-    (fun c ->
-      if
-        (c >= 'a' && c <= 'z')
-        || (c >= 'A' && c <= 'Z')
-        || (c >= '0' && c <= '9')
-        || c = '_' || c = ':'
-      then c
-      else '_')
-    s
-
-(* "name{labels}" -> base name + "{labels}" suffix *)
-let split_key key =
-  match String.index_opt key '{' with
-  | None -> (key, "")
-  | Some i -> (String.sub key 0 i, String.sub key i (String.length key - i))
 
 let fmt_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -247,9 +241,9 @@ let render_prometheus ?(namespace = "aimii") t : string =
   let counters, histograms = dump t in
   let b = Buffer.create 2048 in
   let seen = Hashtbl.create 16 in
-  (* all counters are exported as gauges: the registry's counters are
-     also used as gauges (sessions_active via add -1, the storage-tier
-     snapshots via set), and a gauge is always safe to scrape *)
+  (* every counter is exported as a gauge: registry counters also serve
+     as gauges (sessions_active via add -1), sources report levels as
+     well as totals, and a gauge is always safe to scrape *)
   List.iter
     (fun (key, v) ->
       let base, labels = split_key key in
@@ -259,19 +253,9 @@ let render_prometheus ?(namespace = "aimii") t : string =
         Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name base);
         Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" name)
       end;
-      Buffer.add_string b (Printf.sprintf "%s%s %d\n" name labels v))
-    counters;
-  List.iter
-    (fun (key, v) ->
-      let base, labels = split_key key in
-      let name = namespace ^ "_" ^ sanitize_name base in
-      if not (Hashtbl.mem seen name) then begin
-        Hashtbl.replace seen name ();
-        Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name base);
-        Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" name)
-      end;
-      Buffer.add_string b (Printf.sprintf "%s%s %s\n" name labels (fmt_float v)))
-    (dump_floats t);
+      Buffer.add_string b (Printf.sprintf "%s%s %s\n" name labels v))
+    (List.map (fun (k, v) -> (k, string_of_int v)) counters
+    @ List.map (fun (k, v) -> (k, fmt_float v)) (dump_floats t));
   List.iter
     (fun (key, h) ->
       let name = namespace ^ "_" ^ sanitize_name key ^ "_seconds" in

@@ -1,7 +1,20 @@
-(** Metrics registry for the server tier: named counters and latency
-    histograms behind one mutex.  Histograms use logarithmic buckets
-    (factor 2 from 1µs); {!percentile} reports the matching bucket's
-    upper bound (an upper estimate with <= 2x resolution). *)
+(** Metrics registry for the server tier: event counters and latency
+    histograms behind one mutex, plus {e pull sources}.
+
+    A source is the counter source of one layer — the same
+    [unit -> (name * value) list] thunk {!Nf2_obs.Trace.add_source}
+    takes, naming each counter once as [layer.counter] (["pool.hits"],
+    ["lock.shared_acquired"]).  The registry never stores a source's
+    values: {!get}, {!dump} and both renders call every source when
+    they run, so a scrape, SYS_METRICS and a trace all read the same
+    live numbers.  A source name is exposed with its base sanitized to
+    Prometheus' charset (["pool.hits"] is [pool_hits], scraped as
+    [aimii_pool_hits]); a labeled series names itself with
+    {!labeled_key}.
+
+    Histograms use logarithmic buckets (factor 2 from 1µs);
+    {!percentile} reports the matching bucket's upper bound (an upper
+    estimate with <= 2x resolution). *)
 
 type t
 
@@ -12,11 +25,21 @@ val create : unit -> t
 
 val incr : t -> string -> unit
 val add : t -> string -> int -> unit
+
+(** A registry counter, or else the live value a source reports under
+    this (sanitized) key; 0 when neither has it. *)
 val get : t -> string -> int
 
-(** Gauge assignment (used to fold storage-tier snapshots into the
-    registry before an exposition). *)
-val set : t -> string -> int -> unit
+(** {1 Pull sources} *)
+
+(** Register a layer's integer counter source (read at every
+    {!get} / {!dump} / render, never cached). *)
+val add_source : t -> (unit -> (string * int) list) -> unit
+
+(** Register a float-valued source (uptime, thresholds, build info),
+    kept apart so integer counters keep exact arithmetic; its series
+    render and expose exactly like counters. *)
+val add_float_source : t -> (unit -> (string * float) list) -> unit
 
 (** {1 Labeled counters}
 
@@ -28,22 +51,15 @@ val incr_labeled : t -> string -> (string * string) list -> unit
 val add_labeled : t -> string -> (string * string) list -> int -> unit
 val get_labeled : t -> string -> (string * string) list -> int
 
-(** Gauge assignment on a labeled series. *)
-val set_labeled : t -> string -> (string * string) list -> int -> unit
+(** The canonical key [name{k="v",...}] of a labeled series (labels
+    sorted, values escaped); a source names its labeled series with it. *)
+val labeled_key : string -> (string * string) list -> string
 
 (** Label values are escaped per the Prometheus exposition format
     (backslash, double quote and newline — nothing else). *)
 val escape_label_value : string -> string
 
-(** {1 Float gauges}
-
-    Float-valued gauges (uptime, thresholds, build info) live in their
-    own table so integer counters keep exact arithmetic; they render
-    and expose exactly like counters. *)
-
-val set_float : t -> string -> float -> unit
-val get_float : t -> string -> float
-val set_float_labeled : t -> string -> (string * string) list -> float -> unit
+(** The float sources' series, sorted by key. *)
 val dump_floats : t -> (string * float) list
 
 (** {1 Histograms} *)
@@ -69,7 +85,8 @@ type hdump = {
   sum : float;  (** seconds *)
 }
 
-(** Counters (by exposition key) and histograms, both sorted by name. *)
+(** Counters — the registry's and the integer sources', by key — and
+    histograms, both sorted by name. *)
 val dump : t -> (string * int) list * (string * hdump) list
 
 (** One line per counter, then one line per histogram with

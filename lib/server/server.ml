@@ -266,4 +266,3 @@ let stop (t : t) =
   end
 
 let render_metrics (t : t) = Session.render_metrics t.mgr
-let render_prometheus (t : t) = Session.render_prometheus t.mgr

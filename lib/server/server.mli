@@ -86,10 +86,6 @@ val set_repl_handler : t -> (Unix.file_descr -> start_lsn:int -> unit) -> unit
 (** The same report the [\metrics] request returns. *)
 val render_metrics : t -> string
 
-(** Prometheus text-format exposition of the same registry (served for
-    [Protocol.Metrics_prom]). *)
-val render_prometheus : t -> string
-
 (** Graceful shutdown: stop accepting, disconnect every session
     (rolling back in-flight transactions), join the workers, run the
     [on_stop] hook (the read executor's shutdown under {!start}),

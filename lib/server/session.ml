@@ -87,6 +87,9 @@ type manager = {
   smu : Mutex.t; (* guards [sessions] and every session's recent ring *)
   sessions : (int, session) Hashtbl.t; (* open sessions, by sid *)
   stmt_stats : Stmt_stats.t; (* cumulative per-shape statement statistics *)
+  attribution : unit -> int array;
+      (* samples the sources each statement is charged from: pool,
+         disk, WAL, lock table, planner *)
   traces : Trace_ring.t; (* recent slow-query span trees *)
   mutable shard_identity : (int * int * int) option;
       (* (map version, shard id, nshards) once a coordinator has sent
@@ -198,67 +201,6 @@ let normalize_stmt (stmt : Ast.stmt) : string =
   in
   Ast.stmt_to_string stmt
 
-(* --- per-statement resource attribution --------------------------------
-
-   A before/after cut of the engine's cumulative counters; the delta is
-   charged to the finishing statement.  Under concurrency attribution
-   is approximate (another session's work in the window lands here too)
-   — the same contract the trace layer documents. *)
-
-type counter_base = {
-  b_pool_hits : int;
-  b_pool_misses : int;
-  b_disk_reads : int;
-  b_wal_records : int;
-  b_wal_bytes : int;
-  b_lock_acquires : int;
-  b_lock_wait_ns : int;
-  b_plan_seq : int;
-  b_plan_index : int;
-  b_plan_intersect : int;
-}
-
-let capture_base (mgr : manager) : counter_base =
-  let p = BP.stats (Db.pool mgr.db) in
-  let d = Disk.stats (Db.disk mgr.db) in
-  let l = PL.stats mgr.locks in
-  let pc = Db.planner_counters mgr.db in
-  let wal_records, wal_bytes =
-    match Db.wal mgr.db with
-    | Some w ->
-        let s = Wal.stats w in
-        (s.Wal.records, s.Wal.bytes)
-    | None -> (0, 0)
-  in
-  {
-    b_pool_hits = p.BP.hits;
-    b_pool_misses = p.BP.misses;
-    b_disk_reads = d.Disk.reads;
-    b_wal_records = wal_records;
-    b_wal_bytes = wal_bytes;
-    b_lock_acquires = l.PL.acquires;
-    b_lock_wait_ns = l.PL.wait_ns;
-    b_plan_seq = pc.Db.seq_scans;
-    b_plan_index = pc.Db.index_scans;
-    b_plan_intersect = pc.Db.index_intersections;
-  }
-
-let delta_of (before : counter_base) (after : counter_base) ~seconds ~rows : Stmt_stats.delta =
-  {
-    Stmt_stats.d_seconds = seconds;
-    d_rows = rows;
-    d_pool_hits = after.b_pool_hits - before.b_pool_hits;
-    d_pool_misses = after.b_pool_misses - before.b_pool_misses;
-    d_disk_reads = after.b_disk_reads - before.b_disk_reads;
-    d_wal_records = after.b_wal_records - before.b_wal_records;
-    d_wal_bytes = after.b_wal_bytes - before.b_wal_bytes;
-    d_lock_acquires = after.b_lock_acquires - before.b_lock_acquires;
-    d_lock_wait_ns = after.b_lock_wait_ns - before.b_lock_wait_ns;
-    d_plan_seq = after.b_plan_seq - before.b_plan_seq;
-    d_plan_index = after.b_plan_index - before.b_plan_index;
-    d_plan_intersect = after.b_plan_intersect - before.b_plan_intersect;
-  }
-
 let with_lock mu f =
   Mutex.lock mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
@@ -270,7 +212,7 @@ let with_lock mu f =
    slow-query trace ring, each materialized on demand as an NF²
    relation.  Registration happens once per manager; the thunks close
    over [mgr].  None of this sits on the statement hot path — the
-   per-statement recorders above touch only [stmt_stats] / [recent],
+   per-statement recorders below touch only [stmt_stats] / [recent],
    never the registry. *)
 
 let version = "0.9"
@@ -333,25 +275,22 @@ let sys_sessions_provider (mgr : manager) : Sysr.provider =
 let sys_statements_provider (mgr : manager) : Sysr.provider =
   let schema =
     sys_schema "SYS_STATEMENTS"
-      [
-        sf "SHAPE" Atom.Tstring;
-        sf "CALLS" Atom.Tint;
-        sf "ROWS_OUT" Atom.Tint;
-        sf "TOTAL_MS" Atom.Tfloat;
-        sf "MIN_MS" Atom.Tfloat;
-        sf "MAX_MS" Atom.Tfloat;
-        sf "P95_MS" Atom.Tfloat;
-        sf "POOL_HITS" Atom.Tint;
-        sf "POOL_MISSES" Atom.Tint;
-        sf "DISK_READS" Atom.Tint;
-        sf "WAL_RECORDS" Atom.Tint;
-        sf "WAL_BYTES" Atom.Tint;
-        sf "LOCK_ACQUIRES" Atom.Tint;
-        sf "LOCK_WAIT_MS" Atom.Tfloat;
-        sf "PLAN_SEQ" Atom.Tint;
-        sf "PLAN_INDEX" Atom.Tint;
-        sf "PLAN_INTERSECT" Atom.Tint;
-      ]
+      ([
+         sf "SHAPE" Atom.Tstring;
+         sf "CALLS" Atom.Tint;
+         sf "ROWS_OUT" Atom.Tint;
+         sf "TOTAL_MS" Atom.Tfloat;
+         sf "MIN_MS" Atom.Tfloat;
+         sf "MAX_MS" Atom.Tfloat;
+         sf "P95_MS" Atom.Tfloat;
+       ]
+      @ List.map
+          (fun (_, column, scale) ->
+            sf column (match scale with Stmt_stats.Count -> Atom.Tint | Ms_of_ns -> Atom.Tfloat))
+          Stmt_stats.attributed)
+  in
+  let cell (_, _, scale) v =
+    match scale with Stmt_stats.Count -> vint v | Ms_of_ns -> vfloat (Float.of_int v /. 1e6)
   in
   let materialize () =
     List.map
@@ -364,17 +303,8 @@ let sys_statements_provider (mgr : manager) : Sysr.provider =
           vfloat (e.min_s *. 1e3);
           vfloat (e.max_s *. 1e3);
           vfloat (e.p95_s *. 1e3);
-          vint e.pool_hits;
-          vint e.pool_misses;
-          vint e.disk_reads;
-          vint e.wal_records;
-          vint e.wal_bytes;
-          vint e.lock_acquires;
-          vfloat (Float.of_int e.lock_wait_ns /. 1e6);
-          vint e.plan_seq;
-          vint e.plan_index;
-          vint e.plan_intersect;
-        ])
+        ]
+        @ List.map2 cell Stmt_stats.attributed (Array.to_list e.counters))
       (Stmt_stats.snapshot mgr.stmt_stats)
   in
   { Sysr.name = "SYS_STATEMENTS"; schema; materialize }
@@ -425,74 +355,43 @@ let sys_locks_provider (mgr : manager) : Sysr.provider =
   in
   { Sysr.name = "SYS_LOCKS"; schema; materialize }
 
-(* Fold the storage-tier stats (buffer pool, disk, WAL, lock table)
-   into the registry as gauges, so one render — human or Prometheus —
-   covers engine, storage and sessions together. *)
-let fold_storage_stats (mgr : manager) =
-  let m = mgr.metrics in
-  let p = BP.stats (Db.pool mgr.db) in
-  Metrics.set m "pool_hits" p.BP.hits;
-  Metrics.set m "pool_misses" p.BP.misses;
-  Metrics.set m "pool_evictions" p.BP.evictions;
-  Metrics.set m "pool_log_captures" p.BP.log_captures;
-  Metrics.set m "pool_partitions" (BP.partitions (Db.pool mgr.db));
-  Metrics.set m "pool_contended" p.BP.contended;
-  Metrics.set m "pool_rebalances" p.BP.rebalances;
-  let d = Disk.stats (Db.disk mgr.db) in
-  Metrics.set m "disk_reads" d.Disk.reads;
-  Metrics.set m "disk_writes" d.Disk.writes;
-  Metrics.set m "disk_allocs" d.Disk.allocs;
-  let l = PL.stats mgr.locks in
-  Metrics.set m "lock_acquires" l.PL.acquires;
-  Metrics.set m "lock_blocks" l.PL.blocks;
-  Metrics.set m "lock_wait_ns" l.PL.wait_ns;
-  Metrics.set m "lock_shared_acquired" l.PL.shared_grants;
-  Metrics.set m "lock_exclusive_acquired" l.PL.exclusive_grants;
-  Metrics.set m "lock_upgrades" l.PL.upgrades;
-  Metrics.set m "engine_readers_active" (Rwlock.readers_active mgr.engine);
-  Metrics.set m "engine_read_grants" (Rwlock.read_grants mgr.engine);
-  Metrics.set m "engine_write_grants" (Rwlock.write_grants mgr.engine);
-  let mv = Db.mvcc_stats mgr.db in
-  Metrics.set m "mvcc_snapshot_lsn" mv.Mvcc.snapshot_lsn;
-  Metrics.set m "mvcc_versions_live" mv.Mvcc.versions_live;
-  Metrics.set m "mvcc_gc_reclaimed" mv.Mvcc.gc_reclaimed;
-  Metrics.set m "mvcc_pinned_snapshots" mv.Mvcc.pins;
-  Metrics.set m "mvcc_bytes_live" mv.Mvcc.bytes_live;
-  let pc = Db.planner_counters mgr.db in
-  Metrics.set m "plan_seq_scans" pc.Db.seq_scans;
-  Metrics.set m "plan_index_scans" pc.Db.index_scans;
-  Metrics.set m "plan_index_intersections" pc.Db.index_intersections;
-  (match mgr.executor with
-  | Some ex ->
-      Metrics.set m "executor_domains" (Executor.size ex);
-      Metrics.set m "executor_active" (Executor.active ex);
-      Metrics.set m "executor_jobs" (Executor.executed ex)
-  | None -> ());
-  (match Db.wal mgr.db with
-  | None -> ()
-  | Some w ->
-      let s = Wal.stats w in
-      Metrics.set m "wal_records" s.Wal.records;
-      Metrics.set m "wal_bytes" s.Wal.bytes;
-      Metrics.set m "wal_flushes" s.Wal.flushes;
-      Metrics.set m "wal_forced_flushes" s.Wal.forced_flushes;
-      Metrics.set m "wal_group_commit_batches" s.Wal.group_commit_batches;
-      Metrics.set m "wal_group_commit_txns" s.Wal.group_commit_txns;
-      Metrics.set m "wal_batch_fsyncs" s.Wal.appender_batches;
-      Metrics.set m "wal_batch_commits" s.Wal.appender_txns;
-      Metrics.set m "wal_batch_max_commits" s.Wal.appender_max_batch);
-  Metrics.set_float_labeled m "build_info"
-    [ ("version", version); ("ocaml", Sys.ocaml_version) ]
-    1.;
-  Metrics.set_float m "uptime_seconds" (Unix.gettimeofday () -. mgr.start_time);
-  Metrics.set_float m "slow_query_threshold_seconds"
-    (Option.value mgr.slow_query ~default:0.)
+(* --- counter sources -------------------------------------------------------
+
+   Each layer names its counters once, as one source read live by every
+   consumer: the metrics registry (SYS_METRICS, [\\metrics], the
+   Prometheus scrape), statement attribution (SYS_STATEMENTS) and
+   slow-query traces.  The storage layers define theirs
+   ({!BP.counters}, {!Disk.counters}, {!Db.wal_counters},
+   {!PL.counters}, {!Db.mvcc_counters}, {!Db.plan_counters}); the
+   session layer adds the engine latch, the executor and its own
+   gauges. *)
+
+let engine_counters (engine : Rwlock.t) () =
+  [
+    ("engine.readers_active", Rwlock.readers_active engine);
+    ("engine.read_grants", Rwlock.read_grants engine);
+    ("engine.write_grants", Rwlock.write_grants engine);
+  ]
+
+let executor_counters (ex : Executor.t) () =
+  [
+    ("executor.domains", Executor.size ex);
+    ("executor.active", Executor.active ex);
+    ("executor.jobs", Executor.executed ex);
+  ]
+
+let server_gauges (mgr : manager) () =
+  [
+    (Metrics.labeled_key "build_info" [ ("version", version); ("ocaml", Sys.ocaml_version) ], 1.);
+    ("uptime_seconds", Unix.gettimeofday () -. mgr.start_time);
+    ("slow_query_threshold_seconds", Option.value mgr.slow_query ~default:0.);
+  ]
 
 (* SYS_METRICS: the registry itself.  Counters and float gauges carry
    their value flat; histograms carry their sum in VALUE and the raw
    (non-cumulative) bucket counts as a nested LIST — nested-path
-   queries aggregate them back.  Storage-tier stats are folded in
-   first, so the view matches what an exposition would serve. *)
+   queries aggregate them back.  Every layer's source is read live, so
+   the view matches what a scrape at the same moment would serve. *)
 let sys_metrics_provider (mgr : manager) : Sysr.provider =
   let schema =
     sys_schema "SYS_METRICS"
@@ -503,7 +402,6 @@ let sys_metrics_provider (mgr : manager) : Sysr.provider =
       ]
   in
   let materialize () =
-    fold_storage_stats mgr;
     let counters, histograms = Metrics.dump mgr.metrics in
     let floats = Metrics.dump_floats mgr.metrics in
     List.map (fun (name, v) -> [ vstr name; vfloat (Float.of_int v); vlist [] ]) counters
@@ -587,13 +485,27 @@ let create_manager ?(lock_timeout = 2.0) ?(group_commit = true) ?(group_window =
          enabled: commits enqueue, one thread fsyncs per batch *)
       if group_commit && wal_appender then Wal.set_async_appender w true
   | None -> ());
+  let engine = Rwlock.create () and locks = PL.create () in
+  let attributed =
+    [
+      (fun () -> BP.counters (Db.pool db));
+      (fun () -> Disk.counters (Db.disk db));
+      (fun () -> Db.wal_counters db);
+      (fun () -> PL.counters locks);
+      (fun () -> Db.plan_counters db);
+    ]
+  in
+  List.iter (Metrics.add_source metrics)
+    (attributed
+    @ [ engine_counters engine; (fun () -> Db.mvcc_counters db) ]
+    @ Option.to_list (Option.map executor_counters executor));
   let mgr =
     {
       db;
-      engine = Rwlock.create ();
+      engine;
       executor;
       mu = Mutex.create ();
-      locks = PL.create ();
+      locks;
       txn_owner = None;
       lock_timeout;
       group_commit;
@@ -606,10 +518,12 @@ let create_manager ?(lock_timeout = 2.0) ?(group_commit = true) ?(group_window =
       smu = Mutex.create ();
       sessions = Hashtbl.create 16;
       stmt_stats = Stmt_stats.create ();
+      attribution = Stmt_stats.sampler attributed;
       traces = Trace_ring.create ();
       shard_identity = None;
     }
   in
+  Metrics.add_float_source metrics (server_gauges mgr);
   register_server_sys mgr;
   mgr
 
@@ -655,8 +569,11 @@ let open_session (mgr : manager) ~(sid : int) : session =
    Predicate refinement (locking only the WHERE-restricted slice) is a
    ROADMAP item; whole-table specs are sound, just coarser. *)
 
-(* (reads, writes) by table name, uppercased, writes removed from reads. *)
-let stmt_tables (stmt : Ast.stmt) : string list * string list =
+(* (mode, table) lock specs by table name, uppercased: Exclusive on the
+   written tables, Shared on the others read.  SYS sources materialize
+   engine state on demand — nothing a predicate lock protects — so
+   reads of them lock nothing, even inside an explicit transaction. *)
+let lock_specs (mgr : manager) (stmt : Ast.stmt) : (PL.mode * string) list =
   let writes =
     match stmt with
     | Ast.Insert { table; _ } | Ast.Update { table; _ } | Ast.Delete { table; _ }
@@ -670,8 +587,11 @@ let stmt_tables (stmt : Ast.stmt) : string list * string list =
   in
   let dedup l = List.sort_uniq String.compare (List.map String.uppercase_ascii l) in
   let writes = dedup writes in
-  let reads = dedup (Ast.fold_stmt_ranges Ast.add_table [] stmt) in
-  (List.filter (fun t -> not (List.mem t writes)) reads, writes)
+  let reads =
+    dedup (Ast.fold_stmt_ranges Ast.add_table [] stmt)
+    |> List.filter (fun t -> not (List.mem t writes || Db.is_sys_table mgr.db t))
+  in
+  List.map (fun t -> (PL.Exclusive, t)) writes @ List.map (fun t -> (PL.Shared, t)) reads
 
 (* --- waiting with deadlines -------------------------------------------- *)
 
@@ -700,7 +620,6 @@ let acquire_locks (mgr : manager) (ltxn : PL.txn) (specs : (PL.mode * string) li
       | PL.Granted -> settle_wait ()
       | PL.Deadlock _ ->
           settle_wait ();
-          Metrics.incr mgr.metrics "lock_deadlocks";
           refused P.err_deadlock "deadlock detected acquiring %s lock on %s" (PL.mode_name mode)
             table
       | PL.Blocked _ ->
@@ -890,14 +809,6 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
         refused P.err_read_only
           "read-only replica: mutating statements are refused (promote to accept writes)"
       end;
-      let reads, writes = stmt_tables stmt in
-      (* SYS sources materialize engine state on demand — nothing a
-         predicate lock protects, so reads of them lock nothing even
-         inside an explicit transaction *)
-      let reads = List.filter (fun t -> not (Db.is_sys_table mgr.db t)) reads in
-      let specs =
-        List.map (fun t -> (PL.Exclusive, t)) writes @ List.map (fun t -> (PL.Shared, t)) reads
-      in
       let exec () = Db.exec_stmt ?trace ~rewrite:false mgr.db stmt in
       let deadline = Unix.gettimeofday () +. mgr.lock_timeout in
       if sess.in_txn then begin
@@ -907,7 +818,7 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
            transaction's written tables, and a read mutates nothing *)
         let with_eng = if Ast.mutates stmt then with_engine mgr else with_engine_read mgr in
         match
-          acquire_locks mgr ltxn specs ~deadline;
+          acquire_locks mgr ltxn (lock_specs mgr stmt) ~deadline;
           with_eng exec
         with
         | r -> r
@@ -933,7 +844,7 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
            across sessions and share one flush *)
         let r, lsn =
           Fun.protect ~finally:cleanup (fun () ->
-              acquire_locks mgr ltxn specs ~deadline;
+              acquire_locks mgr ltxn (lock_specs mgr stmt) ~deadline;
               with_engine mgr (fun () ->
                   Db.begin_txn mgr.db;
                   match exec () with
@@ -960,7 +871,6 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
            no engine latch.  The pinned version chains are immutable,
            so evaluation runs on a worker domain while writers commit
            freely; the pin only holds the GC horizon. *)
-        ignore specs;
         Metrics.incr mgr.metrics "snapshot_reads";
         let snap = Db.snapshot mgr.db in
         Fun.protect
@@ -972,24 +882,10 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
 
 (* --- slow-query tracing -------------------------------------------------- *)
 
-let lock_source (mgr : manager) () =
-  let s = PL.stats mgr.locks in
-  [
-    ("lock.acquires", s.PL.acquires);
-    ("lock.blocks", s.PL.blocks);
-    ("lock.deadlocks", s.PL.deadlocks);
-    ("lock.wait_ns", s.PL.wait_ns);
-    ("lock.shared_grants", s.PL.shared_grants);
-    ("lock.exclusive_grants", s.PL.exclusive_grants);
-  ]
-
 (* Record one finished statement in the session's bounded recent ring
    (SYS_SESSIONS) and the cumulative shape statistics (SYS_STATEMENTS). *)
-let record_statement (sess : session) (stmt : Ast.stmt) (before : counter_base) ~t0 ~rows
-    ~status : unit =
+let record_statement (sess : session) (stmt : Ast.stmt) (delta : Stmt_stats.delta) ~status : unit =
   let mgr = sess.mgr in
-  let seconds = Unix.gettimeofday () -. t0 in
-  let delta = delta_of before (capture_base mgr) ~seconds ~rows in
   Stmt_stats.record mgr.stmt_stats ~shape:(normalize_stmt stmt) delta;
   with_lock mgr.smu (fun () ->
       sess.stmts_run <- sess.stmts_run + 1;
@@ -997,7 +893,7 @@ let record_statement (sess : session) (stmt : Ast.stmt) (before : counter_base) 
         {
           rseq = sess.stmts_run;
           rstmt = Ast.stmt_to_string stmt;
-          rms = seconds *. 1e3;
+          rms = delta.Stmt_stats.d_seconds *. 1e3;
           rstatus = status;
         }
       in
@@ -1029,13 +925,12 @@ let flatten_trace (tr : Trace.t) : Trace_ring.span list =
    session — routed to shards, so never through [run_stmt_observed] —
    into the same books: the per-kind counters, the cumulative shape
    statistics and the session's recent ring.  The counter delta is
-   empty by construction (the local engine did no work; the shards'
-   own SYS_STATEMENTS carry the storage attribution). *)
+   empty (the local engine did no work; the shards' own
+   SYS_STATEMENTS carry the storage attribution). *)
 let note_statement (sess : session) (stmt : Ast.stmt) ~(seconds : float) ~(rows : int)
     ~(status : string) : unit =
   count_stmt_metric sess.mgr stmt;
-  let t0 = Unix.gettimeofday () -. seconds in
-  record_statement sess stmt (capture_base sess.mgr) ~t0 ~rows ~status
+  record_statement sess stmt { Stmt_stats.zero_delta with d_seconds = seconds; d_rows = rows } ~status
 
 (* Every statement is measured and aggregated into the cumulative
    shape statistics.  With a slow-query threshold configured the
@@ -1045,21 +940,26 @@ let note_statement (sess : session) (stmt : Ast.stmt) ~(seconds : float) ~(rows 
    Statements that fail still report — a slow failure is still slow. *)
 let run_stmt_observed (sess : session) (stmt : Ast.stmt) : Db.result =
   let mgr = sess.mgr in
-  let before = capture_base mgr in
+  let before = mgr.attribution () in
   let t0 = Unix.gettimeofday () in
+  let record ~rows ~status =
+    let seconds = Unix.gettimeofday () -. t0 in
+    let after = mgr.attribution () in
+    record_statement sess stmt (Stmt_stats.delta ~before ~after ~seconds ~rows) ~status
+  in
   match mgr.slow_query with
   | None -> (
       match run_stmt sess stmt with
       | r ->
           let rows = match r with Db.Rows rel -> Rel.cardinality rel | Db.Msg _ -> 0 in
-          record_statement sess stmt before ~t0 ~rows ~status:"ok";
+          record ~rows ~status:"ok";
           r
       | exception e ->
-          record_statement sess stmt before ~t0 ~rows:0 ~status:"error";
+          record ~rows:0 ~status:"error";
           raise e)
   | Some threshold -> (
       let tr = Db.new_trace ~label:(Ast.stmt_to_string stmt) mgr.db in
-      Trace.add_source tr (lock_source mgr);
+      Trace.add_source tr (fun () -> PL.counters mgr.locks);
       let root = Trace.root tr in
       let report status =
         let elapsed = Trace.elapsed_s root in
@@ -1077,11 +977,11 @@ let run_stmt_observed (sess : session) (stmt : Ast.stmt) : Db.result =
       | r ->
           (match r with Db.Rows rel -> Trace.add_rows root (Rel.cardinality rel) | Db.Msg _ -> ());
           let rows = match r with Db.Rows rel -> Rel.cardinality rel | Db.Msg _ -> 0 in
-          record_statement sess stmt before ~t0 ~rows ~status:"ok";
+          record ~rows ~status:"ok";
           report "ok";
           r
       | exception e ->
-          record_statement sess stmt before ~t0 ~rows:0 ~status:"error";
+          record ~rows:0 ~status:"error";
           report "error";
           raise e)
 
@@ -1122,22 +1022,8 @@ let error_of_exn (e : exn) : (string * string) option =
   | P.Protocol_error m -> Some (P.err_protocol, m)
   | _ -> None
 
-let render_metrics (mgr : manager) : string =
-  fold_storage_stats mgr;
-  let base = Metrics.render mgr.metrics in
-  match Db.wal mgr.db with
-  | None -> base
-  | Some w ->
-      let s = Wal.stats w in
-      let avg =
-        if s.Wal.group_commit_batches = 0 then 0.
-        else Float.of_int s.Wal.group_commit_txns /. Float.of_int s.Wal.group_commit_batches
-      in
-      base ^ Printf.sprintf "%-32s %.2f\n" "wal_avg_group_batch_size" avg
-
-let render_prometheus (mgr : manager) : string =
-  fold_storage_stats mgr;
-  Metrics.render_prometheus mgr.metrics
+let render_metrics (mgr : manager) : string = Metrics.render mgr.metrics
+let render_prometheus (mgr : manager) : string = Metrics.render_prometheus mgr.metrics
 
 (* Parse and run a ';'-separated script, answering with the last
    statement's result — the body of both [Query] and a routed

@@ -643,24 +643,30 @@ let exec_script t (sess : Session.session) (input : string) : P.response =
   in
   go stmts
 
-(* --- per-shard gauges and SYS_SHARDS ------------------------------------ *)
+(* --- the shard counter source and SYS_SHARDS ---------------------------- *)
 
-let set_shard_gauges t =
-  let m = t.metrics in
-  Metrics.set m "shard_map_version" (Shard_map.version t.map);
-  Metrics.set m "shards_total" (Array.length t.pools);
-  Metrics.set m "shards_up"
-    (Array.fold_left (fun acc p -> if Pool.state p = Pool.Up then acc + 1 else acc) 0 t.pools);
-  Array.iter
-    (fun p ->
-      let l = [ ("shard", string_of_int (Pool.member p).Shard_map.id) ] in
-      Metrics.set_labeled m "shard_routed" l (Pool.routed p);
-      Metrics.set_labeled m "shard_fanout" l (Pool.fanout p);
-      Metrics.set_labeled m "shard_errors" l (Pool.errors p);
-      Metrics.set_labeled m "shard_replica_reads" l (Pool.replica_reads p);
-      Metrics.set_labeled m "shard_stale_retries" l (Pool.stale_retries p);
-      Metrics.set_labeled m "shard_up" l (if Pool.state p = Pool.Up then 1 else 0))
-    t.pools
+(* Read live by the registry: a shard that goes down shows in
+   [shards_up] at the next read, with nothing to refresh first. *)
+let shard_counters t () =
+  let up p = if Pool.state p = Pool.Up then 1 else 0 in
+  [
+    ("shard.map_version", Shard_map.version t.map);
+    ("shards.total", Array.length t.pools);
+    ("shards.up", Array.fold_left (fun acc p -> acc + up p) 0 t.pools);
+  ]
+  @ List.concat_map
+      (fun p ->
+        let id = string_of_int (Pool.member p).Shard_map.id in
+        let l name = Metrics.labeled_key name [ ("shard", id) ] in
+        [
+          (l "shard.routed", Pool.routed p);
+          (l "shard.fanout", Pool.fanout p);
+          (l "shard.errors", Pool.errors p);
+          (l "shard.replica_reads", Pool.replica_reads p);
+          (l "shard.stale_retries", Pool.stale_retries p);
+          (l "shard.up", up p);
+        ])
+      (Array.to_list t.pools)
 
 let sys_shards_provider t : Sysr.provider =
   let sf n ty = { Schema.name = n; attr = Schema.Atomic ty } in
@@ -695,7 +701,6 @@ let sys_shards_provider t : Sysr.provider =
   let vint n = Value.Atom (Atom.Int n) in
   let vstr s = Value.Atom (Atom.Str s) in
   let materialize () =
-    set_shard_gauges t;
     Array.to_list
       (Array.map
          (fun p ->
@@ -790,11 +795,8 @@ let coord_handle t (cs : csession) (req : P.request) : P.response =
          their own shard"
   | P.Shard_join _ | P.Shard_route _ ->
       reject P.err_protocol "this node is a coordinator, not a shard"
-  | P.Metrics | P.Metrics_prom ->
-      set_shard_gauges t;
-      Session.handle cs.sess req
-  | P.Ping | P.Quit | P.Promote | P.Sys_reset | P.Set_slow_query _ | P.Repl_handshake _
-  | P.Repl_ack _ ->
+  | P.Metrics | P.Metrics_prom | P.Ping | P.Quit | P.Promote | P.Sys_reset | P.Set_slow_query _
+  | P.Repl_handshake _ | P.Repl_ack _ ->
       (* identical semantics to a plain node; the session layer answers *)
       Session.handle cs.sess req
 
@@ -820,7 +822,7 @@ let start ?(server = Server.default_config) (config : config) : t =
     { map; pools; db; mgr; metrics; config; keyfields = Hashtbl.create 16; kmu = Mutex.create () }
   in
   Sysr.register (Db.sys_registry db) (sys_shards_provider router);
-  set_shard_gauges router;
+  Metrics.add_source metrics (shard_counters router);
   let open_conn ~sid =
     let cs = { sess = Session.open_session mgr ~sid; prepared = Hashtbl.create 8; next_prep = 1 } in
     { Server.handle = coord_handle router cs; close = (fun () -> Session.close_session cs.sess) }
@@ -830,10 +832,4 @@ let start ?(server = Server.default_config) (config : config) : t =
 
 let stop t = Server.stop t.server
 
-let render_metrics t =
-  set_shard_gauges t.router;
-  Session.render_metrics t.router.mgr
-
-let render_prometheus t =
-  set_shard_gauges t.router;
-  Session.render_prometheus t.router.mgr
+let render_metrics t = Session.render_metrics t.router.mgr

@@ -51,12 +51,10 @@ val metrics : t -> Nf2_server.Metrics.t
 val session_manager : t -> Nf2_server.Session.manager
 val shard_map : t -> Shard_map.t
 
-(** The [\metrics] report / Prometheus exposition with the shard
-    gauges (shard_map_version, shards_up, per-shard routed/fanout/
-    errors/replica_reads/stale_retries/up) refreshed first. *)
+(** The [\metrics] report, shard gauges (shard_map_version, shards_up,
+    per-shard routed/fanout/errors/replica_reads/stale_retries/up)
+    included: the registry reads them live. *)
 val render_metrics : t -> string
-
-val render_prometheus : t -> string
 
 (** {!Nf2_server.Server.stop}: stops accepting, closes live sessions,
     joins the worker threads, then closes every pooled shard

@@ -168,9 +168,19 @@ let reset_stats t =
     t.parts;
   Atomic.set t.rebalanced 0
 
-let logical_accesses t =
+(* The pool's counter source: every consumer (traces, statement
+   attribution, SYS_METRICS, Prometheus) reads these names. *)
+let counters t =
   let s = stats t in
-  s.hits + s.misses
+  [
+    ("pool.hits", s.hits);
+    ("pool.misses", s.misses);
+    ("pool.evictions", s.evictions);
+    ("pool.log_captures", s.log_captures);
+    ("pool.partitions", partitions t);
+    ("pool.contended", s.contended);
+    ("pool.rebalances", s.rebalances);
+  ]
 
 (* --- per-partition introspection (SYS_POOL) ----------------------------- *)
 
@@ -217,7 +227,6 @@ let partition_stats t =
 let attach_wal t wal = t.wal <- Some wal
 let wal t = t.wal
 let set_tx t tx = t.wal_tx <- tx
-let current_tx t = t.wal_tx
 let set_strict_wal t b = t.strict_wal <- b
 
 (* Log the byte range a dirty callback changed: one physiological
@@ -253,7 +262,7 @@ let flush_frame t f =
                   f.page f.lsn (Wal.durable_lsn w)))
         else Wal.flush ~forced:true w
     | _ -> ());
-    Disk.write_from ~lsn:f.lsn t.disk f.page f.buf;
+    Disk.write_from t.disk f.page f.buf;
     f.dirty <- false
   end
 

@@ -50,7 +50,10 @@ val partitions : t -> int
 
 val stats : t -> stats
 val reset_stats : t -> unit
-val logical_accesses : t -> int
+
+(** The pool's counter source, [pool.*] names: {!stats} plus the
+    partition count. *)
+val counters : t -> (string * int) list
 
 (** {1 Per-partition introspection (SYS_POOL)} *)
 
@@ -88,8 +91,6 @@ val wal : t -> Wal.t option
 (** Transaction charged for subsequent captures
     (default {!Wal.system_tx}). *)
 val set_tx : t -> Wal.txid -> unit
-
-val current_tx : t -> Wal.txid
 
 (** In strict mode an unlogged flush raises {!Wal_ordering} instead of
     forcing a log flush (regression testing of the invariant). *)

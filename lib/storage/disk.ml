@@ -19,7 +19,6 @@ type stats = { mutable reads : int; mutable writes : int; mutable allocs : int }
 type t = {
   page_size : int;
   mutable pages : Bytes.t array; (* physical page images *)
-  mutable page_lsns : int array; (* LSN stamped on the last durable write of each page *)
   mutable npages : int;
   stats : stats;
   (* Fault injection: called on every physical write.  [None] proceeds
@@ -33,7 +32,6 @@ let create ?(page_size = 4096) () =
   {
     page_size;
     pages = Array.make 16 Bytes.empty;
-    page_lsns = Array.make 16 0;
     npages = 0;
     stats = { reads = 0; writes = 0; allocs = 0 };
     write_hook = None;
@@ -42,6 +40,9 @@ let create ?(page_size = 4096) () =
 let page_size t = t.page_size
 let npages t = t.npages
 let stats t = t.stats
+
+let counters t =
+  [ ("disk.reads", t.stats.reads); ("disk.writes", t.stats.writes); ("disk.allocs", t.stats.allocs) ]
 
 let reset_stats t =
   t.stats.reads <- 0;
@@ -56,13 +57,9 @@ let alloc t =
     let cap = max 16 (2 * t.npages) in
     let bigger = Array.make cap Bytes.empty in
     Array.blit t.pages 0 bigger 0 t.npages;
-    t.pages <- bigger;
-    let bigger_lsns = Array.make cap 0 in
-    Array.blit t.page_lsns 0 bigger_lsns 0 t.npages;
-    t.page_lsns <- bigger_lsns
+    t.pages <- bigger
   end;
   t.pages.(t.npages) <- Bytes.make t.page_size '\000';
-  t.page_lsns.(t.npages) <- 0;
   t.stats.allocs <- t.stats.allocs + 1;
   t.npages <- t.npages + 1;
   t.npages - 1
@@ -76,17 +73,14 @@ let read_into t page dst =
   t.stats.reads <- t.stats.reads + 1;
   Bytes.blit t.pages.(page) 0 dst 0 t.page_size
 
-(* Physical write: copies [src] onto the page image.  [lsn], when
-   given, stamps the page with the log record covering this image.
-   An armed write hook may tear the write and crash. *)
-let write_from ?(lsn = 0) t page src =
+(* Physical write: copies [src] onto the page image.  An armed write
+   hook may tear the write and crash. *)
+let write_from t page src =
   check_page t page;
   t.stats.writes <- t.stats.writes + 1;
   let outcome = match t.write_hook with None -> None | Some hook -> hook page src in
   match outcome with
-  | None ->
-      Bytes.blit src 0 t.pages.(page) 0 t.page_size;
-      if lsn > 0 then t.page_lsns.(page) <- lsn
+  | None -> Bytes.blit src 0 t.pages.(page) 0 t.page_size
   | Some n ->
       let n = max 0 (min n t.page_size) in
       Bytes.blit src 0 t.pages.(page) 0 n;
@@ -94,10 +88,6 @@ let write_from ?(lsn = 0) t page src =
         (Crash
            (Printf.sprintf "simulated crash writing page %d (%d/%d bytes reached disk)" page n
               t.page_size))
-
-let page_lsn t page =
-  check_page t page;
-  t.page_lsns.(page)
 
 let total_bytes t = t.npages * t.page_size
 
@@ -112,7 +102,6 @@ let of_pages ~page_size (pages : Bytes.t array) =
   {
     page_size;
     pages = Array.map Bytes.copy pages;
-    page_lsns = Array.make (max 1 (Array.length pages)) 0;
     npages = Array.length pages;
     stats = { reads = 0; writes = 0; allocs = 0 };
     write_hook = None;

@@ -28,6 +28,9 @@ val npages : t -> int
 (** Live counters (mutable record — copy fields before further I/O). *)
 val stats : t -> stats
 
+(** The disk's counter source, [disk.*] names. *)
+val counters : t -> (string * int) list
+
 val reset_stats : t -> unit
 
 (** Allocate a zeroed page; returns its page number.  Allocation is a
@@ -37,14 +40,9 @@ val alloc : t -> int
 (** Physical read of a page image into [dst]. *)
 val read_into : t -> int -> Bytes.t -> unit
 
-(** Physical write of [src] onto a page.  [lsn], when positive, stamps
-    the page with the log record covering this image (see {!page_lsn}).
-    May raise {!Crash} when a fault plan is armed. *)
-val write_from : ?lsn:int -> t -> int -> Bytes.t -> unit
-
-(** LSN stamped on the last durable write of the page (0 = never
-    stamped).  Diagnostic view of the WAL-before-data invariant. *)
-val page_lsn : t -> int -> int
+(** Physical write of [src] onto a page.  May raise {!Crash} when a
+    fault plan is armed. *)
+val write_from : t -> int -> Bytes.t -> unit
 
 (** Fault injection (see {!Faulty_disk}): called on every physical
     write with (page, image).  [None] proceeds; [Some n] applies only

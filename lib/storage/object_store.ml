@@ -994,14 +994,6 @@ let relocate t (root : Tid.t) =
 
 type hier = { root : Tid.t; path : Mini_tid.t list }
 
-let hier_to_string h =
-  String.concat "." (Tid.to_string h.root :: List.map Mini_tid.to_string h.path)
-
-let compare_hier a b =
-  match Tid.compare a.root b.root with
-  | 0 -> List.compare Mini_tid.compare a.path b.path
-  | c -> c
-
 (* Is [a] a prefix of [b] (or vice versa)?  That is the Fig 7b
    P2 = F2 test: both addresses lie in the same subobject chain. *)
 let hier_prefix_compatible a b =
@@ -1142,12 +1134,6 @@ let resolve_mini t (root : Tid.t) (m : Mini_tid.t) : Tid.t =
   let plist, _ = load_root t root in
   { Tid.page = Page_list.resolve plist m.Mini_tid.lpage; slot = m.Mini_tid.slot }
 
-(* Atoms of the root object's own data subtuple. *)
-let fetch_root_atoms t (root : Tid.t) : Atom.t list =
-  let plist, sections = load_root t root in
-  let view = root_view t plist sections in
-  read_data t plist view.data
-
 (* --- check-out / check-in (workstation transfer) -------------------- *)
 
 (* Serialise one complex object for shipping to a workstation: the
@@ -1238,7 +1224,6 @@ let restore ?(layout = Mini_directory.SS3) ?(clustering = true) pool ~dir_pages 
   t
 
 (* All root TIDs in the store. *)
-let iter_roots t fn = Heap.iter t.dir (fun tid _ -> fn tid)
 let roots t = List.rev (Heap.fold t.dir (fun acc tid _ -> tid :: acc) [])
 let root_position t root = Heap.position t.dir root
 let is_root t root = Heap.is_home t.dir root

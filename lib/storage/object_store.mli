@@ -54,8 +54,6 @@ val delete : t -> Schema.t -> Tid.t -> unit
 (** All live root TIDs, in insertion order. *)
 val roots : t -> Tid.t list
 
-val iter_roots : t -> (Tid.t -> unit) -> unit
-
 (** A root's place in {!roots} order: (rank of its directory page, slot).
     Valid for deleted roots too — the directory's pages are never
     released — so a commit can key what it removed. *)
@@ -123,9 +121,6 @@ val md_view : t -> Schema.t -> Tid.t -> Mini_directory.view
 
 type hier = { root : Tid.t; path : Mini_tid.t list }
 
-val hier_to_string : hier -> string
-val compare_hier : hier -> hier -> int
-
 (** True iff one address is a prefix of the other (same root and the
     shorter path is an initial segment of the longer): the P2 = F2 test
     of Fig 7b. *)
@@ -144,9 +139,6 @@ val index_entries_fig7a : t -> Schema.t -> Tid.t -> Schema.path -> (Atom.t * hie
 (** Atoms of the data subtuple an address points at (last component),
     touching nothing else. *)
 val fetch_hier_atoms : t -> hier -> Atom.t list
-
-(** Atoms of the object's own (root-level) data subtuple. *)
-val fetch_root_atoms : t -> Tid.t -> Atom.t list
 
 (** Translate a Mini-TID of an object into the equivalent global TID
     via the page list. *)

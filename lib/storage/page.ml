@@ -152,9 +152,3 @@ let live_records buf =
   done;
   !acc
 
-let used_bytes buf =
-  let used = ref header_size in
-  for i = 0 to nslots buf - 1 do
-    used := !used + slot_size + if slot_used buf i then slot_len buf i else 0
-  done;
-  !used

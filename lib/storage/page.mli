@@ -48,8 +48,6 @@ val update : Bytes.t -> int -> string -> bool
 (** Occupied slot numbers in ascending order. *)
 val live_records : Bytes.t -> int list
 
-val used_bytes : Bytes.t -> int
-
 (** Rewrite the record area compactly, preserving slot numbers. *)
 val compact : Bytes.t -> unit
 

@@ -64,7 +64,6 @@ let entries t =
   done;
   !acc
 
-let live_pages t = List.map snd (entries t)
 let gaps t = t.len - List.length (entries t)
 
 let encode b t =

@@ -30,7 +30,6 @@ val position_of : t -> int -> int option
 (** Live (position, page) pairs in position order. *)
 val entries : t -> (int * int) list
 
-val live_pages : t -> int list
 val gaps : t -> int
 
 val encode : Codec.sink -> t -> unit

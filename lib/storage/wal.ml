@@ -64,6 +64,19 @@ type t = {
   stats : stats;
 }
 
+let zero_stats () =
+  {
+    records = 0;
+    bytes = 0;
+    flushes = 0;
+    forced_flushes = 0;
+    group_commit_batches = 0;
+    group_commit_txns = 0;
+    appender_batches = 0;
+    appender_txns = 0;
+    appender_max_batch = 0;
+  }
+
 let create () =
   {
     mu = Mutex.create ();
@@ -84,18 +97,7 @@ let create () =
     appender = None;
     appender_run = false;
     file = None;
-    stats =
-      {
-        records = 0;
-        bytes = 0;
-        flushes = 0;
-        forced_flushes = 0;
-        group_commit_batches = 0;
-        group_commit_txns = 0;
-        appender_batches = 0;
-        appender_txns = 0;
-        appender_max_batch = 0;
-      };
+    stats = zero_stats ();
   }
 
 let with_mu t f =
@@ -103,6 +105,24 @@ let with_mu t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let stats t = t.stats
+
+let counters (w : t option) =
+  let s =
+    match w with
+    | Some w -> w.stats
+    | None -> zero_stats ()
+  in
+  [
+    ("wal.records", s.records);
+    ("wal.bytes", s.bytes);
+    ("wal.flushes", s.flushes);
+    ("wal.forced_flushes", s.forced_flushes);
+    ("wal.group_commit_batches", s.group_commit_batches);
+    ("wal.group_commit_txns", s.group_commit_txns);
+    ("wal.batch_fsyncs", s.appender_batches);
+    ("wal.batch_commits", s.appender_txns);
+    ("wal.batch_max_commits", s.appender_max_batch);
+  ]
 
 let reset_stats t =
   with_mu t (fun () ->

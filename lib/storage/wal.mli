@@ -51,6 +51,10 @@ val create : unit -> t
 val stats : t -> stats
 val reset_stats : t -> unit
 
+(** The log's counter source, [wal.*] names; all zero without a log,
+    so a source keeps its names before one is attached. *)
+val counters : t option -> (string * int) list
+
 (** {1 Thread safety and group commit}
 
     Every operation is internally mutex-guarded, so concurrent sessions

@@ -2,36 +2,61 @@
    bounded map shape -> aggregates, LRU-evicted by update order when a
    new shape arrives at capacity. *)
 
-type delta = {
-  d_seconds : float;
-  d_rows : int;
-  d_pool_hits : int;
-  d_pool_misses : int;
-  d_disk_reads : int;
-  d_wal_records : int;
-  d_wal_bytes : int;
-  d_lock_acquires : int;
-  d_lock_wait_ns : int;
-  d_plan_seq : int;
-  d_plan_index : int;
-  d_plan_intersect : int;
-}
+type scale = Count | Ms_of_ns
 
-let zero_delta =
-  {
-    d_seconds = 0.;
-    d_rows = 0;
-    d_pool_hits = 0;
-    d_pool_misses = 0;
-    d_disk_reads = 0;
-    d_wal_records = 0;
-    d_wal_bytes = 0;
-    d_lock_acquires = 0;
-    d_lock_wait_ns = 0;
-    d_plan_seq = 0;
-    d_plan_index = 0;
-    d_plan_intersect = 0;
-  }
+(* The attributed counters, in SYS_STATEMENTS column order: the
+   source counter ([layer.counter]), its column, and how it shows. *)
+let attributed =
+  [
+    ("pool.hits", "POOL_HITS", Count);
+    ("pool.misses", "POOL_MISSES", Count);
+    ("disk.reads", "DISK_READS", Count);
+    ("wal.records", "WAL_RECORDS", Count);
+    ("wal.bytes", "WAL_BYTES", Count);
+    ("lock.acquires", "LOCK_ACQUIRES", Count);
+    ("lock.wait_ns", "LOCK_WAIT_MS", Ms_of_ns);
+    ("plan.seq_scans", "PLAN_SEQ", Count);
+    ("plan.index_scans", "PLAN_INDEX", Count);
+    ("plan.index_intersections", "PLAN_INTERSECT", Count);
+  ]
+
+let nattributed = List.length attributed
+
+(* Column of an attributed counter, -1 for any other name. *)
+let column name =
+  let rec go i = function
+    | [] -> -1
+    | (n, _, _) :: rest -> if String.equal n name then i else go (i + 1) rest
+  in
+  go 0 attributed
+
+(* Sampling runs twice per statement, so it must not look names up: the
+   first call records each source's layout — the name and column at
+   every position — and later calls walk the lists by position.  A
+   source's names are string literals, so checking that a position
+   still holds its recorded name is one pointer comparison; anything
+   else falls back to the lookup. *)
+let sampler sources =
+  let layout f = Array.of_list (List.map (fun (name, _) -> (name, column name)) (f ())) in
+  let layouts = List.map (fun f -> (f, layout f)) sources in
+  fun () ->
+    let a = Array.make nattributed 0 in
+    List.iter
+      (fun (f, l) ->
+        List.iteri
+          (fun k (name, v) ->
+            let c = if k < Array.length l && fst l.(k) == name then snd l.(k) else column name in
+            if c >= 0 then a.(c) <- v)
+          (f ()))
+      layouts;
+    a
+
+type delta = { d_seconds : float; d_rows : int; d_counters : int array }
+
+let zero_delta = { d_seconds = 0.; d_rows = 0; d_counters = Array.make nattributed 0 }
+
+let delta ~before ~after ~seconds ~rows =
+  { d_seconds = seconds; d_rows = rows; d_counters = Array.map2 ( - ) after before }
 
 (* Logarithmic latency buckets, factor 2 from 1µs: 28 buckets reach
    ~134s, plenty for a statement latency distribution. *)
@@ -52,16 +77,7 @@ type cell = {
   mutable min_s : float;
   mutable max_s : float;
   buckets : int array;
-  mutable pool_hits : int;
-  mutable pool_misses : int;
-  mutable disk_reads : int;
-  mutable wal_records : int;
-  mutable wal_bytes : int;
-  mutable lock_acquires : int;
-  mutable lock_wait_ns : int;
-  mutable plan_seq : int;
-  mutable plan_index : int;
-  mutable plan_intersect : int;
+  sums : int array; (* per attributed counter *)
   mutable last_seq : int; (* update order, for LRU eviction *)
 }
 
@@ -73,16 +89,7 @@ type entry = {
   min_s : float;
   max_s : float;
   p95_s : float;
-  pool_hits : int;
-  pool_misses : int;
-  disk_reads : int;
-  wal_records : int;
-  wal_bytes : int;
-  lock_acquires : int;
-  lock_wait_ns : int;
-  plan_seq : int;
-  plan_index : int;
-  plan_intersect : int;
+  counters : int array;
 }
 
 type t = {
@@ -111,16 +118,7 @@ let fresh_cell shape =
     min_s = Float.infinity;
     max_s = 0.;
     buckets = Array.make nbuckets 0;
-    pool_hits = 0;
-    pool_misses = 0;
-    disk_reads = 0;
-    wal_records = 0;
-    wal_bytes = 0;
-    lock_acquires = 0;
-    lock_wait_ns = 0;
-    plan_seq = 0;
-    plan_index = 0;
-    plan_intersect = 0;
+    sums = Array.make nattributed 0;
     last_seq = 0;
   }
 
@@ -153,16 +151,7 @@ let record t ~shape (d : delta) =
       c.min_s <- Float.min c.min_s d.d_seconds;
       c.max_s <- Float.max c.max_s d.d_seconds;
       c.buckets.(bucket_of d.d_seconds) <- c.buckets.(bucket_of d.d_seconds) + 1;
-      c.pool_hits <- c.pool_hits + d.d_pool_hits;
-      c.pool_misses <- c.pool_misses + d.d_pool_misses;
-      c.disk_reads <- c.disk_reads + d.d_disk_reads;
-      c.wal_records <- c.wal_records + d.d_wal_records;
-      c.wal_bytes <- c.wal_bytes + d.d_wal_bytes;
-      c.lock_acquires <- c.lock_acquires + d.d_lock_acquires;
-      c.lock_wait_ns <- c.lock_wait_ns + d.d_lock_wait_ns;
-      c.plan_seq <- c.plan_seq + d.d_plan_seq;
-      c.plan_index <- c.plan_index + d.d_plan_index;
-      c.plan_intersect <- c.plan_intersect + d.d_plan_intersect;
+      Array.iteri (fun i v -> c.sums.(i) <- c.sums.(i) + v) d.d_counters;
       c.last_seq <- t.seq)
 
 (* Upper bound of the bucket where the cumulative count reaches 95%. *)
@@ -196,16 +185,7 @@ let snapshot t : entry list =
             min_s = (if c.calls = 0 then 0. else c.min_s);
             max_s = c.max_s;
             p95_s = p95_of c;
-            pool_hits = c.pool_hits;
-            pool_misses = c.pool_misses;
-            disk_reads = c.disk_reads;
-            wal_records = c.wal_records;
-            wal_bytes = c.wal_bytes;
-            lock_acquires = c.lock_acquires;
-            lock_wait_ns = c.lock_wait_ns;
-            plan_seq = c.plan_seq;
-            plan_index = c.plan_index;
-            plan_intersect = c.plan_intersect;
+            counters = Array.copy c.sums;
           }
           :: acc)
         t.cells [])

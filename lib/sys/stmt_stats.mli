@@ -3,6 +3,12 @@
     normalized text (constants replaced by [?] parameters), in the
     spirit of [pg_stat_statements].
 
+    Each execution is charged the deltas of the {!attributed}
+    counters: one name list that fixes the [SYS_STATEMENTS] columns,
+    indexes every per-statement array, and picks the values out of the
+    layers' counter sources — the same sources the metrics registry
+    and traces read, so no counter is copied or renamed here.
+
     Aggregation is cheap enough to run on every statement: one mutex
     acquisition plus a handful of integer adds.  Timings feed a small
     logarithmic histogram per shape, so p95 is a bucket scan at
@@ -13,27 +19,38 @@
     capacity, the least-recently-updated shape is evicted — cumulative
     statistics for hot shapes survive, one-off shapes churn. *)
 
+(** {1 Attributed counters} *)
+
+(** How a column shows its summed counter: as an INT count, or
+    nanoseconds as FLOAT milliseconds. *)
+type scale = Count | Ms_of_ns
+
+(** The engine counters charged to each statement, in [SYS_STATEMENTS]
+    column order: the source counter name ([layer.counter], as the
+    pool, disk, WAL, lock and planner sources report it), its column
+    and its scale.  Every per-statement array below is indexed by this
+    list. *)
+val attributed : (string * string * scale) list
+
+(** [sampler sources] reads the sources once per call and picks the
+    attributed counters, in {!attributed} order (0 for a name no source
+    reports).  It learns each source's layout on creation, so a sample
+    costs little more than the sources themselves when every call
+    reports the same names in the same order, as the layers' sources
+    do. *)
+val sampler : (unit -> (string * int) list) list -> unit -> int array
+
 (** Per-statement resource deltas attributed to one execution.  Deltas
-    come from before/after snapshots of the engine's cumulative
+    come from before/after samples of the engine's cumulative
     counters, so attribution under concurrency is approximate (another
     session's work in the same window is charged here too) — the same
     contract the trace layer documents. *)
-type delta = {
-  d_seconds : float;
-  d_rows : int;
-  d_pool_hits : int;
-  d_pool_misses : int;
-  d_disk_reads : int;
-  d_wal_records : int;
-  d_wal_bytes : int;
-  d_lock_acquires : int;
-  d_lock_wait_ns : int;
-  d_plan_seq : int;
-  d_plan_index : int;
-  d_plan_intersect : int;
-}
+type delta = { d_seconds : float; d_rows : int; d_counters : int array }
 
 val zero_delta : delta
+
+(** [after - before], per attributed counter. *)
+val delta : before:int array -> after:int array -> seconds:float -> rows:int -> delta
 
 (** One shape's aggregates, as of a {!snapshot}. *)
 type entry = {
@@ -44,16 +61,7 @@ type entry = {
   min_s : float;
   max_s : float;
   p95_s : float;
-  pool_hits : int;
-  pool_misses : int;
-  disk_reads : int;
-  wal_records : int;
-  wal_bytes : int;
-  lock_acquires : int;
-  lock_wait_ns : int;
-  plan_seq : int;
-  plan_index : int;
-  plan_intersect : int;
+  counters : int array;  (** summed deltas, in {!attributed} order *)
 }
 
 type t

@@ -343,3 +343,13 @@ let stats (t : t) : stats =
         gc_floor = t.floor;
         pins = Hashtbl.fold (fun _ n acc -> acc + n) t.pins 0;
       })
+
+let counters (t : t) =
+  let s = stats t in
+  [
+    ("mvcc.snapshot_lsn", s.snapshot_lsn);
+    ("mvcc.versions_live", s.versions_live);
+    ("mvcc.gc_reclaimed", s.gc_reclaimed);
+    ("mvcc.pinned_snapshots", s.pins);
+    ("mvcc.bytes_live", s.bytes_live);
+  ]

@@ -169,3 +169,6 @@ val pinned_lsns : t -> (int * int) list
 (** Currently pinned snapshot LSNs with their refcounts, ascending. *)
 
 val stats : t -> stats
+
+(** The version store's counter source, [mvcc.*] names. *)
+val counters : t -> (string * int) list

@@ -42,11 +42,6 @@ type t = {
   steps : OS.step list; (* navigation path from the root *)
 }
 
-let kind_name = function
-  | K_object -> "object"
-  | K_subobject -> "subobject"
-  | K_subtable _ -> "subtable"
-
 let to_string t =
   let step_str = function OS.Attr a -> a | OS.Elem i -> string_of_int i in
   Printf.sprintf "@%s:%s:%s%s" t.table (Tid.to_string t.root)

@@ -18,7 +18,6 @@ type kind =
 
 type t = { table : string; kind : kind; root : Tid.t; steps : OS.step list }
 
-val kind_name : kind -> string
 val to_string : t -> string
 
 (** Subtable t-names are not legal index addresses (the paper's

@@ -122,7 +122,7 @@ let prom_line_ok line =
 let test_prometheus_format () =
   let m = Metrics.create () in
   Metrics.incr m "requests_query";
-  Metrics.set m "pool_hits" 42;
+  Metrics.add_source m (fun () -> [ ("pool.hits", 42) ]);
   Metrics.incr_labeled m "stmts" [ ("kind", "select") ];
   Metrics.incr_labeled m "stmts" [ ("kind", "insert") ];
   Metrics.observe m "query_latency" 0.0005;
@@ -133,6 +133,7 @@ let test_prometheus_format () =
         Alcotest.failf "bad exposition line: %s" line)
     (String.split_on_char '\n' out);
   Alcotest.(check bool) "namespaced" true (contains out "aimii_requests_query 1");
+  Alcotest.(check bool) "source series, dot sanitized" true (contains out "aimii_pool_hits 42");
   Alcotest.(check bool) "labeled series" true (contains out "aimii_stmts{kind=\"select\"} 1");
   Alcotest.(check bool) "histogram type" true (contains out "# TYPE aimii_query_latency_seconds histogram");
   Alcotest.(check bool) "+Inf bucket" true (contains out "le=\"+Inf\"} 1");
@@ -154,7 +155,8 @@ let test_prometheus_label_escaping () =
   Alcotest.(check string) "untouched" "tab\t ünï'" (Metrics.escape_label_value "tab\t ünï'");
   let m = Metrics.create () in
   Metrics.incr_labeled m "q" [ ("stmt", "SELECT \"x\\y\"\nFROM t") ];
-  Metrics.set_float_labeled m "build_info" [ ("version", "0.9\"\\") ] 1.;
+  Metrics.add_float_source m (fun () ->
+      [ (Metrics.labeled_key "build_info" [ ("version", "0.9\"\\") ], 1.) ]);
   let out = Metrics.render_prometheus m in
   Alcotest.(check bool) "counter series escaped" true
     (contains out {|aimii_q{stmt="SELECT \"x\\y\"\nFROM t"} 1|});

@@ -395,6 +395,24 @@ let test_kill_one_shard () =
       | _ -> Alcotest.fail "expected a shard map");
       Client.close c)
 
+(* The coordinator's shard gauges are read, not refreshed: once a
+   fan-out has found shard 0 dead, SYS_METRICS and the registry both
+   say one shard is up — with no \metrics request or SYS_SHARDS query
+   first to bring a copy up to date. *)
+let test_shard_gauges_live () =
+  with_cluster ~n:2 (fun coord shards ->
+      let c = connect_coord coord in
+      ignore (expect_ok c "CREATE TABLE T (K INT, V TEXT)");
+      checki "both shards up" 2 (Metrics.get (Coord.metrics coord) "shards_up");
+      Server.stop shards.(0);
+      expect_code c "fan-out hits the dead shard" P.err_shard_down "SELECT * FROM X IN T";
+      (match expect_ok c "SELECT m.VALUE FROM m IN SYS_METRICS WHERE m.NAME = 'shards_up'" with
+      | P.Result_table { rows = [ [ v ] ]; _ } ->
+          checkb "SYS_METRICS shards_up" true (float_of_string v = 1.)
+      | _ -> Alcotest.fail "expected one shards_up row");
+      checki "registry shards_up" 1 (Metrics.get (Coord.metrics coord) "shards_up");
+      Client.close c)
+
 (* Another coordinator re-joins a shard at a different map version; our
    pooled connections are now stale, and the next route must
    re-handshake and succeed rather than surface 55S01 to the client. *)
@@ -621,6 +639,7 @@ let () =
       ( "faults",
         [
           Alcotest.test_case "kill one shard" `Quick test_kill_one_shard;
+          Alcotest.test_case "shard gauges read live" `Quick test_shard_gauges_live;
           Alcotest.test_case "stale route self-heals" `Quick test_stale_route_self_heals;
           Alcotest.test_case "gather deadline" `Quick test_gather_deadline;
           Alcotest.test_case "replica read fallback" `Quick test_replica_fallback;

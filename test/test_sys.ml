@@ -363,6 +363,38 @@ let test_metrics_and_threshold_gauge () =
       checkb "build info exported" true (metric_value c "uptime_seconds" >= 0.);
       Client.close c)
 
+(* --- statement attribution ---------------------------------------------- *)
+
+(* The sampler walks each source by the layout it learned on creation;
+   a source whose names are rebuilt per call and change order must
+   still land every counter in its own column. *)
+let test_attribution_sampler () =
+  let column name =
+    let rec go i = function
+      | (n, _, _) :: rest -> if n = name then i else go (i + 1) rest
+      | [] -> Alcotest.fail ("not attributed: " ^ name)
+    in
+    go 0 Stmt_stats.attributed
+  in
+  let hits = ref 0 and flip = ref false in
+  let pool () = [ ("pool.hits", !hits); ("pool.partitions", 8) ] in
+  let moving () =
+    let l =
+      [ (Printf.sprintf "wal.%s" "bytes", 100); (Printf.sprintf "lock.%s" "wait_ns", 2_000_000) ]
+    in
+    if !flip then List.rev l else l
+  in
+  let sample = Stmt_stats.sampler [ pool; moving ] in
+  let before = sample () in
+  hits := 5;
+  flip := true;
+  let after = sample () in
+  let d = Stmt_stats.delta ~before ~after ~seconds:0. ~rows:0 in
+  checki "pool.hits delta" 5 d.Stmt_stats.d_counters.(column "pool.hits");
+  checki "wal.bytes after the reorder" 100 after.(column "wal.bytes");
+  checki "lock.wait_ns after the reorder" 2_000_000 after.(column "lock.wait_ns");
+  checki "a counter no source reports" 0 after.(column "disk.reads")
+
 (* --- rings under concurrency: exact-count reconciliation ---------------- *)
 
 let test_ring_stress_domains () =
@@ -452,6 +484,7 @@ let () =
           Alcotest.test_case "user tables shadow SYS" `Quick test_shadowing;
           Alcotest.test_case "snapshots shadow SYS at their LSN" `Quick test_snapshot_shadowing;
           Alcotest.test_case "freeze at first touch" `Quick test_freeze_and_explain;
+          Alcotest.test_case "attribution sampler" `Quick test_attribution_sampler;
         ] );
       ( "wire",
         [

@@ -112,37 +112,26 @@ let is_sys_table t name =
   let up = String.uppercase_ascii name in
   (not (Hashtbl.mem t.tables up)) && Sysr.find t.sys up <> None
 
-let sys_field n ty = { Schema.name = n; attr = Schema.Atomic ty }
-
-let sys_nested n kind fields =
-  { Schema.name = n; attr = Schema.Table { Schema.kind; fields } }
-
-let sys_schema name fields =
-  Schema.validate { Schema.name; table = { Schema.kind = Schema.Set; fields } }
-
-let vint n = Value.Atom (Atom.Int n)
-let vstr s = Value.Atom (Atom.Str s)
-let vbool b = Value.Atom (Atom.Bool b)
-let vlist tuples = Value.Table { Value.kind = Schema.List; tuples }
+open Sysr.Build
 
 (* SYS_WAL: one row of cumulative write-ahead-log state. *)
 let sys_wal_provider t : Sysr.provider =
   let schema =
-    sys_schema "SYS_WAL"
+    relation "SYS_WAL"
       [
-        sys_field "ATTACHED" Atom.Tbool;
-        sys_field "RECORDS" Atom.Tint;
-        sys_field "BYTES" Atom.Tint;
-        sys_field "FSYNCS" Atom.Tint;
-        sys_field "FORCED_FSYNCS" Atom.Tint;
-        sys_field "GROUP_BATCHES" Atom.Tint;
-        sys_field "GROUP_TXNS" Atom.Tint;
-        sys_field "APPENDER" Atom.Tbool;
-        sys_field "BATCHES" Atom.Tint;
-        sys_field "BATCH_TXNS" Atom.Tint;
-        sys_field "BATCH_MAX" Atom.Tint;
-        sys_field "DURABLE_LSN" Atom.Tint;
-        sys_field "LAST_LSN" Atom.Tint;
+        field "ATTACHED" Atom.Tbool;
+        field "RECORDS" Atom.Tint;
+        field "BYTES" Atom.Tint;
+        field "FSYNCS" Atom.Tint;
+        field "FORCED_FSYNCS" Atom.Tint;
+        field "GROUP_BATCHES" Atom.Tint;
+        field "GROUP_TXNS" Atom.Tint;
+        field "APPENDER" Atom.Tbool;
+        field "BATCHES" Atom.Tint;
+        field "BATCH_TXNS" Atom.Tint;
+        field "BATCH_MAX" Atom.Tint;
+        field "DURABLE_LSN" Atom.Tint;
+        field "LAST_LSN" Atom.Tint;
       ]
   in
   let materialize () =
@@ -181,22 +170,22 @@ let sys_wal_provider t : Sysr.provider =
    them across rows reproduces the aggregate BP.stats exactly. *)
 let sys_pool_provider t : Sysr.provider =
   let schema =
-    sys_schema "SYS_POOL"
+    relation "SYS_POOL"
       [
-        sys_field "PART" Atom.Tint;
-        sys_field "QUOTA" Atom.Tint;
-        sys_field "RESIDENT" Atom.Tint;
-        sys_field "HITS" Atom.Tint;
-        sys_field "MISSES" Atom.Tint;
-        sys_field "EVICTIONS" Atom.Tint;
-        sys_field "LOG_CAPTURES" Atom.Tint;
-        sys_field "CONTENDED" Atom.Tint;
-        sys_nested "FRAMES" Schema.List
+        field "PART" Atom.Tint;
+        field "QUOTA" Atom.Tint;
+        field "RESIDENT" Atom.Tint;
+        field "HITS" Atom.Tint;
+        field "MISSES" Atom.Tint;
+        field "EVICTIONS" Atom.Tint;
+        field "LOG_CAPTURES" Atom.Tint;
+        field "CONTENDED" Atom.Tint;
+        nested "FRAMES" Schema.List
           [
-            sys_field "SLOT" Atom.Tint;
-            sys_field "PAGE" Atom.Tint;
-            sys_field "DIRTY" Atom.Tbool;
-            sys_field "PINS" Atom.Tint;
+            field "SLOT" Atom.Tint;
+            field "PAGE" Atom.Tint;
+            field "DIRTY" Atom.Tbool;
+            field "PINS" Atom.Tint;
           ];
       ]
   in
@@ -228,17 +217,17 @@ let sys_pool_provider t : Sysr.provider =
    A version is PINNED when some pinned snapshot LSN resolves to it. *)
 let sys_mvcc_provider t : Sysr.provider =
   let schema =
-    sys_schema "SYS_MVCC"
+    relation "SYS_MVCC"
       [
-        sys_field "TBL" Atom.Tstring;
-        sys_field "TRIMMED" Atom.Tbool;
-        sys_field "NVERSIONS" Atom.Tint;
-        sys_nested "CHAIN" Schema.List
+        field "TBL" Atom.Tstring;
+        field "TRIMMED" Atom.Tbool;
+        field "NVERSIONS" Atom.Tint;
+        nested "CHAIN" Schema.List
           [
-            sys_field "LSN" Atom.Tint;
-            sys_field "BYTES" Atom.Tint;
-            sys_field "LIVE" Atom.Tbool;
-            sys_field "PINNED" Atom.Tbool;
+            field "LSN" Atom.Tint;
+            field "BYTES" Atom.Tint;
+            field "LIVE" Atom.Tbool;
+            field "PINNED" Atom.Tbool;
           ];
       ]
   in
@@ -274,7 +263,7 @@ let sys_mvcc_provider t : Sysr.provider =
    their top-level arity.  [\sys] in the shell is just a query here. *)
 let sys_tables_provider t : Sysr.provider =
   let schema =
-    sys_schema "SYS_TABLES" [ sys_field "NAME" Atom.Tstring; sys_field "COLS" Atom.Tint ]
+    relation "SYS_TABLES" [ field "NAME" Atom.Tstring; field "COLS" Atom.Tint ]
   in
   let materialize () =
     List.filter_map

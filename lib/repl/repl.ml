@@ -548,43 +548,24 @@ end
    same freeze-at-first-touch contract as every other SYS provider, so
    joining it against SYS_WAL sees one consistent cut. *)
 let sys_replication_provider (p : Primary.t) : Nf2_sys.Registry.provider =
-  let module Schema = Nf2_model.Schema in
+  let open Nf2_sys.Registry.Build in
   let module Atom = Nf2_model.Atom in
-  let module Value = Nf2_model.Value in
-  let field n ty = { Schema.name = n; attr = Schema.Atomic ty } in
-  let vint n = Value.Atom (Atom.Int n) and vbool b = Value.Atom (Atom.Bool b) in
   let schema =
-    Schema.validate
-      {
-        Schema.name = "SYS_REPLICATION";
-        table =
-          {
-            Schema.kind = Schema.Set;
-            fields =
-              [
-                field "RID" Atom.Tint;
-                field "CONNECTED" Atom.Tbool;
-                field "BATCHES" Atom.Tint;
-                field "BYTES" Atom.Tint;
-                {
-                  Schema.name = "PROGRESS";
-                  attr =
-                    Schema.Table
-                      {
-                        Schema.kind = Schema.List;
-                        fields =
-                          [
-                            field "START_LSN" Atom.Tint;
-                            field "SHIPPED_LSN" Atom.Tint;
-                            field "APPLIED_LSN" Atom.Tint;
-                            field "DURABLE_LSN" Atom.Tint;
-                            field "LAG" Atom.Tint;
-                          ];
-                      };
-                };
-              ];
-          };
-      }
+    relation "SYS_REPLICATION"
+      [
+        field "RID" Atom.Tint;
+        field "CONNECTED" Atom.Tbool;
+        field "BATCHES" Atom.Tint;
+        field "BYTES" Atom.Tint;
+        nested "PROGRESS" Nf2_model.Schema.List
+          [
+            field "START_LSN" Atom.Tint;
+            field "SHIPPED_LSN" Atom.Tint;
+            field "APPLIED_LSN" Atom.Tint;
+            field "DURABLE_LSN" Atom.Tint;
+            field "LAG" Atom.Tint;
+          ];
+      ]
   in
   let materialize () =
     let durable = Wal.durable_lsn p.Primary.wal in
@@ -595,20 +576,16 @@ let sys_replication_provider (p : Primary.t) : Nf2_sys.Registry.provider =
           vbool r.Primary.connected;
           vint r.Primary.batches;
           vint r.Primary.bytes;
-          Value.Table
-            {
-              Value.kind = Schema.List;
-              tuples =
-                [
-                  [
-                    vint r.Primary.start_lsn;
-                    vint r.Primary.shipped_lsn;
-                    vint r.Primary.applied_lsn;
-                    vint durable;
-                    vint (max 0 (durable - r.Primary.applied_lsn));
-                  ];
-                ];
-            };
+          vlist
+            [
+              [
+                vint r.Primary.start_lsn;
+                vint r.Primary.shipped_lsn;
+                vint r.Primary.applied_lsn;
+                vint durable;
+                vint (max 0 (durable - r.Primary.applied_lsn));
+              ];
+            ];
         ])
       (Primary.replicas p)
   in

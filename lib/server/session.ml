@@ -20,16 +20,17 @@
      inside} an explicit transaction, which must see the transaction's
      own uncommitted writes and therefore bypass the snapshot path;
    - at most one *engine* transaction is open at a time (the engine has
-     a single transaction state); BEGIN and autocommitted mutations
-     acquire this "transaction slot" first, so a transaction's
-     uncommitted pages can never leak into another session's
-     transaction;
-   - every wait — slot or lock — carries a deadline; when it passes the
-     request fails with a lock-timeout error instead of hanging, and a
-     wait that would close a waits-for cycle fails immediately with a
-     deadlock error.  A timeout or deadlock inside an explicit
-     transaction aborts that transaction (the lock table's two-phase
-     release drops everything at once);
+     a single transaction state).  This "transaction slot" is itself a
+     predicate lock: BEGIN takes an Exclusive lock on a reserved
+     predicate before any table lock, so a transaction's uncommitted
+     pages can never leak into another session's transaction.
+     Autocommitted mutations run through the same BEGIN and COMMIT;
+   - every wait is one lock-table wait: it sleeps until a release
+     wakes it, and carries a deadline; when that passes the request
+     fails with a lock-timeout error instead of hanging, and a wait
+     that would close a waits-for cycle fails immediately with a
+     deadlock error.  A timeout or deadlock inside a transaction aborts
+     it (the lock table's two-phase release drops everything at once);
    - commits append their WAL commit record under the engine mutex but
      fsync *outside* it via {!Nf2_storage.Wal.sync_to}, which is what
      lets concurrent committers share one fsync (group commit). *)
@@ -73,10 +74,10 @@ type manager = {
   db : Db.t;
   engine : Rwlock.t; (* readers share the engine; writers hold it alone *)
   executor : Executor.t option; (* worker domains for parallel read evaluation *)
-  mu : Mutex.t; (* guards the lock table and the transaction slot *)
+  mu : Mutex.t; (* guards the lock table *)
   locks : PL.t;
-  mutable txn_owner : int option; (* session id holding the engine txn slot *)
-  lock_timeout : float; (* seconds a lock / slot wait may last *)
+  released : Timed_cond.t; (* broadcast under [mu] by every lock release *)
+  lock_timeout : float; (* seconds a lock wait may last *)
   group_commit : bool;
   metrics : Metrics.t;
   mutable slow_query : float option; (* trace statements; log those slower than this *)
@@ -201,10 +202,6 @@ let normalize_stmt (stmt : Ast.stmt) : string =
   in
   Ast.stmt_to_string stmt
 
-let with_lock mu f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
 (* --- SYS providers (server tier) ---------------------------------------
 
    The session layer's half of the SYS schema: sessions, cumulative
@@ -217,39 +214,32 @@ let with_lock mu f =
 
 let version = "0.9"
 
-let sf n ty = { Schema.name = n; attr = Schema.Atomic ty }
-
-let snest n kind fields = { Schema.name = n; attr = Schema.Table { Schema.kind; fields } }
-
-let sys_schema name fields =
-  Schema.validate { Schema.name; table = { Schema.kind = Schema.Set; fields } }
-
-let vint n = Value.Atom (Atom.Int n)
-let vstr s = Value.Atom (Atom.Str s)
-let vbool b = Value.Atom (Atom.Bool b)
-let vfloat f = Value.Atom (Atom.Float f)
-let vset tuples = Value.Table { Value.kind = Schema.Set; tuples }
-let vlist tuples = Value.Table { Value.kind = Schema.List; tuples }
+open Sysr.Build
 
 (* SYS_SESSIONS: open sessions with their recent-statement rings.  TXN
    is the predicate-lock transaction id (-1 outside a transaction) —
    the join key against SYS_LOCKS. *)
 let sys_sessions_provider (mgr : manager) : Sysr.provider =
   let schema =
-    sys_schema "SYS_SESSIONS"
+    relation "SYS_SESSIONS"
       [
-        sf "SID" Atom.Tint;
-        sf "IN_TXN" Atom.Tbool;
-        sf "TXN" Atom.Tint;
-        sf "NSTMTS" Atom.Tint;
-        sf "AGE_S" Atom.Tfloat;
-        snest "STMTS" Schema.List
-          [ sf "SEQ" Atom.Tint; sf "STMT" Atom.Tstring; sf "MS" Atom.Tfloat; sf "STATUS" Atom.Tstring ];
+        field "SID" Atom.Tint;
+        field "IN_TXN" Atom.Tbool;
+        field "TXN" Atom.Tint;
+        field "NSTMTS" Atom.Tint;
+        field "AGE_S" Atom.Tfloat;
+        nested "STMTS" Schema.List
+          [
+            field "SEQ" Atom.Tint;
+            field "STMT" Atom.Tstring;
+            field "MS" Atom.Tfloat;
+            field "STATUS" Atom.Tstring;
+          ];
       ]
   in
   let materialize () =
     let now = Unix.gettimeofday () in
-    with_lock mgr.smu (fun () ->
+    Mutex.protect mgr.smu (fun () ->
         Hashtbl.fold (fun _ sess acc -> sess :: acc) mgr.sessions []
         |> List.sort (fun a b -> compare a.sid b.sid)
         |> List.map (fun sess ->
@@ -274,19 +264,19 @@ let sys_sessions_provider (mgr : manager) : Sysr.provider =
    in the NF² idiom).  Times in milliseconds. *)
 let sys_statements_provider (mgr : manager) : Sysr.provider =
   let schema =
-    sys_schema "SYS_STATEMENTS"
+    relation "SYS_STATEMENTS"
       ([
-         sf "SHAPE" Atom.Tstring;
-         sf "CALLS" Atom.Tint;
-         sf "ROWS_OUT" Atom.Tint;
-         sf "TOTAL_MS" Atom.Tfloat;
-         sf "MIN_MS" Atom.Tfloat;
-         sf "MAX_MS" Atom.Tfloat;
-         sf "P95_MS" Atom.Tfloat;
+         field "SHAPE" Atom.Tstring;
+         field "CALLS" Atom.Tint;
+         field "ROWS_OUT" Atom.Tint;
+         field "TOTAL_MS" Atom.Tfloat;
+         field "MIN_MS" Atom.Tfloat;
+         field "MAX_MS" Atom.Tfloat;
+         field "P95_MS" Atom.Tfloat;
        ]
       @ List.map
           (fun (_, column, scale) ->
-            sf column (match scale with Stmt_stats.Count -> Atom.Tint | Ms_of_ns -> Atom.Tfloat))
+            field column (match scale with Stmt_stats.Count -> Atom.Tint | Ms_of_ns -> Atom.Tfloat))
           Stmt_stats.attributed)
   in
   let cell (_, _, scale) v =
@@ -315,19 +305,19 @@ let sys_statements_provider (mgr : manager) : Sysr.provider =
    genuinely conflict (mode and predicate). *)
 let sys_locks_provider (mgr : manager) : Sysr.provider =
   let schema =
-    sys_schema "SYS_LOCKS"
+    relation "SYS_LOCKS"
       [
-        sf "TXN" Atom.Tint;
-        sf "MODE" Atom.Tstring;
-        sf "PREDICATE" Atom.Tstring;
-        sf "NWAITERS" Atom.Tint;
-        snest "WAITERS" Schema.Set
-          [ sf "WTXN" Atom.Tint; sf "WMODE" Atom.Tstring; sf "WPREDICATE" Atom.Tstring ];
+        field "TXN" Atom.Tint;
+        field "MODE" Atom.Tstring;
+        field "PREDICATE" Atom.Tstring;
+        field "NWAITERS" Atom.Tint;
+        nested "WAITERS" Schema.Set
+          [ field "WTXN" Atom.Tint; field "WMODE" Atom.Tstring; field "WPREDICATE" Atom.Tstring ];
       ]
   in
   let materialize () =
     let granted, waiters, waits_for =
-      with_lock mgr.mu (fun () -> PL.dump mgr.locks)
+      Mutex.protect mgr.mu (fun () -> PL.dump mgr.locks)
     in
     List.map
       (fun (owner, mode, predicate) ->
@@ -394,11 +384,11 @@ let server_gauges (mgr : manager) () =
    the view matches what a scrape at the same moment would serve. *)
 let sys_metrics_provider (mgr : manager) : Sysr.provider =
   let schema =
-    sys_schema "SYS_METRICS"
+    relation "SYS_METRICS"
       [
-        sf "NAME" Atom.Tstring;
-        sf "VALUE" Atom.Tfloat;
-        snest "BUCKETS" Schema.List [ sf "LE" Atom.Tfloat; sf "CNT" Atom.Tint ];
+        field "NAME" Atom.Tstring;
+        field "VALUE" Atom.Tfloat;
+        nested "BUCKETS" Schema.List [ field "LE" Atom.Tfloat; field "CNT" Atom.Tint ];
       ]
   in
   let materialize () =
@@ -421,20 +411,20 @@ let sys_metrics_provider (mgr : manager) : Sysr.provider =
    trees flattened to depth-annotated LIST rows (pre-order). *)
 let sys_traces_provider (mgr : manager) : Sysr.provider =
   let schema =
-    sys_schema "SYS_TRACES"
+    relation "SYS_TRACES"
       [
-        sf "SEQ" Atom.Tint;
-        sf "SID" Atom.Tint;
-        sf "STMT" Atom.Tstring;
-        sf "MS" Atom.Tfloat;
-        sf "STATUS" Atom.Tstring;
-        snest "SPANS" Schema.List
+        field "SEQ" Atom.Tint;
+        field "SID" Atom.Tint;
+        field "STMT" Atom.Tstring;
+        field "MS" Atom.Tfloat;
+        field "STATUS" Atom.Tstring;
+        nested "SPANS" Schema.List
           [
-            sf "DEPTH" Atom.Tint;
-            sf "LABEL" Atom.Tstring;
-            sf "SROWS" Atom.Tint;
-            sf "CALLS" Atom.Tint;
-            sf "US" Atom.Tint;
+            field "DEPTH" Atom.Tint;
+            field "LABEL" Atom.Tstring;
+            field "SROWS" Atom.Tint;
+            field "CALLS" Atom.Tint;
+            field "US" Atom.Tint;
           ];
       ]
   in
@@ -485,7 +475,7 @@ let create_manager ?(lock_timeout = 2.0) ?(group_commit = true) ?(group_window =
          enabled: commits enqueue, one thread fsyncs per batch *)
       if group_commit && wal_appender then Wal.set_async_appender w true
   | None -> ());
-  let engine = Rwlock.create () and locks = PL.create () in
+  let engine = Rwlock.create () and locks = PL.create () and mu = Mutex.create () in
   let attributed =
     [
       (fun () -> BP.counters (Db.pool db));
@@ -504,9 +494,9 @@ let create_manager ?(lock_timeout = 2.0) ?(group_commit = true) ?(group_window =
       db;
       engine;
       executor;
-      mu = Mutex.create ();
+      mu;
       locks;
-      txn_owner = None;
+      released = Timed_cond.create mu;
       lock_timeout;
       group_commit;
       metrics;
@@ -558,7 +548,7 @@ let open_session (mgr : manager) ~(sid : int) : session =
       recent = [];
     }
   in
-  with_lock mgr.smu (fun () -> Hashtbl.replace mgr.sessions sid sess);
+  Mutex.protect mgr.smu (fun () -> Hashtbl.replace mgr.sessions sid sess);
   sess
 
 (* --- which tables does a statement touch? ------------------------------
@@ -593,50 +583,54 @@ let lock_specs (mgr : manager) (stmt : Ast.stmt) : (PL.mode * string) list =
   in
   List.map (fun t -> (PL.Exclusive, t)) writes @ List.map (fun t -> (PL.Shared, t)) reads
 
-(* --- waiting with deadlines -------------------------------------------- *)
+(* --- waiting with deadlines --------------------------------------------
 
-let poll_interval = 0.002
+   The engine has one transaction state, so at most one engine
+   transaction may be open.  That slot is an Exclusive lock on a
+   predicate no table name can spell (identifiers are letters, digits
+   and underscores), taken by BEGIN before any table lock and dropped
+   by the same two-phase release as the table locks.  Every wait, for
+   the slot or for a table, is therefore one lock-table wait with one
+   deadline, one error path and one counter set. *)
 
-(* Acquire every (mode, table) spec for [ltxn], waiting at most until
-   the shared deadline.  On deadlock or timeout the caller's cleanup
-   releases whatever was granted (two-phase release). *)
-let acquire_locks (mgr : manager) (ltxn : PL.txn) (specs : (PL.mode * string) list)
-    ~(deadline : float) =
+let txn_slot = "#TXN_SLOT"
+
+(* Acquire every (mode, table) spec for [ltxn], waiting at most
+   [mgr.lock_timeout].  A blocked request sleeps on [mgr.released],
+   which every release and the deadline timer broadcast, then asks
+   again.  On deadlock or timeout the caller's cleanup releases
+   whatever was granted and the request still queued (two-phase
+   release). *)
+let acquire_locks (mgr : manager) (ltxn : PL.txn) (specs : (PL.mode * string) list) =
+  let deadline = Unix.gettimeofday () +. mgr.lock_timeout in
   let acquire_one (mode, table) =
     (* blocked time is charged to the lock table's stats, where the
-       per-statement trace picks it up as a wait_ns delta *)
-    let first_block = ref None in
-    let settle_wait () =
-      match !first_block with
-      | Some t0 ->
-          PL.add_wait_ns mgr.locks (Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9))
-      | None -> ()
-    in
-    let rec loop first =
-      let outcome =
-        with_lock mgr.mu (fun () -> PL.acquire mgr.locks ltxn mode (PL.whole_table table))
+       per-statement attribution picks it up as a wait_ns delta *)
+    let rec loop blocked_since =
+      let settle () =
+        Option.iter
+          (fun t0 -> PL.add_wait_ns mgr.locks (Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9)))
+          blocked_since
       in
-      match outcome with
-      | PL.Granted -> settle_wait ()
+      match PL.acquire mgr.locks ltxn mode (PL.whole_table table) with
+      | PL.Granted -> settle ()
       | PL.Deadlock _ ->
-          settle_wait ();
+          settle ();
           refused P.err_deadlock "deadlock detected acquiring %s lock on %s" (PL.mode_name mode)
             table
       | PL.Blocked _ ->
-          if first then begin
-            Metrics.incr mgr.metrics "lock_waits";
-            first_block := Some (Unix.gettimeofday ())
-          end;
-          if Unix.gettimeofday () > deadline then begin
-            settle_wait ();
+          let now = Unix.gettimeofday () in
+          if blocked_since = None then Metrics.incr mgr.metrics "lock_waits";
+          if now >= deadline then begin
+            settle ();
             Metrics.incr mgr.metrics "lock_timeouts";
             refused P.err_lock_timeout "lock wait on %s timed out after %.1fs" table
               mgr.lock_timeout
           end;
-          Thread.delay poll_interval;
-          loop false
+          Timed_cond.wait mgr.released ~deadline;
+          loop (Some (Option.value blocked_since ~default:now))
     in
-    loop true
+    Mutex.protect mgr.mu (fun () -> loop None)
   in
   (* exclusive first: a writer that would time out should fail before
      collecting shared locks it would only have to give back *)
@@ -645,39 +639,10 @@ let acquire_locks (mgr : manager) (ltxn : PL.txn) (specs : (PL.mode * string) li
   in
   List.iter acquire_one ordered
 
-(* The engine-transaction slot: at most one open engine transaction. *)
-let acquire_slot (sess : session) ~(deadline : float) =
-  let mgr = sess.mgr in
-  let rec loop first =
-    let got =
-      with_lock mgr.mu (fun () ->
-          match mgr.txn_owner with
-          | None ->
-              mgr.txn_owner <- Some sess.sid;
-              true
-          | Some owner -> owner = sess.sid)
-    in
-    if not got then begin
-      if first then Metrics.incr mgr.metrics "txn_slot_waits";
-      if Unix.gettimeofday () > deadline then begin
-        Metrics.incr mgr.metrics "lock_timeouts";
-        refused P.err_lock_timeout "transaction slot wait timed out after %.1fs" mgr.lock_timeout
-      end;
-      Thread.delay poll_interval;
-      loop false
-    end
-  in
-  loop true
-
-let release_slot (sess : session) =
-  let mgr = sess.mgr in
-  with_lock mgr.mu (fun () ->
-      match mgr.txn_owner with Some owner when owner = sess.sid -> mgr.txn_owner <- None | _ -> ())
-
 let release_locks (mgr : manager) (ltxn : PL.txn) =
-  with_lock mgr.mu (fun () -> PL.release_all mgr.locks ltxn)
-
-let fresh_ltxn (mgr : manager) : PL.txn = with_lock mgr.mu (fun () -> PL.begin_txn mgr.locks)
+  Mutex.protect mgr.mu (fun () ->
+      PL.release_all mgr.locks ltxn;
+      Timed_cond.broadcast mgr.released)
 
 (* --- engine access ------------------------------------------------------
 
@@ -697,58 +662,58 @@ let with_engine_read (mgr : manager) f =
   Rwlock.with_read mgr.engine (fun () ->
       match mgr.executor with Some ex -> Executor.run ex f | None -> f ())
 
-(* After a commit released the engine latch, make it durable — sharing
-   the fsync with concurrent committers when group commit is on (with
-   it off, Wal.commit already flushed under the latch). *)
-let sync_commit (mgr : manager) (lsn : Wal.lsn option) =
-  match (Db.wal mgr.db, lsn) with
-  | Some w, Some lsn when mgr.group_commit -> Wal.sync_to w lsn
-  | _ -> ()
-
 (* --- transaction control ------------------------------------------------ *)
 
 let do_begin (sess : session) : Db.result =
+  let mgr = sess.mgr in
   (* an explicit transaction would hold the engine's single transaction
      slot open, stalling the replication applier between batches *)
-  if sess.mgr.read_only then
+  if mgr.read_only then
     refused P.err_read_only "read-only replica: explicit transactions are refused";
   if sess.in_txn then refused P.err_txn_state "transaction already open";
-  let deadline = Unix.gettimeofday () +. sess.mgr.lock_timeout in
-  acquire_slot sess ~deadline;
-  match with_engine sess.mgr (fun () -> Db.begin_txn sess.mgr.db) with
+  let ltxn = Mutex.protect mgr.mu (fun () -> PL.begin_txn mgr.locks) in
+  match
+    acquire_locks mgr ltxn [ (PL.Exclusive, txn_slot) ];
+    with_engine mgr (fun () -> Db.begin_txn mgr.db)
+  with
   | () ->
-      sess.ltxn <- Some (fresh_ltxn sess.mgr);
+      sess.ltxn <- Some ltxn;
       sess.in_txn <- true;
       Db.Msg "transaction started"
   | exception e ->
-      release_slot sess;
+      release_locks mgr ltxn;
       raise e
 
-(* End the explicit transaction's lock scope (two-phase release). *)
+(* End the transaction's lock scope: the two-phase release frees its
+   table locks and the slot at once. *)
 let end_txn_scope (sess : session) =
-  (match sess.ltxn with Some l -> release_locks sess.mgr l | None -> ());
+  Option.iter (release_locks sess.mgr) sess.ltxn;
   sess.ltxn <- None;
-  sess.in_txn <- false;
-  release_slot sess
+  sess.in_txn <- false
 
 let do_commit (sess : session) : Db.result =
+  let mgr = sess.mgr in
   if not sess.in_txn then refused P.err_txn_state "COMMIT without BEGIN";
   (* Early lock release: once the commit record is appended (inside
      Db.commit, under the engine mutex) the engine transaction is over,
-     so locks and the slot go back before the durability wait.  This is
-     what lets concurrent committers pile into one fsync — and it is
-     safe because the log is flushed in prefix order: no later
-     transaction can become durable before this one. *)
+     so its locks, the slot among them, go back before the durability
+     wait.  This is what lets concurrent committers pile into one fsync
+     — and it is safe because the log is flushed in prefix order: no
+     later transaction can become durable before this one. *)
   let lsn =
     Fun.protect
       ~finally:(fun () -> end_txn_scope sess)
       (fun () ->
-        with_engine sess.mgr (fun () ->
-            Db.commit sess.mgr.db;
-            Option.map Wal.last_lsn (Db.wal sess.mgr.db)))
+        with_engine mgr (fun () ->
+            Db.commit mgr.db;
+            Option.map Wal.last_lsn (Db.wal mgr.db)))
   in
-  sync_commit sess.mgr lsn;
-  Metrics.incr sess.mgr.metrics "txns_committed";
+  (* the durability wait, shared with concurrent committers under group
+     commit (without it, Wal.commit already flushed under the latch) *)
+  (match (Db.wal mgr.db, lsn) with
+  | Some w, Some lsn when mgr.group_commit -> Wal.sync_to w lsn
+  | _ -> ());
+  Metrics.incr mgr.metrics "txns_committed";
   Db.Msg "committed"
 
 let do_rollback (sess : session) : Db.result =
@@ -760,9 +725,9 @@ let do_rollback (sess : session) : Db.result =
       Metrics.incr sess.mgr.metrics "txns_rolled_back";
       Db.Msg "rolled back")
 
-(* Abort the explicit transaction after a failure inside it (lock
-   timeout, deadlock, or an engine error mid-transaction would leave
-   partially applied work). *)
+(* Abort the transaction after a failure inside it (lock timeout,
+   deadlock, or an engine error mid-transaction would leave partially
+   applied work). *)
 let abort_txn (sess : session) =
   if sess.in_txn then begin
     (try with_engine sess.mgr (fun () -> Db.rollback sess.mgr.db) with _ -> ());
@@ -790,12 +755,11 @@ let count_stmt_metric (mgr : manager) (stmt : Ast.stmt) =
    so evaluation below runs with [rewrite:false] and classification
    happens on the normalised form.
 
-   In an explicit transaction: locks accumulate on the session's lock
+   In a transaction: locks accumulate on the session's lock
    transaction and are held until COMMIT/ROLLBACK; a failure aborts the
-   transaction.  Outside one: a mutating statement becomes its own
-   engine transaction (slot + X locks + exclusive latch, commit with
-   group fsync); a read takes statement-duration S locks and runs
-   under the shared latch on a worker domain. *)
+   transaction.  Outside one: a mutating statement is its own
+   transaction, run through the same BEGIN and COMMIT as an explicit
+   one; a read runs lock-free on an MVCC snapshot. *)
 let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
   let mgr = sess.mgr in
   count_stmt_metric mgr stmt;
@@ -810,15 +774,13 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
           "read-only replica: mutating statements are refused (promote to accept writes)"
       end;
       let exec () = Db.exec_stmt ?trace ~rewrite:false mgr.db stmt in
-      let deadline = Unix.gettimeofday () +. mgr.lock_timeout in
-      if sess.in_txn then begin
-        let ltxn = Option.get sess.ltxn in
-        (* reads inside an explicit transaction may still share the
-           latch: predicate locks keep other sessions off this
-           transaction's written tables, and a read mutates nothing *)
+      let in_txn () =
+        (* reads inside a transaction may still share the latch:
+           predicate locks keep other sessions off this transaction's
+           written tables, and a read mutates nothing *)
         let with_eng = if Ast.mutates stmt then with_engine mgr else with_engine_read mgr in
         match
-          acquire_locks mgr ltxn (lock_specs mgr stmt) ~deadline;
+          acquire_locks mgr (Option.get sess.ltxn) (lock_specs mgr stmt);
           with_eng exec
         with
         | r -> r
@@ -829,35 +791,12 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
             | Refused (code, m) ->
                 raise (Refused (code, m ^ " (transaction rolled back)"))
             | e -> raise e)
-      end
+      in
+      if sess.in_txn then in_txn ()
       else if Ast.mutates stmt then begin
-        (* autocommit: the statement is its own engine transaction *)
-        acquire_slot sess ~deadline;
-        let ltxn = fresh_ltxn mgr in
-        let cleanup () =
-          release_locks mgr ltxn;
-          release_slot sess
-        in
-        (* locks and slot released as soon as the commit record is
-           appended (see do_commit: prefix-ordered durability makes the
-           early release safe), so the fsync waits below can overlap
-           across sessions and share one flush *)
-        let r, lsn =
-          Fun.protect ~finally:cleanup (fun () ->
-              acquire_locks mgr ltxn (lock_specs mgr stmt) ~deadline;
-              with_engine mgr (fun () ->
-                  Db.begin_txn mgr.db;
-                  match exec () with
-                  | r ->
-                      Db.commit mgr.db;
-                      (r, Option.map Wal.last_lsn (Db.wal mgr.db))
-                  | exception (Nf2_storage.Disk.Crash _ as e) -> raise e
-                  | exception e ->
-                      (try Db.rollback mgr.db with _ -> ());
-                      raise e))
-        in
-        sync_commit mgr lsn;
-        Metrics.incr mgr.metrics "txns_committed";
+        ignore (do_begin sess);
+        let r = in_txn () in
+        ignore (do_commit sess);
         r
       end
       else if (match stmt with Ast.Explain _ -> true | _ -> false) then
@@ -887,7 +826,7 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
 let record_statement (sess : session) (stmt : Ast.stmt) (delta : Stmt_stats.delta) ~status : unit =
   let mgr = sess.mgr in
   Stmt_stats.record mgr.stmt_stats ~shape:(normalize_stmt stmt) delta;
-  with_lock mgr.smu (fun () ->
+  Mutex.protect mgr.smu (fun () ->
       sess.stmts_run <- sess.stmts_run + 1;
       let r =
         {
@@ -942,27 +881,21 @@ let run_stmt_observed (sess : session) (stmt : Ast.stmt) : Db.result =
   let mgr = sess.mgr in
   let before = mgr.attribution () in
   let t0 = Unix.gettimeofday () in
-  let record ~rows ~status =
+  let traced =
+    Option.map
+      (fun threshold ->
+        let tr = Db.new_trace ~label:(Ast.stmt_to_string stmt) mgr.db in
+        Trace.add_source tr (fun () -> PL.counters mgr.locks);
+        (tr, threshold))
+      mgr.slow_query
+  in
+  let finish ~rows ~status =
     let seconds = Unix.gettimeofday () -. t0 in
     let after = mgr.attribution () in
-    record_statement sess stmt (Stmt_stats.delta ~before ~after ~seconds ~rows) ~status
-  in
-  match mgr.slow_query with
-  | None -> (
-      match run_stmt sess stmt with
-      | r ->
-          let rows = match r with Db.Rows rel -> Rel.cardinality rel | Db.Msg _ -> 0 in
-          record ~rows ~status:"ok";
-          r
-      | exception e ->
-          record ~rows:0 ~status:"error";
-          raise e)
-  | Some threshold -> (
-      let tr = Db.new_trace ~label:(Ast.stmt_to_string stmt) mgr.db in
-      Trace.add_source tr (fun () -> PL.counters mgr.locks);
-      let root = Trace.root tr in
-      let report status =
-        let elapsed = Trace.elapsed_s root in
+    record_statement sess stmt (Stmt_stats.delta ~before ~after ~seconds ~rows) ~status;
+    match traced with
+    | Some (tr, threshold) ->
+        let elapsed = Trace.elapsed_s (Trace.root tr) in
         if elapsed >= threshold then begin
           Metrics.incr mgr.metrics "slow_queries";
           Trace_ring.add mgr.traces ~sid:sess.sid ~stmt:(Ast.stmt_to_string stmt)
@@ -972,18 +905,20 @@ let run_stmt_observed (sess : session) (stmt : Ast.stmt) : Db.result =
                (elapsed *. 1e3) sess.sid status (Ast.stmt_to_string stmt)
                (Trace.render_compact tr))
         end
-      in
-      match Trace.timed tr root (fun () -> run_stmt ~trace:tr sess stmt) with
-      | r ->
-          (match r with Db.Rows rel -> Trace.add_rows root (Rel.cardinality rel) | Db.Msg _ -> ());
-          let rows = match r with Db.Rows rel -> Rel.cardinality rel | Db.Msg _ -> 0 in
-          record ~rows ~status:"ok";
-          report "ok";
-          r
-      | exception e ->
-          record ~rows:0 ~status:"error";
-          report "error";
-          raise e)
+    | None -> ()
+  in
+  let run () = run_stmt ?trace:(Option.map fst traced) sess stmt in
+  match
+    match traced with Some (tr, _) -> Trace.timed tr (Trace.root tr) run | None -> run ()
+  with
+  | r ->
+      let rows = match r with Db.Rows rel -> Rel.cardinality rel | Db.Msg _ -> 0 in
+      Option.iter (fun (tr, _) -> Trace.add_rows (Trace.root tr) rows) traced;
+      finish ~rows ~status:"ok";
+      r
+  | exception e ->
+      finish ~rows:0 ~status:"error";
+      raise e
 
 (* --- results and errors on the wire ------------------------------------- *)
 
@@ -1148,8 +1083,8 @@ let handle (sess : session) (req : P.request) : P.response =
               response_of_result (run_stmt_observed sess (Params.bind_stmt p.pstmt params)))
 
 (* Close a session: roll back an in-flight transaction, drop its locks
-   and slot, forget its prepared statements. *)
+   (the slot among them), forget its prepared statements. *)
 let close_session (sess : session) =
   abort_txn sess;
-  with_lock sess.mgr.smu (fun () -> Hashtbl.remove sess.mgr.sessions sess.sid);
+  Mutex.protect sess.mgr.smu (fun () -> Hashtbl.remove sess.mgr.sessions sess.sid);
   Hashtbl.reset sess.prepared

@@ -1,17 +1,19 @@
 (** Session manager: maps wire-protocol requests onto the engine.
 
     Statements are classified (after Rewrite) as read-only or
-    mutating.  Reads run concurrently under the shared side of a
+    mutating.  Reads in a transaction run under the shared side of a
     reader-writer engine latch — and in parallel, on the server's
     worker-domain executor — while mutations, DDL and the replication
     applier hold the exclusive side and see the engine strictly
-    alone.  Cross-session isolation comes from predicate locks (2PL
-    for explicit transactions, statement-duration shared locks for
-    reads, writer-fair), plus a single engine transaction slot, and
-    deadline-bounded waits that fail with lock-timeout / deadlock
-    errors instead of hanging.  Commit fsyncs run outside the engine
-    latch so concurrent committers batch into one fsync when group
-    commit is enabled.  See docs/CONCURRENCY.md. *)
+    alone.  Plain reads run lock-free on an MVCC snapshot.
+    Cross-session isolation comes from predicate locks (2PL for
+    transactions, writer-fair); the single engine transaction slot is
+    one more such lock, taken by BEGIN and by autocommitted mutations.
+    Every wait sleeps until a release wakes it and carries a deadline,
+    failing with lock-timeout / deadlock errors instead of hanging.
+    Commit fsyncs run outside the engine latch so concurrent
+    committers batch into one fsync when group commit is enabled.
+    See docs/CONCURRENCY.md. *)
 
 (** A request refusal carrying a SQLSTATE-style code from {!Protocol}
     and a message; {!handle} converts it to [Protocol.Error]. *)
@@ -19,7 +21,8 @@ exception Refused of string * string
 
 type manager
 (** Shared server-side state: the database, engine latch, executor,
-    lock table, transaction slot, and metrics registry. *)
+    lock table (which holds the transaction slot), and metrics
+    registry. *)
 
 type session
 (** Per-connection state: transaction flags, held locks, prepared
@@ -27,7 +30,7 @@ type session
 
 (** Creates the shared state over [db], attaching a WAL if the database
     has none and configuring group commit on it.  [lock_timeout]
-    (default 2s) bounds every lock and transaction-slot wait;
+    (default 2s) bounds every lock wait, the transaction slot's too;
     [group_window] (default 2ms) is how long a group-commit leader
     lingers for followers before fsyncing; [wal_appender] (default on,
     effective with [group_commit]) drains commits through the async
@@ -128,8 +131,8 @@ val note_statement :
 val run_protected :
   manager -> string -> string -> (unit -> Protocol.response) -> Protocol.response
 
-(** Rolls back an in-flight transaction, releases locks and the
-    transaction slot, and drops prepared statements. *)
+(** Rolls back an in-flight transaction, releases its locks (the
+    transaction slot among them), and drops prepared statements. *)
 val close_session : session -> unit
 
 (** The metrics report served for [\metrics]: registry contents (with

@@ -669,37 +669,19 @@ let shard_counters t () =
       (Array.to_list t.pools)
 
 let sys_shards_provider t : Sysr.provider =
-  let sf n ty = { Schema.name = n; attr = Schema.Atomic ty } in
+  let open Sysr.Build in
   let schema =
-    Schema.validate
-      {
-        Schema.name = "SYS_SHARDS";
-        table =
-          {
-            Schema.kind = Schema.Set;
-            fields =
-              [
-                sf "SHARD" Atom.Tint;
-                sf "ADDR" Atom.Tstring;
-                sf "STATE" Atom.Tstring;
-                sf "MAPV" Atom.Tint;
-                sf "LAG" Atom.Tint;
-                sf "LAST_ERROR" Atom.Tstring;
-                {
-                  Schema.name = "COUNTS";
-                  attr =
-                    Schema.Table
-                      {
-                        Schema.kind = Schema.Set;
-                        fields = [ sf "KIND" Atom.Tstring; sf "N" Atom.Tint ];
-                      };
-                };
-              ];
-          };
-      }
+    relation "SYS_SHARDS"
+      [
+        field "SHARD" Atom.Tint;
+        field "ADDR" Atom.Tstring;
+        field "STATE" Atom.Tstring;
+        field "MAPV" Atom.Tint;
+        field "LAG" Atom.Tint;
+        field "LAST_ERROR" Atom.Tstring;
+        nested "COUNTS" Schema.Set [ field "KIND" Atom.Tstring; field "N" Atom.Tint ];
+      ]
   in
-  let vint n = Value.Atom (Atom.Int n) in
-  let vstr s = Value.Atom (Atom.Str s) in
   let materialize () =
     Array.to_list
       (Array.map
@@ -725,7 +707,7 @@ let sys_shards_provider t : Sysr.provider =
              vint (Shard_map.version t.map);
              vint lag;
              vstr (Pool.last_error p);
-             Value.Table { Value.kind = Schema.Set; tuples = counts };
+             vset counts;
            ])
          t.pools)
   in

@@ -3,8 +3,24 @@
    materialize thunks themselves run outside the registry mutex (a
    provider may take its own subsystem's locks). *)
 
+module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
 module Value = Nf2_model.Value
+
+module Build = struct
+  let field n ty = { Schema.name = n; attr = Schema.Atomic ty }
+  let nested n kind fields = { Schema.name = n; attr = Schema.Table { Schema.kind; fields } }
+
+  let relation name fields =
+    Schema.validate { Schema.name; table = { Schema.kind = Schema.Set; fields } }
+
+  let vint = Value.int_
+  let vstr = Value.str
+  let vbool = Value.bool_
+  let vfloat = Value.float_
+  let vset = Value.set
+  let vlist = Value.list_
+end
 
 type provider = {
   name : string;

@@ -13,8 +13,24 @@
     its subsystem's own locks but must never call back into query
     execution, or a SYS query could deadlock against itself. *)
 
+module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
 module Value = Nf2_model.Value
+
+(** Builders shared by every provider: atomic and nested columns, the
+    SET-of-tuples schema of a SYS table, and short names for
+    {!Nf2_model.Value}'s cell constructors. *)
+module Build : sig
+  val field : string -> Atom.ty -> Schema.field
+  val nested : string -> Schema.kind -> Schema.field list -> Schema.field
+  val relation : string -> Schema.field list -> Schema.t
+  val vint : int -> Value.v
+  val vstr : string -> Value.v
+  val vbool : bool -> Value.v
+  val vfloat : float -> Value.v
+  val vset : Value.tuple list -> Value.v
+  val vlist : Value.tuple list -> Value.v
+end
 
 type provider = {
   name : string;  (** table name; uppercased on registration *)

@@ -297,9 +297,15 @@ let test_txn_isolation () =
       | [ [ n ] ] -> Alcotest.(check string) "snapshot read sees pre-txn value" "10" n
       | _ -> Alcotest.fail "snapshot reader should not block behind the writer");
       (* a concurrent writer still conflicts: write-write is 2PL *)
+      let timeouts0 = Metrics.get (Server.metrics srv) "lock_timeouts" in
       (match query c "UPDATE T SET N = 0 WHERE K = 1" with
       | P.Error { code; _ } -> Alcotest.(check string) "writer lock timeout" P.err_lock_timeout code
       | _ -> Alcotest.fail "second writer should time out while txn holds X lock");
+      (* the timed-out request left the lock table: no waiter remains *)
+      checki "no waiter after the timeout" 0
+        (List.length (rows b "SELECT l.TXN FROM l IN SYS_LOCKS WHERE l.NWAITERS > 0"));
+      checki "one lock timeout counted" (timeouts0 + 1)
+        (Metrics.get (Server.metrics srv) "lock_timeouts");
       (match Client.request a P.Commit with
       | Some (P.Row_count _) -> ()
       | r -> Alcotest.fail (Printf.sprintf "commit failed: %s" (match r with Some (P.Error e) -> e.message | _ -> "?")));
@@ -310,6 +316,57 @@ let test_txn_isolation () =
       Client.close a;
       Client.close b;
       Client.close c)
+
+(* An autocommit writer queued behind an open transaction waits in the
+   lock table like any other lock request: SYS_LOCKS shows it under the
+   holder's transaction-slot lock, the commit wakes it, and the wait is
+   charged to its statement shape in SYS_STATEMENTS. *)
+let test_slot_wait_is_lock_wait () =
+  with_server (fun srv ->
+      let c1 = conn srv and c2 = conn srv and c3 = conn srv in
+      ignore (expect_ok c1 "CREATE TABLE T (K INT, A INT)");
+      ignore (expect_ok c1 "INSERT INTO T VALUES (1, 10), (2, 20)");
+      checkb "begin" true (Client.request c1 P.Begin <> None);
+      ignore (expect_ok c1 "UPDATE T SET A = 99 WHERE K = 1");
+      let waiter_result = ref None in
+      let waiter =
+        Thread.create
+          (fun () -> waiter_result := Some (query c2 "UPDATE T SET A = A + 1 WHERE K = 2"))
+          ()
+      in
+      let slot_waiters () =
+        rows c3 "SELECT l.NWAITERS FROM l IN SYS_LOCKS WHERE l.PREDICATE = '#TXN_SLOT'"
+      in
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      let rec await_waiter () =
+        match slot_waiters () with
+        | [ [ "1" ] ] -> true
+        | _ when Unix.gettimeofday () < deadline ->
+            Thread.delay 0.01;
+            await_waiter ()
+        | _ -> false
+      in
+      let queued = await_waiter () in
+      (match Client.request c1 P.Commit with
+      | Some (P.Row_count _) -> ()
+      | _ -> Alcotest.fail "commit failed");
+      Thread.join waiter;
+      checkb "the slot row showed the queued writer" true queued;
+      (match !waiter_result with
+      | Some (P.Row_count _) -> ()
+      | _ -> Alcotest.fail "queued autocommit writer should succeed after the commit");
+      (match
+         rows c3
+           "SELECT s.LOCK_WAIT_MS FROM s IN SYS_STATEMENTS WHERE s.SHAPE = 'UPDATE T SET A = (A + ?2) \
+            WHERE K = ?1'"
+       with
+      | [ [ ms ] ] -> checkb "wait charged to the writer's shape" true (float_of_string ms > 0.)
+      | _ -> Alcotest.fail "expected one SYS_STATEMENTS row for the writer's shape");
+      checki "no waiter remains" 0
+        (List.length (rows c3 "SELECT l.TXN FROM l IN SYS_LOCKS WHERE l.NWAITERS > 0"));
+      Client.close c1;
+      Client.close c2;
+      Client.close c3)
 
 let test_rollback_over_wire () =
   with_server (fun srv ->
@@ -636,6 +693,7 @@ let () =
           Alcotest.test_case "basic round trips" `Quick test_server_basic;
           Alcotest.test_case "prepared statements" `Quick test_prepared_over_wire;
           Alcotest.test_case "transaction isolation" `Quick test_txn_isolation;
+          Alcotest.test_case "slot waits are lock waits" `Quick test_slot_wait_is_lock_wait;
           Alcotest.test_case "rollback" `Quick test_rollback_over_wire;
           Alcotest.test_case "no lost updates" `Quick test_no_lost_updates;
           Alcotest.test_case "admission control" `Quick test_admission_control;

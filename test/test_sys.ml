@@ -169,23 +169,30 @@ let test_sessions_locks_join () =
       exec c1 "INSERT INTO T VALUES (1, 10), (2, 20)";
       ignore (Client.request c1 P.Begin);
       exec c1 "UPDATE T SET A = 99 WHERE K = 1";
-      (* c1 now holds an exclusive predicate lock; its recent-statement
-         ring carries the UPDATE with status ok.  Join session state to
-         lock state through the nested STMTS path, over the wire. *)
+      (* c1 now holds two exclusive predicate locks: one on T and the
+         transaction slot its BEGIN took; its recent-statement ring
+         carries the UPDATE with status ok.  Join session state to lock
+         state through the nested STMTS path, over the wire. *)
       let _, r =
         rows c2
           "SELECT s.SID, l.MODE, l.PREDICATE FROM s IN SYS_SESSIONS, l IN SYS_LOCKS WHERE \
            s.TXN = l.TXN AND EXISTS st IN s.STMTS : st.STATUS = 'ok'"
       in
-      checkb "one lock-holding session" true (List.length r >= 1);
-      List.iter
-        (fun row ->
-          match row with
-          | [ _; mode; pred ] ->
-              Alcotest.(check string) "exclusive" "'X'" mode;
-              checkb "predicate names T" true (contains pred "T")
-          | _ -> Alcotest.fail "arity")
-        r;
+      let by_predicate =
+        List.sort compare
+          (List.map
+             (function [ sid; mode; pred ] -> (pred, mode, sid) | _ -> Alcotest.fail "arity")
+             r)
+      in
+      (match by_predicate with
+      | [ ("'#TXN_SLOT'", slot_mode, slot_sid); ("'T'", t_mode, t_sid) ] ->
+          Alcotest.(check string) "slot lock exclusive" "'X'" slot_mode;
+          Alcotest.(check string) "table lock exclusive" "'X'" t_mode;
+          Alcotest.(check string) "one session holds both" slot_sid t_sid
+      | _ ->
+          Alcotest.fail
+            ("expected the slot and T locks, got "
+            ^ String.concat "; " (List.map (fun (p, m, _) -> p ^ " " ^ m) by_predicate)));
       (* commit releases the locks; the same query sees the new state *)
       ignore (Client.request c1 P.Commit);
       let _, r' =

@@ -1524,6 +1524,59 @@ let bench_qp () =
     (speedup >= 10.0);
   let pc = Db.planner_counters db in
   check "access-path counters moved" (pc.Db.index_scans > 0 && pc.Db.seq_scans > 0);
+  (* a snapshot read (the server's default read path) probes the index
+     frozen with its MVCC version, so its point read must cost what the
+     live index read costs at every table size, not grow with it *)
+  let snapshot_vs_live size db =
+    let point = Printf.sprintf "SELECT x.V FROM x IN BIG WHERE x.K = %d" (size / 2) in
+    let stmt =
+      match Nf2_lang.Parser.parse_script point with [ s ] -> s | _ -> failwith "one statement"
+    in
+    let median_ns f =
+      ignore (f ());
+      let a = Array.init 21 (fun _ -> snd (time_once f)) in
+      Array.sort Float.compare a;
+      a.(10)
+    in
+    let snap = Db.snapshot db in
+    let live_answer = Rel.render (Db.query db point) in
+    let snap_answer =
+      match Db.exec_read db snap stmt with Db.Rows r -> Rel.render r | Db.Msg m -> m
+    in
+    let before = (Db.planner_counters db).Db.index_scans in
+    let live_ns = median_ns (fun () -> ignore (Db.query db point)) in
+    let snap_ns = median_ns (fun () -> ignore (Db.exec_read db snap stmt)) in
+    let probes = (Db.planner_counters db).Db.index_scans - before in
+    Db.release_snapshot db snap;
+    check (Printf.sprintf "snapshot and live point reads agree at %d rows" size) (live_answer = snap_answer);
+    check (Printf.sprintf "every timed read at %d rows probed the index" size) (probes = 44);
+    (size, live_ns, snap_ns)
+  in
+  let sized size =
+    let db = Db.create ~frames:1024 () in
+    Db.register_table db schema (List.filteri (fun i _ -> i < size) rows);
+    ignore (Db.exec db "CREATE INDEX ON BIG (K)");
+    snapshot_vs_live size db
+  in
+  let sweep = [ sized 1_000; sized 10_000; snapshot_vs_live n db ] in
+  print_table
+    ~header:[ "rows"; "live index read"; "snapshot index read"; "snapshot / live" ]
+    (List.map
+       (fun (rows, live_ns, snap_ns) ->
+         [
+           string_of_int rows;
+           Printf.sprintf "%.4f ms" (live_ns /. 1e6);
+           Printf.sprintf "%.4f ms" (snap_ns /. 1e6);
+           Printf.sprintf "%.2fx" (snap_ns /. live_ns);
+         ])
+       sweep);
+  List.iter
+    (fun (rows, live_ns, snap_ns) ->
+      check
+        (Printf.sprintf "snapshot point read within 2x of the live read at %d rows (%.2fx)" rows
+           (snap_ns /. live_ns))
+        (snap_ns <= 2.0 *. live_ns))
+    sweep;
   (* nested conjunction at scale: two hierarchical indexes, decided by
      address-prefix comparison (paper Fig 7b, P2 = F2) *)
   let params = { G.default_dept_params with G.departments = 2_000; G.members_per_project = 10 } in
@@ -1573,7 +1626,7 @@ let bench_qp () =
     (n_speedup >= 10.0);
   (* append machine-readable entries (see bench_repl for the format) *)
   append_results
-    [
+    ([
       Printf.sprintf
         "\"section\": \"query_planner\", \"rows\": %d, \"mode\": \"index\", \"seconds\": %.6f" n
         (auto_ns /. 1e9);
@@ -1589,6 +1642,13 @@ let bench_qp () =
          %.6f, \"speedup\": %.1f"
         member_rows (n_seq_ns /. 1e9) n_speedup;
     ]
+    @ List.map
+        (fun (rows, live_ns, snap_ns) ->
+          Printf.sprintf
+            "\"section\": \"query_planner\", \"rows\": %d, \"mode\": \"snapshot_index\", \
+             \"seconds\": %.6f, \"live_seconds\": %.6f"
+            rows (snap_ns /. 1e9) (live_ns /. 1e9))
+        sweep)
 
 (* ================================================================== *)
 (* SYS: introspection schema — pay-for-use, bounded query latency      *)

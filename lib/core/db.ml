@@ -444,7 +444,11 @@ let catalog t : Eval.catalog =
    are fetched (or found gone) and keyed by heap position, and every
    other object is shared with the previous version, so a commit costs
    O(objects changed).  A whole-table mark — or a table with no live
-   version of the same schema to patch — captures every object.
+   version of the same schema to patch — captures every object.  Either
+   way the version also freezes the table's indexes in O(#indexes)
+   (persistent B+-trees, {!VI.freeze}), so snapshot reads keep their
+   index paths; CREATE [TEXT] INDEX marks the table so the next publish
+   carries the new index.
    Versioned tables always capture their Section 5 time-version store
    in full and freeze it into pure data, keeping date-ASOF queries
    answerable from a snapshot. *)
@@ -473,25 +477,31 @@ let capture_table t name (d : dirty) : Mvcc.input =
   match find_table t name with
   | None -> Mvcc.Drop
   | Some ti -> (
+      let indexes = List.map (fun ii -> (ii.ipath, VI.freeze ii.vindex)) ti.indexes in
+      let text_indexes = List.map (fun (p, tix) -> (p, TI.freeze tix)) ti.text_indexes in
       match ti.vstore, d, Mvcc.resolve (Mvcc.view t.mvcc) name with
       | Some vs, _, _ ->
-          let objects = List.mapi (fun i tup -> ((0, i), tup)) (VS.current_all vs ti.schema) in
+          let objects = List.mapi (fun i tup -> ((0, i), None, tup)) (VS.current_all vs ti.schema) in
           Mvcc.Publish
-            { schema = ti.schema; versioned = true; objects; asof = Some (VS.freeze vs ti.schema) }
+            { schema = ti.schema; versioned = true; objects; asof = Some (VS.freeze vs ti.schema);
+              indexes; text_indexes }
       | None, Roots roots, Some head when head.Mvcc.v_schema = ti.schema ->
-          Mvcc.Patch
-            (List.map
-               (fun root ->
-                 ( OS.root_position ti.store root,
-                   if OS.is_root ti.store root then Some (OS.fetch ti.store ti.schema root) else None ))
-               (TidSet.elements roots))
+          let changes =
+            List.map
+              (fun root ->
+                ( OS.root_position ti.store root,
+                  root,
+                  if OS.is_root ti.store root then Some (OS.fetch ti.store ti.schema root) else None ))
+              (TidSet.elements roots)
+          in
+          Mvcc.Patch { changes; indexes; text_indexes }
       | None, _, _ ->
           let objects =
             List.map
-              (fun root -> (OS.root_position ti.store root, OS.fetch ti.store ti.schema root))
+              (fun root -> (OS.root_position ti.store root, Some root, OS.fetch ti.store ti.schema root))
               (OS.roots ti.store)
           in
-          Mvcc.Publish { schema = ti.schema; versioned = false; objects; asof = None })
+          Mvcc.Publish { schema = ti.schema; versioned = false; objects; asof = None; indexes; text_indexes })
 
 (* Commit LSN: the WAL's last appended record (the commit record, when
    called right after [Wal.commit]); without a WAL, an internal counter. *)
@@ -1132,9 +1142,10 @@ type view = {
 
 let live_view t = { catalog = catalog t; stats = stats_of t; names = (fun () -> table_names t); note = None }
 
-(* Scans serve the frozen version's objects, so evaluation touches no
-   shared storage at all.  Index access paths are absent: they point
-   into live pages.  Each version carries its exact row count. *)
+(* Scans serve the frozen version's objects and index paths probe the
+   indexes frozen with it, so evaluation touches no shared storage at
+   all.  [Data_tid] indexes stay out: resolving their postings to roots
+   scans the live store.  Each version carries its exact row count. *)
 let snapshot_view (s : Mvcc.snapshot) =
   let catalog name =
     Option.map
@@ -1146,7 +1157,17 @@ let snapshot_view (s : Mvcc.snapshot) =
           | Eval.Asof_int lsn, None -> scan_at_lsn s name lsn
           | Eval.Asof_date _, None -> Eval.not_versioned name
         in
-        { Eval.schema = v.Mvcc.v_schema; scan; index = None })
+        let index =
+          if v.Mvcc.v_versioned then None
+          else
+            Some
+              {
+                Eval.fetch = Mvcc.fetch v;
+                indexes = List.filter (fun (_, vi) -> VI.strategy vi <> VI.Data_tid) v.Mvcc.v_indexes;
+                text_indexes = v.Mvcc.v_text_indexes;
+              }
+        in
+        { Eval.schema = v.Mvcc.v_schema; scan; index })
       (Mvcc.resolve s name)
   in
   {
@@ -1249,12 +1270,14 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       let vindex = VI.create ti.store ti.schema strategy path in
       let iname = Printf.sprintf "IDX_%s_%s" (String.uppercase_ascii table) (String.concat "_" path) in
       ti.indexes <- { iname; ipath = path; vindex } :: ti.indexes;
+      touch_rows t table;
       Msg (Printf.sprintf "index %s created (%s)" iname (VI.strategy_name strategy))
   | Ast.Create_text_index { table; path } ->
       let ti = table_exn t table in
       if ti.versioned then db_error "text indexes on versioned tables are not supported";
       let tix = TI.create ti.store ti.schema path in
       ti.text_indexes <- (path, tix) :: ti.text_indexes;
+      touch_rows t table;
       Msg (Printf.sprintf "text index on %s(%s) created" (String.uppercase_ascii table) (String.concat "." path))
   | Ast.Insert { table; sub_path = []; where = None; rows } ->
       let ti = table_exn t table in

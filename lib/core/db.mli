@@ -254,8 +254,9 @@ val replicate_undo : t -> (int * int * string) list -> unit
     inserted, updated or deleted; every other object is shared with the
     previous version.  A snapshot pins that state with one atomic
     read: read-only statements evaluated through {!exec_read} resolve
-    every table to its newest version at or below the snapshot LSN and
-    touch no shared storage at all — no predicate locks, no engine
+    every table to its newest version at or below the snapshot LSN —
+    its objects and its indexes as of that commit — and touch no
+    shared storage at all — no predicate locks, no engine
     latch, never blocking (or blocked by) writers.  [ASOF <int>] inside
     a snapshot is time-travel to an older LSN; versioned tables keep
     their Section 5 date-ASOF semantics through a frozen reader.  Old
@@ -300,16 +301,18 @@ type view = {
 }
 
 (** The view of a pinned snapshot: scans serve the frozen version's
-    objects, in the order a live scan lists them, and touch no shared
-    storage.  Its sources carry no index access (index paths point into
-    live pages), so its plans are scans.  Its plan note is
-    ["snapshot @ LSN <n>"]. *)
+    objects, in the order a live scan lists them, and index paths probe
+    the value and text indexes frozen with the version, fetching roots
+    through {!Nf2_temporal.Mvcc.fetch}; neither touches shared storage.
+    [Data_tid] indexes are left out (resolving their postings scans the
+    live store).  Its plan note is ["snapshot @ LSN <n>"]. *)
 val snapshot_view : Nf2_temporal.Mvcc.snapshot -> view
 
 (** Execute one read-only statement (SELECT / EXPLAIN [ANALYZE] /
     SHOW TABLES / DESCRIBE) over {!snapshot_view}.  Its answers are
     those {!exec_stmt} gives on the live tables at the snapshot's LSN;
-    its plans are scans and lead with the snapshot note.
+    it plans the access paths a live read would plan on the indexes of
+    that LSN, and its plans lead with the snapshot note.
     @raise Db_error on a mutating statement.
     @raise Nf2_temporal.Mvcc.Snapshot_too_old for [ASOF <lsn>] below
     the GC horizon. *)

@@ -2,6 +2,13 @@
    postings lists.  Index entries are <key, address list> pairs exactly
    as in Section 4.2 of the paper.
 
+   Nodes are immutable: [insert] and [remove] copy the root-to-leaf
+   path they change and share every other node, so [freeze] hands out
+   the current root in O(1) and that handle keeps answering for the
+   tree as it was, whatever the live handle does next.  There is no
+   leaf chain (a chain would tie every leaf to its successor and defeat
+   sharing); range scans walk down from the root instead.
+
    Deletion removes postings from leaves (and drops empty keys) without
    structural rebalancing — standard lazy deletion; lookups and range
    scans are unaffected. *)
@@ -9,190 +16,184 @@
 let order = 16 (* max keys per node *)
 
 type 'a node =
-  | Leaf of 'a leaf
-  | Inner of 'a inner
-
-and 'a leaf = {
-  mutable keys : string list; (* sorted *)
-  mutable postings : 'a list list; (* parallel to keys; newest first *)
-  mutable next : 'a leaf option;
-}
-
-and 'a inner = {
-  mutable seps : string list; (* n separators *)
-  mutable children : 'a node list; (* n+1 children *)
-}
+  | Leaf of {
+      keys : string array; (* sorted *)
+      postings : 'a list array; (* parallel to keys; newest first *)
+    }
+  | Inner of {
+      seps : string array; (* n separators *)
+      children : 'a node array; (* n+1 children *)
+    }
 
 type 'a t = {
   mutable root : 'a node;
   mutable entries : int; (* number of distinct keys *)
 }
 
-let create () = { root = Leaf { keys = []; postings = []; next = None }; entries = 0 }
+let create () = { root = Leaf { keys = [||]; postings = [||] }; entries = 0 }
+
+let freeze t = { root = t.root; entries = t.entries }
 
 let entry_count t = t.entries
 
-let rec height_node = function Leaf _ -> 1 | Inner i -> 1 + height_node (List.hd i.children)
+let rec height_node = function Leaf _ -> 1 | Inner i -> 1 + height_node i.children.(0)
 let height t = height_node t.root
+
+(* First index in [a] whose key is > [key] ([strict]) or >= [key]. *)
+let bound ~strict (a : string array) key =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let c = String.compare a.(mid) key in
+    if c < 0 || (strict && c = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* child index for [key] in an inner node: first separator > key
    descends left of it; keys equal to a separator go right. *)
-let child_for (i : 'a inner) key =
-  let rec go n seps =
-    match seps with
-    | [] -> n
-    | s :: rest -> if String.compare key s < 0 then n else go (n + 1) rest
-  in
-  go 0 i.seps
-
-let nth_child (i : 'a inner) n = List.nth i.children n
+let child_for seps key = bound ~strict:true seps key
 
 (* --- search --------------------------------------------------------- *)
 
-let rec find_leaf node key =
-  match node with
-  | Leaf l -> l
-  | Inner i -> find_leaf (nth_child i (child_for i key)) key
-
 let find t key =
-  let l = find_leaf t.root key in
-  let rec go keys postings =
-    match keys, postings with
-    | k :: _, p :: _ when k = key -> p
-    | k :: ks, _ :: ps when String.compare k key < 0 -> go ks ps
-    | _ -> []
+  let rec go = function
+    | Inner i -> go i.children.(child_for i.seps key)
+    | Leaf l ->
+        let i = bound ~strict:false l.keys key in
+        if i < Array.length l.keys && String.equal l.keys.(i) key then l.postings.(i) else []
   in
-  go l.keys l.postings
+  go t.root
 
 let mem t key = find t key <> []
 
+(* --- path copying ------------------------------------------------------ *)
+
+let set a i x =
+  let a = Array.copy a in
+  a.(i) <- x;
+  a
+
+let insert_at a i x =
+  Array.init (Array.length a + 1) (fun j -> if j < i then a.(j) else if j = i then x else a.(j - 1))
+
+let remove_at a i = Array.init (Array.length a - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
+
 (* --- insert ---------------------------------------------------------- *)
 
-type 'a split = No_split | Split of string * 'a node (* separator, new right sibling *)
+(* The copy of a changed subtree: one node, or two halves split around
+   a separator. *)
+type 'a copy = One of 'a node | Split of 'a node * string * 'a node
 
-let insert_sorted key v keys postings =
-  let rec go keys postings =
-    match keys, postings with
-    | [], [] -> ([ key ], [ [ v ] ])
-    | k :: ks, p :: ps ->
-        let c = String.compare key k in
-        if c = 0 then (k :: ks, (v :: p) :: ps)
-        else if c < 0 then (key :: k :: ks, [ v ] :: p :: ps)
-        else
-          let ks', ps' = go ks ps in
-          (k :: ks', p :: ps')
-    | _ -> assert false
-  in
-  go keys postings
-
-let split_list n xs =
-  let rec go i acc = function
-    | rest when i = n -> (List.rev acc, rest)
-    | x :: rest -> go (i + 1) (x :: acc) rest
-    | [] -> (List.rev acc, [])
-  in
-  go 0 [] xs
-
-let rec insert_node t node key v : 'a split =
+let rec insert_node node key v ~fresh =
   match node with
-  | Leaf l ->
-      let had = List.mem key l.keys in
-      let keys, postings = insert_sorted key v l.keys l.postings in
-      l.keys <- keys;
-      l.postings <- postings;
-      if not had then t.entries <- t.entries + 1;
-      if List.length l.keys <= order then No_split
+  | Leaf { keys; postings } ->
+      let i = bound ~strict:false keys key in
+      if i < Array.length keys && String.equal keys.(i) key then
+        One (Leaf { keys; postings = set postings i (v :: postings.(i)) })
       else begin
-        let mid = List.length l.keys / 2 in
-        let lk, rk = split_list mid l.keys in
-        let lp, rp = split_list mid l.postings in
-        let right = { keys = rk; postings = rp; next = l.next } in
-        l.keys <- lk;
-        l.postings <- lp;
-        l.next <- Some right;
-        Split (List.hd rk, Leaf right)
+        fresh := true;
+        let keys = insert_at keys i key and postings = insert_at postings i [ v ] in
+        let n = Array.length keys in
+        if n <= order then One (Leaf { keys; postings })
+        else
+          let mid = n / 2 in
+          Split
+            ( Leaf { keys = Array.sub keys 0 mid; postings = Array.sub postings 0 mid },
+              keys.(mid),
+              Leaf { keys = Array.sub keys mid (n - mid); postings = Array.sub postings mid (n - mid) } )
       end
-  | Inner i -> (
-      let ci = child_for i key in
-      match insert_node t (nth_child i ci) key v with
-      | No_split -> No_split
-      | Split (sep, right) ->
-          (* insert sep at position ci, right child at ci+1 *)
-          let seps_before, seps_after = split_list ci i.seps in
-          i.seps <- seps_before @ (sep :: seps_after);
-          let ch_before, ch_after = split_list (ci + 1) i.children in
-          i.children <- ch_before @ (right :: ch_after);
-          if List.length i.seps <= order then No_split
-          else begin
-            let mid = List.length i.seps / 2 in
-            let lsep, rest = split_list mid i.seps in
-            let promoted, rsep = (List.hd rest, List.tl rest) in
-            let lch, rch = split_list (mid + 1) i.children in
-            let right_node = { seps = rsep; children = rch } in
-            i.seps <- lsep;
-            i.children <- lch;
-            Split (promoted, Inner right_node)
-          end)
+  | Inner { seps; children } -> (
+      let ci = child_for seps key in
+      match insert_node children.(ci) key v ~fresh with
+      | One c -> One (Inner { seps; children = set children ci c })
+      | Split (l, sep, r) ->
+          let seps = insert_at seps ci sep in
+          let children = insert_at (set children ci l) (ci + 1) r in
+          let n = Array.length seps in
+          if n <= order then One (Inner { seps; children })
+          else
+            let mid = n / 2 in
+            Split
+              ( Inner { seps = Array.sub seps 0 mid; children = Array.sub children 0 (mid + 1) },
+                seps.(mid),
+                Inner
+                  {
+                    seps = Array.sub seps (mid + 1) (n - mid - 1);
+                    children = Array.sub children (mid + 1) (n - mid);
+                  } ))
 
+(* Append a posting under a key (newest first). *)
 let insert t ~key v =
-  match insert_node t t.root key v with
-  | No_split -> ()
-  | Split (sep, right) -> t.root <- Inner { seps = [ sep ]; children = [ t.root; right ] }
+  let fresh = ref false in
+  (t.root <-
+     (match insert_node t.root key v ~fresh with
+     | One n -> n
+     | Split (l, sep, r) -> Inner { seps = [| sep |]; children = [| l; r |] }));
+  if !fresh then t.entries <- t.entries + 1
 
 (* --- delete ----------------------------------------------------------- *)
+
+(* The copy of a subtree after removing postings under [key], or [None]
+   when nothing matched (the subtree stays shared as it is). *)
+let rec remove_node node key p ~dropped =
+  match node with
+  | Leaf { keys; postings } ->
+      let i = bound ~strict:false keys key in
+      if i >= Array.length keys || not (String.equal keys.(i) key) then None
+      else
+        let post = postings.(i) in
+        let post' = List.filter (fun v -> not (p v)) post in
+        if List.compare_lengths post post' = 0 then None
+        else if post' = [] then begin
+          dropped := true;
+          Some (Leaf { keys = remove_at keys i; postings = remove_at postings i })
+        end
+        else Some (Leaf { keys; postings = set postings i post' })
+  | Inner { seps; children } ->
+      let ci = child_for seps key in
+      Option.map
+        (fun c -> Inner { seps; children = set children ci c })
+        (remove_node children.(ci) key p ~dropped)
 
 (* Remove postings matching [p] under [key]; drops the key if its
    postings list becomes empty (lazy deletion, no rebalance). *)
 let remove t ~key p =
-  let l = find_leaf t.root key in
-  let rec go keys postings =
-    match keys, postings with
-    | [], [] -> ([], [])
-    | k :: ks, post :: ps ->
-        if k = key then begin
-          let post' = List.filter (fun v -> not (p v)) post in
-          if post' = [] then begin
-            t.entries <- t.entries - 1;
-            (ks, ps)
-          end
-          else (k :: ks, post' :: ps)
-        end
-        else
-          let ks', ps' = go ks ps in
-          (k :: ks', post :: ps')
-    | _ -> assert false
-  in
-  let keys, postings = go l.keys l.postings in
-  l.keys <- keys;
-  l.postings <- postings
+  let dropped = ref false in
+  Option.iter (fun r -> t.root <- r) (remove_node t.root key p ~dropped);
+  if !dropped then t.entries <- t.entries - 1
 
 (* --- range scans -------------------------------------------------------- *)
 
-let leftmost_leaf t =
-  let rec go node =
-    match node with Leaf l -> l | Inner i -> go (List.hd i.children)
-  in
-  go t.root
-
-(* Inclusive range scan; [lo]/[hi] omitted means open end. *)
+(* Inclusive range scan; [lo]/[hi] omitted means open end.  Walks right
+   to left, consing, so the result comes out in key order. *)
 let range t ?lo ?hi () =
-  let start = match lo with Some k -> find_leaf t.root k | None -> leftmost_leaf t in
-  let acc = ref [] in
-  let rec walk (l : 'a leaf) =
-    let stop = ref false in
-    List.iter2
-      (fun k p ->
-        let ge_lo = match lo with Some lo -> String.compare k lo >= 0 | None -> true in
-        let le_hi = match hi with Some hi -> String.compare k hi <= 0 | None -> true in
-        if ge_lo && le_hi then acc := (k, p) :: !acc
-        else if not le_hi then stop := true)
-      l.keys l.postings;
-    if not !stop then match l.next with Some n -> walk n | None -> ()
+  let first a = match lo with Some lo -> bound ~strict:false a lo | None -> 0 in
+  let last a = match hi with Some hi -> bound ~strict:true a hi - 1 | None -> Array.length a - 1 in
+  let rec walk node acc =
+    match node with
+    | Leaf { keys; postings } ->
+        let acc = ref acc in
+        for i = last keys downto first keys do
+          acc := (keys.(i), postings.(i)) :: !acc
+        done;
+        !acc
+    | Inner { seps; children } ->
+        let acc = ref acc in
+        let lo_child = match lo with Some lo -> child_for seps lo | None -> 0 in
+        let hi_child = match hi with Some hi -> child_for seps hi | None -> Array.length seps in
+        for i = hi_child downto lo_child do
+          acc := walk children.(i) !acc
+        done;
+        !acc
   in
-  walk start;
-  List.rev !acc
+  walk t.root []
 
-let iter t fn = List.iter (fun (k, p) -> fn k p) (range t ())
+let iter t fn =
+  let rec walk = function
+    | Leaf { keys; postings } -> Array.iteri (fun i k -> fn k postings.(i)) keys
+    | Inner { children; _ } -> Array.iter walk children
+  in
+  walk t.root
 
 let keys t = List.map fst (range t ())
 
@@ -219,19 +220,41 @@ let prefix_range t prefix =
   in
   List.filter (fun (k, _) -> String.starts_with ~prefix k) scan
 
-(* structural sanity check used by tests *)
-let rec check_node depth = function
-  | Leaf l ->
-      let sorted = List.sort_uniq String.compare l.keys = l.keys in
-      if not sorted then failwith "leaf keys unsorted";
-      if List.length l.keys <> List.length l.postings then failwith "leaf arity";
-      depth
-  | Inner i ->
-      if List.length i.children <> List.length i.seps + 1 then failwith "inner arity";
-      let depths = List.map (check_node (depth + 1)) i.children in
-      (match depths with
-      | d :: rest -> if not (List.for_all (Int.equal d) rest) then failwith "unbalanced"
-      | [] -> failwith "no children");
-      List.hd depths
-
-let check t = ignore (check_node 0 t.root)
+(* structural sanity check used by tests: sorted keys within the
+   separators that route to them, fanout, balance *)
+let check t =
+  let in_bounds lo hi k =
+    (match lo with Some lo -> String.compare k lo >= 0 | None -> true)
+    && match hi with Some hi -> String.compare k hi < 0 | None -> true
+  in
+  let sorted a =
+    let ok = ref true in
+    for i = 1 to Array.length a - 1 do
+      if String.compare a.(i - 1) a.(i) >= 0 then ok := false
+    done;
+    !ok
+  in
+  let rec go lo hi = function
+    | Leaf { keys; postings } ->
+        if not (sorted keys) then failwith "leaf keys unsorted";
+        if Array.length keys <> Array.length postings then failwith "leaf arity";
+        if Array.length keys > order then failwith "leaf overflow";
+        if not (Array.for_all (in_bounds lo hi) keys) then failwith "leaf key outside its separators";
+        0
+    | Inner { seps; children } ->
+        if Array.length children <> Array.length seps + 1 then failwith "inner arity";
+        if Array.length seps > order then failwith "inner overflow";
+        if not (sorted seps) then failwith "separators unsorted";
+        if not (Array.for_all (in_bounds lo hi) seps) then failwith "separator outside its bounds";
+        let depths =
+          Array.mapi
+            (fun i c ->
+              let lo = if i = 0 then lo else Some seps.(i - 1) in
+              let hi = if i = Array.length seps then hi else Some seps.(i) in
+              go lo hi c)
+            children
+        in
+        if not (Array.for_all (Int.equal depths.(0)) depths) then failwith "unbalanced";
+        depths.(0) + 1
+  in
+  ignore (go None None t.root)

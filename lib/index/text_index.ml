@@ -84,6 +84,8 @@ let create store schema path =
   List.iter (insert_object t) (OS.roots store);
   t
 
+let freeze t = { t with fragments = Bptree.freeze t.fragments; words = Bptree.freeze t.words }
+
 let path t = t.path
 
 let vocabulary t = Bptree.keys t.words

@@ -21,6 +21,11 @@ val create : OS.t -> Schema.t -> Schema.path -> t
 val insert_object : t -> Tid.t -> unit
 val remove_object : t -> Tid.t -> unit
 
+(** The index as it is now, in O(1): both B+-trees frozen
+    ({!Bptree.freeze}).  Searches on the frozen handle read only its
+    own nodes. *)
+val freeze : t -> t
+
 val path : t -> Schema.path
 
 (** All indexed words (sorted). *)

@@ -91,6 +91,8 @@ let create store schema strategy path =
   List.iter (insert_object t) (OS.roots store);
   t
 
+let freeze t = { t with tree = Bptree.freeze t.tree }
+
 let lookup t atom = Bptree.find t.tree (Atom.to_key atom)
 
 let lookup_range t ~lo ~hi =

@@ -37,6 +37,14 @@ val insert_object : t -> Tid.t -> unit
 
 val remove_object : t -> Tid.t -> unit
 
+(** The index as it is now, in O(1): a handle sharing every B+-tree
+    node with [t] that later maintenance of [t] leaves unchanged
+    ({!Bptree.freeze}).  A frozen [Root_tid] or [Hierarchical] index
+    answers lookups from its own nodes alone, so any domain may probe
+    it without a lock; {!roots_for} on a [Data_tid] index still scans
+    the live store. *)
+val freeze : t -> t
+
 (** Raw postings for a key. *)
 val lookup : t -> Atom.t -> addr list
 

@@ -799,12 +799,6 @@ let run_stmt ?trace (sess : session) (stmt : Ast.stmt) : Db.result =
         ignore (do_commit sess);
         r
       end
-      else if (match stmt with Ast.Explain _ -> true | _ -> false) then
-        (* EXPLAIN executes nothing: plan against the live catalog
-           (under the shared latch, so DDL cannot race the planner) and
-           show the access paths an in-transaction read would use —
-           snapshot catalogs deliberately expose no index paths *)
-        with_engine_read mgr exec
       else begin
         (* plain read: lock-free MVCC snapshot — no predicate locks and
            no engine latch.  The pinned version chains are immutable,

@@ -13,7 +13,12 @@
    position.  A commit that touched a few objects publishes a [Patch]:
    the new version's map is the previous one with those keys replaced
    or removed, so it shares every untouched object with its
-   predecessor and costs O(change log n) to build.
+   predecessor and costs O(change log n) to build.  A second persistent
+   map, root TID -> heap position, is patched alongside it, and the
+   version carries the table's value and text indexes frozen at its
+   commit (persistent B+-trees that share every untouched node with
+   their live originals), so an index probe on a snapshot resolves its
+   root TIDs from the version alone.
 
    GC runs inside publish: every chain keeps its newest [retain]
    versions plus everything a pinned snapshot might still resolve;
@@ -23,7 +28,11 @@
 
 module Schema = Nf2_model.Schema
 module Value = Nf2_model.Value
+module Tid = Nf2_storage.Tid
+module VI = Nf2_index.Value_index
+module TI = Nf2_index.Text_index
 module SMap = Map.Make (String)
+module TMap = Map.Make (Tid)
 
 exception Snapshot_too_old of { table : string; lsn : int; floor : int }
 
@@ -35,11 +44,15 @@ module KMap = Map.Make (struct
   let compare (r1, s1) (r2, s2) = match Int.compare r1 r2 with 0 -> Int.compare s1 s2 | c -> c
 end)
 
-(* A version's objects, plus the scan list built from them on first
-   use.  The cache is an [Atomic] rather than a [Lazy]: snapshot readers
-   on several domains may force it at once, and a lost race only builds
-   the same list twice. *)
-type objects = { objs : Value.tuple KMap.t; scan_cache : Value.tuple list option Atomic.t }
+(* A version's objects, where each root TID sits, plus the scan list
+   built from them on first use.  The cache is an [Atomic] rather than
+   a [Lazy]: snapshot readers on several domains may force it at once,
+   and a lost race only builds the same list twice. *)
+type objects = {
+  objs : Value.tuple KMap.t;
+  roots : key TMap.t;
+  scan_cache : Value.tuple list option Atomic.t;
+}
 
 type version = {
   v_lsn : int;
@@ -51,9 +64,11 @@ type version = {
   v_live : bool; (* false: drop tombstone — the table is gone above v_lsn *)
   v_bytes : int; (* approximate payload size of all its objects *)
   v_own_bytes : int; (* the part not shared with its predecessor *)
+  v_indexes : (Schema.path * VI.t) list; (* frozen at v_lsn *)
+  v_text_indexes : (Schema.path * TI.t) list;
 }
 
-let objects_of objs = { objs; scan_cache = Atomic.make None }
+let objects_of objs roots = { objs; roots; scan_cache = Atomic.make None }
 
 let scan (v : version) =
   match Atomic.get v.v_objects.scan_cache with
@@ -62,6 +77,14 @@ let scan (v : version) =
       let l = KMap.fold (fun _ tup acc -> tup :: acc) v.v_objects.objs [] |> List.rev in
       Atomic.set v.v_objects.scan_cache (Some l);
       l
+
+let fetch (v : version) root =
+  match TMap.find_opt root v.v_objects.roots with
+  | Some k -> KMap.find k v.v_objects.objs
+  | None ->
+      invalid_arg
+        (Fmt.str "Mvcc.fetch: %a is not a root of %s @ LSN %d" Tid.pp root
+           v.v_schema.Schema.name v.v_lsn)
 
 (* Approximate in-memory size of a tuple.  Per-constructor constants
    stand in for boxing + list-cons overhead; only string payloads vary.
@@ -79,10 +102,16 @@ type input =
   | Publish of {
       schema : Schema.t;
       versioned : bool;
-      objects : (key * Value.tuple) list;
+      objects : (key * Tid.t option * Value.tuple) list;
       asof : (int -> Value.tuple list) option;
+      indexes : (Schema.path * VI.t) list;
+      text_indexes : (Schema.path * TI.t) list;
     }
-  | Patch of (key * Value.tuple option) list
+  | Patch of {
+      changes : (key * Tid.t * Value.tuple option) list;
+      indexes : (Schema.path * VI.t) list;
+      text_indexes : (Schema.path * TI.t) list;
+    }
   | Drop
 
 (* [c_trimmed]: GC has dropped versions off the old end, so resolution
@@ -197,22 +226,27 @@ let publish (t : t) ?(monotonize = true) ~lsn (inputs : (string * input) list) =
               | Drop, None -> tables (* drop of a never-published table *)
               | Drop, Some prev ->
                   push
-                    { prev with v_lsn = lsn; v_objects = objects_of KMap.empty; v_rows = 0;
-                      v_asof = None; v_live = false; v_bytes = 0; v_own_bytes = 0 }
-              | Publish { schema; versioned; objects; asof }, _ ->
-                  let objs, bytes =
+                    { prev with v_lsn = lsn; v_objects = objects_of KMap.empty TMap.empty;
+                      v_rows = 0; v_asof = None; v_live = false; v_bytes = 0; v_own_bytes = 0;
+                      v_indexes = []; v_text_indexes = [] }
+              | Publish { schema; versioned; objects; asof; indexes; text_indexes }, _ ->
+                  let objs, roots, bytes =
                     List.fold_left
-                      (fun (m, b) (k, tup) -> (KMap.add k tup m, b + approx_bytes_tuple tup))
-                      (KMap.empty, 0) objects
+                      (fun (m, r, b) (k, root, tup) ->
+                        ( KMap.add k tup m,
+                          Option.fold ~none:r ~some:(fun root -> TMap.add root k r) root,
+                          b + approx_bytes_tuple tup ))
+                      (KMap.empty, TMap.empty, 0) objects
                   in
                   push
                     { v_lsn = lsn; v_schema = schema; v_versioned = versioned;
-                      v_objects = objects_of objs; v_rows = KMap.cardinal objs; v_asof = asof;
-                      v_live = true; v_bytes = bytes; v_own_bytes = bytes }
-              | Patch changes, Some prev when prev.v_live ->
-                  let objs, rows, bytes, own =
+                      v_objects = objects_of objs roots; v_rows = KMap.cardinal objs;
+                      v_asof = asof; v_live = true; v_bytes = bytes; v_own_bytes = bytes;
+                      v_indexes = indexes; v_text_indexes = text_indexes }
+              | Patch { changes; indexes; text_indexes }, Some prev when prev.v_live ->
+                  let objs, roots, rows, bytes, own =
                     List.fold_left
-                      (fun (m, rows, bytes, own) (k, tup) ->
+                      (fun (m, r, rows, bytes, own) (k, root, tup) ->
                         let rows, bytes =
                           match KMap.find_opt k m with
                           | Some old -> (rows - 1, bytes - approx_bytes_tuple old)
@@ -221,14 +255,15 @@ let publish (t : t) ?(monotonize = true) ~lsn (inputs : (string * input) list) =
                         match tup with
                         | Some tup ->
                             let b = approx_bytes_tuple tup in
-                            (KMap.add k tup m, rows + 1, bytes + b, own + b)
-                        | None -> (KMap.remove k m, rows, bytes, own))
-                      (prev.v_objects.objs, prev.v_rows, prev.v_bytes, 0)
+                            (KMap.add k tup m, TMap.add root k r, rows + 1, bytes + b, own + b)
+                        | None -> (KMap.remove k m, TMap.remove root r, rows, bytes, own))
+                      (prev.v_objects.objs, prev.v_objects.roots, prev.v_rows, prev.v_bytes, 0)
                       changes
                   in
                   push
-                    { prev with v_lsn = lsn; v_objects = objects_of objs; v_rows = rows;
-                      v_bytes = bytes; v_own_bytes = own }
+                    { prev with v_lsn = lsn; v_objects = objects_of objs roots; v_rows = rows;
+                      v_bytes = bytes; v_own_bytes = own; v_indexes = indexes;
+                      v_text_indexes = text_indexes }
               | Patch _, _ -> invalid_arg ("Mvcc.publish: patch of " ^ key ^ " without a live version"))
             cur.s_tables inputs
         in

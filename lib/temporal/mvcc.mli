@@ -17,6 +17,15 @@
     changed), not O(table).  Row count and byte size are carried along
     the same way.
 
+    A version also carries the table's value and text indexes as they
+    were at its commit: persistent B+-trees ({!Nf2_index.Bptree.freeze})
+    that share every node the commit did not touch with the live index,
+    plus a persistent map from root TID to heap position, patched with
+    the objects.  A snapshot read can therefore probe an index and
+    {!fetch} the roots it names without touching shared storage.  The
+    frozen trees are exact at the version's LSN — no candidate needs a
+    visibility re-check — and go with the version when GC drops it.
+
     Publication happens only on the engine's write side (which is
     serialised by the server's exclusive latch, or single-threaded in
     embedded use); an internal mutex additionally serialises publishers
@@ -31,6 +40,9 @@
 
 module Schema = Nf2_model.Schema
 module Value = Nf2_model.Value
+module Tid = Nf2_storage.Tid
+module VI = Nf2_index.Value_index
+module TI = Nf2_index.Text_index
 
 (** [table] at [lsn] is older than the GC horizon [floor]: the versions
     needed to answer were reclaimed. *)
@@ -44,8 +56,9 @@ exception Snapshot_too_old of { table : string; lsn : int; floor : int }
 type key = int * int
 
 type objects
-(** A version's objects: a persistent map from {!key} to tuple, shared
-    with the neighbouring versions of the chain. *)
+(** A version's objects: persistent maps from {!key} to tuple and from
+    root TID to {!key}, shared with the neighbouring versions of the
+    chain. *)
 
 (** One immutable committed state of one table. *)
 type version = {
@@ -64,25 +77,46 @@ type version = {
   v_own_bytes : int;
       (** the part of [v_bytes] this version does not share with its
           predecessor: all of it for a full publish, the new objects'
-          size for a patch — what {!stats}' [bytes_live] adds up *)
+          size for a patch — what {!stats}' [bytes_live] adds up (frozen
+          index nodes are not counted) *)
+  v_indexes : (Schema.path * VI.t) list;
+      (** the table's value indexes, frozen at [v_lsn] *)
+  v_text_indexes : (Schema.path * TI.t) list;
+      (** the table's text indexes, frozen at [v_lsn] *)
 }
 
 val scan : version -> Value.tuple list
 (** The objects in key order.  Built on first use and kept with the
     version, so repeated scans of one version cost one list walk. *)
 
-(** What a commit publishes for one table. *)
+val fetch : version -> Tid.t -> Value.tuple
+(** The object whose root is the TID, as of the version: two persistent
+    map lookups, no shared storage.  The access path behind index scans
+    on a snapshot, whose frozen indexes name only roots the version
+    holds.  @raise Invalid_argument for any other TID — an index out of
+    step with its version is an internal error, not a missing row. *)
+
+(** What a commit publishes for one table.  [indexes] and
+    [text_indexes] are frozen handles ({!VI.freeze}, {!TI.freeze}) on
+    the table's indexes as of the commit. *)
 type input =
   | Publish of {
       schema : Schema.t;
       versioned : bool;
-      objects : (key * Value.tuple) list;
+      objects : (key * Tid.t option * Value.tuple) list;
+          (** with the root TID indexes address it by, if any *)
       asof : (int -> Value.tuple list) option;
+      indexes : (Schema.path * VI.t) list;
+      text_indexes : (Schema.path * TI.t) list;
     }  (** the table's full contents (after DDL, load, recovery, replica apply) *)
-  | Patch of (key * Value.tuple option) list
-      (** the objects a commit touched: [Some] replaces or adds, [None]
-          removes; every other object is shared with the current head,
-          which must be live *)
+  | Patch of {
+      changes : (key * Tid.t * Value.tuple option) list;
+      indexes : (Schema.path * VI.t) list;
+      text_indexes : (Schema.path * TI.t) list;
+    }
+      (** the objects a commit touched, by position and root: [Some]
+          replaces or adds, [None] removes; every other object is shared
+          with the current head, which must be live *)
   | Drop  (** the table was dropped; readers above this LSN skip it *)
 
 type t

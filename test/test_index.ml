@@ -87,6 +87,49 @@ let prop_bptree_vs_model =
       BT.check t;
       Hashtbl.fold (fun k v acc -> acc && BT.find t (Codec.key_of_int k) = v) model true)
 
+(* A frozen handle keeps answering for the tree it froze: apply random
+   inserts and removes to the live handle afterwards, and everything
+   the frozen one reports stays as it was, while both stay well-formed
+   and the live one follows the model. *)
+let prop_bptree_freeze =
+  let ops = QCheck.(list_of_size Gen.(0 -- 600) (pair (int_bound 300) (int_bound 3))) in
+  QCheck.Test.make ~name:"bptree frozen handle is unchanged by later updates" ~count:100
+    (QCheck.pair ops ops)
+    (fun (before, after) ->
+      let t = BT.create () in
+      let model : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+      let apply (k, op) =
+        let key = Codec.key_of_int k in
+        if op = 0 then begin
+          BT.remove t ~key (fun v -> v mod 2 = 0);
+          match List.filter (fun v -> v mod 2 <> 0) (Option.value ~default:[] (Hashtbl.find_opt model k)) with
+          | [] -> Hashtbl.remove model k
+          | vs -> Hashtbl.replace model k vs
+        end
+        else begin
+          let v = (k * 4) + op in
+          BT.insert t ~key v;
+          Hashtbl.replace model k (v :: Option.value ~default:[] (Hashtbl.find_opt model k))
+        end
+      in
+      List.iter apply before;
+      let frozen = BT.freeze t in
+      let observe b =
+        ( List.init 302 (fun k -> BT.find b (Codec.key_of_int k)),
+          BT.range b ~lo:(Codec.key_of_int 40) ~hi:(Codec.key_of_int 170) (),
+          BT.range b (),
+          BT.keys b,
+          BT.entry_count b,
+          BT.height b )
+      in
+      let seen = observe frozen in
+      List.iter apply after;
+      BT.check frozen;
+      BT.check t;
+      observe frozen = seen
+      && BT.entry_count t = Hashtbl.length model
+      && Hashtbl.fold (fun k v acc -> acc && BT.find t (Codec.key_of_int k) = v) model true)
+
 (* --- value indexes ---------------------------------------------------------- *)
 
 let strategies = [ VI.Data_tid; VI.Root_tid; VI.Hierarchical ]
@@ -272,7 +315,7 @@ let test_masked () =
   checkb "word in text" true (Masked.matches_word m "introduction to computer science");
   checkb "no word" false (Masked.matches_word anchored "a minicomputer only")
 
-let props = List.map QCheck_alcotest.to_alcotest [ prop_bptree_vs_model ]
+let props = List.map QCheck_alcotest.to_alcotest [ prop_bptree_vs_model; prop_bptree_freeze ]
 
 let () =
   Alcotest.run "index"

@@ -6,7 +6,10 @@
    recorded LSN is replayed through the engine's snapshot machinery —
    [ASOF <lsn>] time-travel through one pinned snapshot, plus snapshots
    pinned mid-run and evaluated with [Db.exec_read] — and the rendered
-   results must be byte-equal to the model's copies.
+   results must be byte-equal to the model's copies.  The pinned
+   snapshots also answer index-probed queries, which must probe the
+   indexes frozen with them and match a forced scan of the same
+   snapshot.
 
    The rest covers the version GC: reclamation under a small retain
    budget, pinned snapshots holding the horizon, the typed
@@ -96,6 +99,19 @@ let check_snapshot_is_live ?(tables = tables) db what =
 
 let exists db t = List.mem t (Db.table_names db)
 
+(* Point, range and nested-existential probes on D's two indexes, and a
+   point probe on A's index (created at commit 70), hits and misses. *)
+let indexed_queries =
+  List.concat_map
+    (fun k ->
+      [
+        Printf.sprintf "SELECT x.K, x.N FROM x IN D WHERE x.K = %d" k;
+        Printf.sprintf "SELECT x.K, x.N FROM x IN D WHERE x.K < %d" (k / 4);
+        Printf.sprintf "SELECT x.K, x.N FROM x IN D WHERE EXISTS y IN x.SUB : y.S = %d" (k mod 7);
+        Printf.sprintf "SELECT x.K, x.N FROM x IN A WHERE x.K = %d" k;
+      ])
+    [ 0; 5; 13; 24; 30 ]
+
 let test_oracle_differential () =
   let db = Db.create ~wal:true () in
   (* the oracle replays every LSN at the end: no version may be GC'd *)
@@ -153,7 +169,8 @@ let test_oracle_differential () =
   checki "one monotone LSN per commit" (List.length !model)
     (List.length (List.sort_uniq compare (List.map fst !model)));
   (* snapshots pinned mid-run answer exactly their commit's state, long
-     after hundreds of later commits *)
+     after hundreds of later commits; their indexed queries probe the
+     indexes frozen with that state and agree with a forced scan of it *)
   List.iter
     (fun (snap, copies) ->
       List.iter
@@ -165,6 +182,17 @@ let test_oracle_differential () =
                 (render_read db snap (scan_q t))
           | None -> ())
         copies;
+      List.iter
+        (fun q ->
+          let what = Printf.sprintf "pinned snapshot @ %d: %s" (Db.snapshot_lsn snap) q in
+          let before = (Db.planner_counters db).Db.index_scans in
+          let indexed = render_read db snap q in
+          checkb (what ^ ": index scan") true ((Db.planner_counters db).Db.index_scans > before);
+          Db.set_plan_force_seq db true;
+          let scanned = render_read db snap q in
+          Db.set_plan_force_seq db false;
+          checks (what ^ ": index = forced seq") scanned indexed)
+        indexed_queries;
       Db.release_snapshot db snap)
     !pinned;
   (* every recorded LSN, replayed as ASOF time-travel through one final

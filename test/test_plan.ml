@@ -5,8 +5,8 @@
    - plan-shape assertions: the planner must pick the access path the
      cost model promises at a given cardinality (index for selective
      equality, seq-scan when every row matches, intersection for the
-     paper's Fig 7b conjunction, seq under MVCC snapshots where index
-     paths are absent by design);
+     paper's Fig 7b conjunction, index paths on MVCC snapshots through
+     the indexes frozen with each version);
    - a differential harness: every query runs once with the planner
      free and once with [set_plan_force_seq] — rendered results must be
      byte-equal, including ASOF reads, pinned-snapshot reads, and reads
@@ -29,6 +29,16 @@ let is_infix needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   n = 0 || go 0
+
+(* Offset of the first occurrence of [needle] in [hay]. *)
+let index_of needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i =
+    if i + n > h then Alcotest.failf "%S not in %s" needle hay
+    else if String.sub hay i n = needle then i
+    else go (i + 1)
+  in
+  go 0
 
 (* --- Exec operator units ------------------------------------------------- *)
 
@@ -155,23 +165,36 @@ let test_stats_flip_to_seq () =
   let t = tree_of db "SELECT x.V FROM x IN W WHERE x.K = 7" in
   checkb "selective index chosen" true (Plan.uses_op "index-scan" t)
 
-let test_snapshot_plans_are_scans () =
-  (* snapshot catalogs expose no index paths (they point into live
-     pages), so snapshot plans are sequential — and say so *)
+let test_snapshot_plans_use_indexes () =
+  (* a snapshot plans on the indexes frozen with its versions: after a
+     live UPDATE moves DNO 314 to 999, the snapshot's index still finds
+     314 and knows nothing of 999, and the live index says the reverse *)
   let db = demo_db () in
   ignore (Db.exec db "CREATE INDEX ON DEPARTMENTS (DNO)");
   let snap = Db.snapshot db in
-  let stmt =
-    match Parser.parse_script "EXPLAIN SELECT x.DNO FROM x IN DEPARTMENTS WHERE x.DNO = 314" with
-    | [ s ] -> s
-    | _ -> Alcotest.fail "one stmt"
+  let point dno = Printf.sprintf "SELECT x.DNO, x.BUDGET FROM x IN DEPARTMENTS WHERE x.DNO = %d" dno in
+  let old_object = Rel.render (Db.query db (point 314)) in
+  ignore (Db.exec db "UPDATE DEPARTMENTS SET DNO = 999 WHERE DNO = 314");
+  let stmt q =
+    match Parser.parse_script q with [ s ] -> s | _ -> Alcotest.fail "one stmt"
   in
-  (match Db.exec_read db snap stmt with
-  | Db.Msg m -> checkb "snapshot explain mentions snapshot" true (is_infix "snapshot @ LSN" m)
+  (match Db.exec_read db snap (stmt ("EXPLAIN " ^ point 314)) with
+  | Db.Msg m ->
+      checkb "index-scan follows the snapshot note" true
+        (index_of "snapshot @ LSN" m < index_of "index-scan" m)
   | Db.Rows _ -> Alcotest.fail "EXPLAIN returned rows");
   (match Db.last_plan_tree db with
-  | Some t -> checkb "snapshot plan is seq" true (Plan.uses_op "seq-scan" t)
+  | Some t -> checkb "snapshot plan probes the index" true (Plan.uses_op "index-scan" t)
   | None -> Alcotest.fail "no tree");
+  let rows r = match r with Db.Rows rel -> Rel.cardinality rel | Db.Msg m -> Alcotest.fail m in
+  let before = (Db.planner_counters db).Db.index_scans in
+  (match Db.exec_read db snap (stmt (point 314)) with
+  | Db.Rows rel -> checks "snapshot returns the old object" old_object (Rel.render rel)
+  | Db.Msg m -> Alcotest.fail m);
+  checki "snapshot read of 314 is one index scan" (before + 1) (Db.planner_counters db).Db.index_scans;
+  checki "snapshot knows no 999" 0 (rows (Db.exec_read db snap (stmt (point 999))));
+  checki "live knows no 314" 0 (rows (Db.exec1 db (point 314)));
+  checki "live finds 999" 1 (rows (Db.exec1 db (point 999)));
   Db.release_snapshot db snap
 
 let test_planner_counters () =
@@ -305,9 +328,11 @@ let test_differential () =
 (* Live tables vs a snapshot of them: every read statement has one
    implementation over a read view, so the live view and the view of a
    snapshot pinned right after the last commit render each statement
-   the same, planner free or forced sequential.  Plain EXPLAIN is left
-   out (snapshot plans are scans by design), and EXPLAIN ANALYZE is
-   compared on its result line. *)
+   the same, planner free or forced sequential.  The snapshot carries
+   the indexes frozen at that commit, so both views also plan alike:
+   every statement's plan tree has the same operators, plain EXPLAIN
+   renders the same tree (the snapshot adds only its note line), and
+   EXPLAIN ANALYZE is compared on its result line. *)
 let test_live_vs_snapshot () =
   let db = differential_db () in
   let lsn0 = Db.current_snapshot_lsn db in
@@ -327,13 +352,17 @@ let test_live_vs_snapshot () =
         "EXPLAIN ANALYZE SELECT x.DNO FROM x IN DEPARTMENTS WHERE x.DNO = 314";
         "EXPLAIN ANALYZE SELECT d.DNO, e.NAME FROM d IN DEPARTMENTS, e IN EMPS WHERE d.MGRNO = e.ENO";
       ]
+    @ List.map (fun q -> "EXPLAIN " ^ q) differential_queries
   in
   let render r =
     let s = Db.render_result r in
-    match List.find_opt (String.starts_with ~prefix:"result:") (String.split_on_char '\n' s) with
+    let lines = String.split_on_char '\n' s in
+    match List.find_opt (String.starts_with ~prefix:"result:") lines with
     | Some line when String.starts_with ~prefix:"plan:" s -> line
-    | _ -> s
+    | _ -> String.concat "\n" (List.filter (fun l -> not (is_infix "snapshot @ LSN" l)) lines)
   in
+  let rec ops (n : Plan.node) = n.Plan.op :: List.concat_map ops n.Plan.children in
+  let plan_ops () = Option.fold ~none:[] ~some:ops (Db.last_plan_tree db) in
   let snap = Db.snapshot db in
   List.iter
     (fun force_seq ->
@@ -343,10 +372,11 @@ let test_live_vs_snapshot () =
           let stmt =
             match Parser.parse_script q with [ s ] -> s | _ -> Alcotest.fail "one stmt"
           in
-          checks
-            (Printf.sprintf "%s (force_seq %b)" q force_seq)
-            (render (Db.exec_stmt db stmt))
-            (render (Db.exec_read db snap stmt)))
+          let what = Printf.sprintf "%s (force_seq %b)" q force_seq in
+          let live = render (Db.exec_stmt db stmt) in
+          let live_ops = plan_ops () in
+          checks what live (render (Db.exec_read db snap stmt));
+          Alcotest.(check (list string)) (what ^ ": plan operators") live_ops (plan_ops ()))
         battery)
     [ false; true ];
   Db.set_plan_force_seq db false;
@@ -636,7 +666,7 @@ let () =
           Alcotest.test_case "EXPLAIN does not execute" `Quick test_explain_is_non_executing;
           Alcotest.test_case "plan shapes" `Quick test_plan_shapes;
           Alcotest.test_case "cardinality flips the choice" `Quick test_stats_flip_to_seq;
-          Alcotest.test_case "snapshot plans are scans" `Quick test_snapshot_plans_are_scans;
+          Alcotest.test_case "snapshot plans use indexes" `Quick test_snapshot_plans_use_indexes;
           Alcotest.test_case "access-path counters" `Quick test_planner_counters;
           Alcotest.test_case "nested block counters" `Quick test_nested_counters;
           Alcotest.test_case "nested block planned once" `Quick test_nested_plan_once;

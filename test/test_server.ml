@@ -457,8 +457,13 @@ let gauge srv name =
    a torn read.  The counters must prove the path is truly lock-free:
    across the whole run the readers acquire zero predicate locks and
    zero shared engine-latch grants, and their scans perform zero
-   object-store reads — a snapshot serves only frozen version chains. *)
-let test_concurrent_read_stress () =
+   object-store reads — a snapshot serves only frozen version chains.
+   [indexed]: G has an index on ID, so every reader probes the index
+   frozen with its snapshot — the writer re-inserts the object each
+   generation, moving its root — and fetches the root from the version;
+   the same counters must still read zero, and the plan counters must
+   show one index scan per read. *)
+let read_stress ~indexed () =
   (* domains:2 forces cross-domain dispatch even on a 1-core host *)
   with_server ~domains:2 ~lock_timeout:10. (fun srv ->
       let c0 = conn srv in
@@ -468,9 +473,18 @@ let test_concurrent_read_stress () =
         "{" ^ String.concat ", " (List.init slots (Printf.sprintf "(%d, %d)" g)) ^ "}"
       in
       ignore (expect_ok c0 (Printf.sprintf "INSERT INTO G VALUES (1, %s)" (subtable 0)));
+      if indexed then begin
+        (* other objects make the probe cheaper than a scan *)
+        ignore
+          (expect_ok c0
+             ("INSERT INTO G VALUES "
+             ^ String.concat ", " (List.init 64 (fun i -> Printf.sprintf "(%d, {(0, 0)})" (i + 2)))));
+        ignore (expect_ok c0 "CREATE INDEX ON G (ID)")
+      end;
       let shared_locks0 = gauge srv "lock_shared_acquired" in
       let read_grants0 = gauge srv "engine_read_grants" in
       let snapshot_reads0 = gauge srv "snapshot_reads" in
+      let index_scans0 = gauge srv "plan_index_scans" in
       let torn = Atomic.make 0 and read_errors = Atomic.make 0 and write_errors = Atomic.make 0 in
       let writer () =
         let c = conn srv in
@@ -515,12 +529,19 @@ let test_concurrent_read_stress () =
       checkb "stress reads were snapshot reads" true (gauge srv "snapshot_reads" - snapshot_reads0 >= 80);
       checki "readers acquired zero predicate locks" shared_locks0 (gauge srv "lock_shared_acquired");
       checki "readers took zero shared engine-latch grants" read_grants0 (gauge srv "engine_read_grants");
+      if indexed then
+        checkb "every stress read probed the snapshot's index" true
+          (gauge srv "plan_index_scans" - index_scans0 >= 80);
       (* counter reconciliation: a snapshot scan serves frozen version
-         chains, so R readers x Q scans perform exactly zero
-         object-store reads while still returning every row *)
+         chains (an index probe, the indexes frozen with them), so R
+         readers x Q scans perform exactly zero object-store reads while
+         still returning every row *)
       let store = Db.table_store (Server.db srv) ~table:"G" in
+      let q =
+        "SELECT x.GEN, x.SLOT FROM t IN G, x IN t.XS" ^ if indexed then " WHERE t.ID = 1" else ""
+      in
       let scan c =
-        match Client.request c (P.Query "SELECT x.GEN, x.SLOT FROM t IN G, x IN t.XS") with
+        match Client.request c (P.Query q) with
         | Some (P.Result_table { rows; _ }) -> List.length rows
         | _ -> -1
       in
@@ -700,7 +721,8 @@ let () =
         ] );
       ( "parallel reads",
         [
-          Alcotest.test_case "concurrent read stress" `Quick test_concurrent_read_stress;
+          Alcotest.test_case "concurrent read stress" `Quick (read_stress ~indexed:false);
+          Alcotest.test_case "concurrent indexed read stress" `Quick (read_stress ~indexed:true);
           Alcotest.test_case "prepared rewrite cached" `Quick test_prepared_rewrite_once;
           Alcotest.test_case "prometheus read gauges" `Quick test_prometheus_read_gauges;
           Alcotest.test_case "snapshot too old on the wire" `Quick test_snapshot_too_old_over_wire;

@@ -613,6 +613,91 @@ let bench_c5 () =
   | [ (_, it); (_, st) ] -> check "index faster than scan" (it < st)
   | _ -> ()
 
+(* Median wall time of [f i] over [n] runs, in ns. *)
+let median_run_ns n f =
+  let times = List.init n (fun i -> snd (time_once (fun () -> f i))) in
+  List.nth (List.sort Float.compare times) (n / 2)
+
+(* A versioned table is an ordinary table plus its history, so its
+   current-state work costs what its plain twin's does: the same
+   indexed UPDATE by key and point read, at two table sizes. *)
+let bench_c6_twin () =
+  subsection "versioned table vs its plain twin (both indexed on K)";
+  let make ~versioned n =
+    let db = Db.create () in
+    ignore
+      (Db.exec db
+         (Printf.sprintf "CREATE TABLE T (K INT, N INT, ITEMS TABLE (I INT))%s; CREATE INDEX ON T (K)"
+            (if versioned then " WITH VERSIONS" else "")));
+    for chunk = 0 to (n / 500) - 1 do
+      let rows = List.init 500 (fun i -> Printf.sprintf "(%d, 0, {(1), (2)})" ((chunk * 500) + i)) in
+      ignore (Db.exec db ("INSERT INTO T VALUES " ^ String.concat ", " rows))
+    done;
+    db
+  in
+  let runs = 101 in
+  let rows =
+    List.concat_map
+      (fun n ->
+        let key i = i * 7919 mod n in
+        let cost versioned =
+          let db = make ~versioned n in
+          let update =
+            median_run_ns runs (fun i ->
+                ignore (Db.exec db (Printf.sprintf "UPDATE T SET N = N + 1 WHERE K = %d" (key i))))
+          in
+          let read =
+            median_run_ns runs (fun i ->
+                ignore (Db.query db (Printf.sprintf "SELECT x.N FROM x IN T WHERE x.K = %d" (key i))))
+          in
+          (update, read, (Db.mvcc_stats db).Nf2_temporal.Mvcc.bytes_live)
+        in
+        let pu, pr, pb = cost false and vu, vr, vb = cost true in
+        check (Printf.sprintf "%d objects: versioned UPDATE by key <= 2x plain" n) (vu <= 2. *. pu);
+        check (Printf.sprintf "%d objects: versioned point read <= 2x plain" n) (vr <= 2. *. pr);
+        check
+          (Printf.sprintf "%d objects: versioned mvcc.bytes_live <= 1.5x plain" n)
+          (float_of_int vb <= 1.5 *. float_of_int pb);
+        [
+          [ string_of_int n; "UPDATE by key"; ns_to_string pu; ns_to_string vu ];
+          [ string_of_int n; "point read"; ns_to_string pr; ns_to_string vr ];
+          [ string_of_int n; "mvcc.bytes_live"; string_of_int pb; string_of_int vb ];
+        ])
+      [ 1000; 4000 ]
+  in
+  print_table ~header:[ "objects"; "operation"; "plain"; "versioned" ] rows
+
+(* A change logs one delta and publishes a patch, whatever the length
+   of the object's history: one logged UPDATE of an object with 400
+   earlier updates costs what it does after 50. *)
+let bench_c6_history_length () =
+  subsection "UPDATE cost against history length (WAL on, 100 objects)";
+  let db = Db.create ~wal:true () in
+  ignore (Db.exec db "CREATE TABLE H (K INT, N INT) WITH VERSIONS; CREATE INDEX ON H (K)");
+  ignore
+    (Db.exec db
+       ("INSERT INTO H VALUES " ^ String.concat ", " (List.init 100 (fun k -> Printf.sprintf "(%d, 0)" k))));
+  let ts = ref 0 in
+  let update () =
+    incr ts;
+    ignore (Db.exec db (Printf.sprintf "UPDATE H SET N = N + 1 WHERE K = 0 AT %d" !ts))
+  in
+  let updates_done = ref 0 in
+  let cost_after n =
+    while !updates_done < n do
+      update ();
+      incr updates_done
+    done;
+    let c = median_run_ns 11 (fun _ -> update ()) in
+    updates_done := !updates_done + 11;
+    c
+  in
+  let after50 = cost_after 50 in
+  let after400 = cost_after 400 in
+  print_table ~header:[ "earlier updates"; "UPDATE" ]
+    [ [ "50"; ns_to_string after50 ]; [ "400"; ns_to_string after400 ] ];
+  check "UPDATE after 400 updates <= 2x the one after 50" (after400 <= 2. *. after50)
+
 (* ================================================================== *)
 (* C6: temporal: reverse deltas vs full copies                        *)
 (* ================================================================== *)
@@ -628,11 +713,18 @@ let bench_c6 () =
   in
   let ddisk, dpool = fresh_env ~frames:128 () in
   let dstore = OS.create dpool in
-  let vs = VS.create dstore dpool in
-  let id = VS.insert vs P.departments ~ts:0 tup in
+  let vs = VS.create dpool in
+  let fetch = OS.fetch dstore P.departments in
+  (* the engine's order: each change is logged before it happens *)
+  let root = OS.insert dstore P.departments tup in
+  VS.record vs ~ts:0 root VS.Born;
+  let id = Option.get (VS.object_id vs root) in
   for i = 1 to versions do
-    VS.update_atoms vs P.departments id ~ts:i [] [ dno; mgr; Atom.Int (100_000 + i) ]
+    let old = VS.atoms_at P.departments.Schema.table (fetch root) [] in
+    VS.record vs ~ts:i root (VS.Changed (VS.Atoms ([], old)));
+    OS.update_atoms dstore P.departments root [] [ dno; mgr; Atom.Int (100_000 + i) ]
   done;
+  let asof ts = VS.object_asof (VS.freeze vs) P.departments ~fetch id ~ts in
   let fdisk, fpool = fresh_env ~frames:128 () in
   let fstore = OS.create fpool in
   let set_budget t b = List.mapi (fun i v -> if i = 3 then Value.Atom (Atom.Int b) else v) t in
@@ -645,8 +737,8 @@ let bench_c6 () =
   let timing =
     measure
       [
-        ("ASOF oldest (fold all deltas)", fun () -> ignore (VS.asof vs P.departments id ~ts:0));
-        ("ASOF newest (no folding)", fun () -> ignore (VS.asof vs P.departments id ~ts:versions));
+        ("ASOF oldest (fold all deltas)", fun () -> ignore (asof 0));
+        ("ASOF newest (no folding)", fun () -> ignore (asof versions));
         ( "full-copy fetch",
           fun () ->
             let _, tid = List.hd !copies in
@@ -661,12 +753,14 @@ let bench_c6 () =
     ];
   print_table ~header:[ "operation"; "time" ] (List.map (fun (n, t) -> [ n; ns_to_string t ]) timing);
   check "delta store uses (much) less space" (delta_bytes * 3 < copy_bytes);
-  match VS.asof vs P.departments id ~ts:(versions / 2) with
+  (match asof (versions / 2) with
   | Some t -> (
       match List.nth t 3 with
       | Value.Atom (Atom.Int b) -> check "ASOF midpoint budget" (b = 100_000 + (versions / 2))
       | _ -> check "ASOF midpoint budget" false)
-  | None -> check "ASOF midpoint budget" false
+  | None -> check "ASOF midpoint budget" false);
+  bench_c6_twin ();
+  bench_c6_history_length ()
 
 (* ================================================================== *)
 (* C7: separation of structure and data                               *)

@@ -310,7 +310,7 @@ let () =
         Printf.printf "recovered %s + %s (%s)\n" image log (String.concat ", " (Db.table_names db));
         db
     | Some path, None when Sys.file_exists path ->
-        let db = Db.load path in
+        let db = try Db.load path with Db.Db_error m -> prerr_endline m; exit 1 in
         Printf.printf "opened %s (%s)\n" path (String.concat ", " (Db.table_names db));
         db
     | None, Some _ ->

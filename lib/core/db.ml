@@ -34,9 +34,8 @@ type index_info = { iname : string; ipath : Schema.path; vindex : VI.t }
 
 type table_info = {
   schema : Schema.t;
-  versioned : bool;
   store : OS.t;
-  vstore : VS.t option;
+  history : VS.t option; (* a versioned table's Section 5 history *)
   mutable indexes : index_info list;
   mutable text_indexes : (Schema.path * TI.t) list;
   mutable stat_rows : int; (* planner statistic: current object count *)
@@ -405,31 +404,37 @@ and tuple_of_literals (tbl : Schema.table) (row : Ast.literal_value list) : Valu
 let scan_at_lsn (s : Mvcc.snapshot) name lsn =
   match Mvcc.resolve_at s name ~lsn with Some v -> Mvcc.scan v | None -> []
 
+(* A table's scan in a read view, for either view: its [current]
+   objects; for ASOF on a versioned table, its Section 5 history folded
+   back from the view's objects ([ASOF <int>] is a logical timestamp
+   there); for [ASOF <int>] on any other table, MVCC time travel. *)
+let table_scan name (schema : Schema.t) history ~fetch ~current ~at_lsn asof =
+  match asof, history with
+  | Eval.Current, _ -> current ()
+  | (Eval.Asof_date ts | Eval.Asof_int ts), Some h -> VS.asof h schema ~fetch ~ts
+  | Eval.Asof_int lsn, None -> at_lsn lsn
+  | Eval.Asof_date _, None -> Eval.not_versioned name
+
 let catalog t : Eval.catalog =
  fun name ->
-  match find_table t name with
-  | None -> None
-  | Some ti ->
-      let scan, index =
-        match ti.vstore with
-        | Some vs ->
-            ( (function
-              | Eval.Current -> VS.current_all vs ti.schema
-              | Eval.Asof_date ts | Eval.Asof_int ts -> VS.snapshot vs ti.schema ~ts),
-              None )
-        | None ->
-            ( (function
-              | Eval.Current -> List.map (OS.fetch ti.store ti.schema) (OS.roots ti.store)
-              | Eval.Asof_int lsn -> scan_at_lsn (Mvcc.view t.mvcc) name lsn
-              | Eval.Asof_date _ -> Eval.not_versioned name),
-              Some
-                {
-                  Eval.fetch = OS.fetch ti.store ti.schema;
-                  indexes = List.map (fun ii -> (ii.ipath, ii.vindex)) ti.indexes;
-                  text_indexes = ti.text_indexes;
-                } )
-      in
-      Some { Eval.schema = ti.schema; scan; index }
+  Option.map
+    (fun ti ->
+      let fetch = OS.fetch ti.store ti.schema in
+      {
+        Eval.schema = ti.schema;
+        scan =
+          table_scan name ti.schema (Option.map VS.freeze ti.history) ~fetch
+            ~current:(fun () -> List.map fetch (OS.roots ti.store))
+            ~at_lsn:(fun lsn -> scan_at_lsn (Mvcc.view t.mvcc) name lsn);
+        index =
+          Some
+            {
+              Eval.fetch;
+              indexes = List.map (fun ii -> (ii.ipath, ii.vindex)) ti.indexes;
+              text_indexes = ti.text_indexes;
+            };
+      })
+    (find_table t name)
 
 (* --- MVCC publication --------------------------------------------------------
 
@@ -448,10 +453,9 @@ let catalog t : Eval.catalog =
    way the version also freezes the table's indexes in O(#indexes)
    (persistent B+-trees, {!VI.freeze}), so snapshot reads keep their
    index paths; CREATE [TEXT] INDEX marks the table so the next publish
-   carries the new index.
-   Versioned tables always capture their Section 5 time-version store
-   in full and freeze it into pure data, keeping date-ASOF queries
-   answerable from a snapshot. *)
+   carries the new index.  A versioned table publishes like any other
+   and adds its Section 5 history, frozen in O(1) ({!VS.freeze}), so a
+   snapshot answers date-ASOF from the version alone. *)
 
 let mark t name f =
   let key = String.uppercase_ascii name in
@@ -479,13 +483,9 @@ let capture_table t name (d : dirty) : Mvcc.input =
   | Some ti -> (
       let indexes = List.map (fun ii -> (ii.ipath, VI.freeze ii.vindex)) ti.indexes in
       let text_indexes = List.map (fun (p, tix) -> (p, TI.freeze tix)) ti.text_indexes in
-      match ti.vstore, d, Mvcc.resolve (Mvcc.view t.mvcc) name with
-      | Some vs, _, _ ->
-          let objects = List.mapi (fun i tup -> ((0, i), None, tup)) (VS.current_all vs ti.schema) in
-          Mvcc.Publish
-            { schema = ti.schema; versioned = true; objects; asof = Some (VS.freeze vs ti.schema);
-              indexes; text_indexes }
-      | None, Roots roots, Some head when head.Mvcc.v_schema = ti.schema ->
+      let history = Option.map VS.freeze ti.history in
+      match d, Mvcc.resolve (Mvcc.view t.mvcc) name with
+      | Roots roots, Some head when head.Mvcc.v_schema = ti.schema ->
           let changes =
             List.map
               (fun root ->
@@ -494,14 +494,14 @@ let capture_table t name (d : dirty) : Mvcc.input =
                   if OS.is_root ti.store root then Some (OS.fetch ti.store ti.schema root) else None ))
               (TidSet.elements roots)
           in
-          Mvcc.Patch { changes; indexes; text_indexes }
-      | None, _, _ ->
+          Mvcc.Patch { changes; indexes; text_indexes; history }
+      | _ ->
           let objects =
             List.map
               (fun root -> (OS.root_position ti.store root, Some root, OS.fetch ti.store ti.schema root))
               (OS.roots ti.store)
           in
-          Mvcc.Publish { schema = ti.schema; versioned = false; objects; asof = None; indexes; text_indexes })
+          Mvcc.Publish { schema = ti.schema; objects; indexes; text_indexes; history })
 
 (* Commit LSN: the WAL's last appended record (the commit record, when
    called right after [Wal.commit]); without a WAL, an internal counter. *)
@@ -551,19 +551,43 @@ let reindex_object ti root =
 
 (* --- helpers for DML -------------------------------------------------------- *)
 
-let eval_ts t (e : Ast.expr option) ~(vs : VS.t) : int =
-  match e with
-  | None -> vs.VS.clock (* reuse current clock: same-instant version *)
-  | Some e -> (
-      match Eval.eval_expr (catalog t) [] e with
-      | Value.Atom (Atom.Date d) -> d
-      | Value.Atom (Atom.Int i) -> i
-      | _ -> db_error "AT expression must be a date or integer")
+(* The timestamp a statement's changes carry in a versioned table's
+   history: its AT clause, refused before anything changes when it
+   precedes the history's clock, or else the clock itself (a
+   same-instant version).  AT on any other table is refused. *)
+let eval_ts t ti (at : Ast.expr option) : int =
+  match ti.history, at with
+  | None, None -> 0
+  | None, Some _ -> db_error "AT applies to versioned tables only"
+  | Some h, None -> VS.clock h
+  | Some h, Some e ->
+      let ts =
+        match Eval.eval_expr (catalog t) [] e with
+        | Value.Atom (Atom.Date d) -> d
+        | Value.Atom (Atom.Int i) -> i
+        | _ -> db_error "AT expression must be a date or integer"
+      in
+      if ts < VS.clock h then
+        db_error "AT %s precedes the last change of %s: timestamps must be monotone"
+          (Ast.expr_to_string e) ti.schema.Schema.name;
+      ts
+
+(* [root] was just inserted or is about to change: publish it at the
+   next commit, and log the event in a versioned table's history. *)
+let log_event t ti ~ts root (event : unit -> VS.event) =
+  touch_root t ti.schema.Schema.name root;
+  Option.iter (fun h -> VS.record h ~ts root (event ())) ti.history
+
+let insert_object t ti tup =
+  let root = OS.insert ti.store ti.schema tup in
+  log_event t ti ~ts:(eval_ts t ti None) root (fun () -> VS.Born);
+  reindex_object ti root;
+  root
 
 (* --- catalog codec -----------------------------------------------------------
 
    The catalog (schemas, store page-ownership metadata, index specs,
-   version-store state, tuple names) serialises separately from the
+   history log pages, tuple names) serialises separately from the
    page images: [save] writes pages + catalog, while WAL commit records
    carry the catalog alone — it is the metadata a from-scratch kernel
    would keep on pages, so recovery needs it alongside the replayed
@@ -601,13 +625,18 @@ let get_step src =
   | 1 -> OS.Elem (Codec.get_uvarint src)
   | n -> Codec.decode_error "Db: step tag %d" n
 
+(* A table's history tag: 0 for none, [history_log] before the log's
+   page list.  Tag 1 was a version store whose object versions the
+   catalog itself listed; such an image is refused. *)
+let history_log = 2
+
 let encode_catalog b t =
   let tables = Hashtbl.fold (fun _ ti acc -> ti :: acc) t.tables [] in
   Codec.put_uvarint b (List.length tables);
   List.iter
     (fun ti ->
       Schema.encode b ti.schema;
-      Codec.put_bool b ti.versioned;
+      Codec.put_bool b (Option.is_some ti.history);
       let dir_pages, data_pages, free_pages = OS.export_meta ti.store in
       put_int_list b dir_pages;
       put_int_list b data_pages;
@@ -621,36 +650,11 @@ let encode_catalog b t =
         ti.indexes;
       Codec.put_uvarint b (List.length ti.text_indexes);
       List.iter (fun (p, _) -> put_path b p) ti.text_indexes;
-      match ti.vstore with
-      | None -> Codec.put_bool b false
-      | Some vs ->
-          Codec.put_bool b true;
-          let x = VS.export vs in
-          Codec.put_varint b x.VS.x_next_id;
-          Codec.put_varint b x.VS.x_clock;
-          put_int_list b x.VS.x_delta_pages;
-          Codec.put_uvarint b (List.length x.VS.x_objects);
-          List.iter
-            (fun (id, root, created, deleted_at, versions) ->
-              Codec.put_varint b id;
-              Tid.encode b root;
-              Codec.put_varint b created;
-              (match deleted_at with
-              | None -> Codec.put_bool b false
-              | Some d ->
-                  Codec.put_bool b true;
-                  Codec.put_varint b d);
-              Codec.put_uvarint b (List.length versions);
-              List.iter
-                (fun (ts, delta) ->
-                  Codec.put_varint b ts;
-                  match delta with
-                  | None -> Codec.put_bool b false
-                  | Some dt ->
-                      Codec.put_bool b true;
-                      Tid.encode b dt)
-                versions)
-            x.VS.x_objects)
+      match ti.history with
+      | None -> Codec.put_u8 b 0
+      | Some h ->
+          Codec.put_u8 b history_log;
+          put_int_list b (VS.pages h))
     tables;
   (* tuple names *)
   let names = Tname.all t.tnames in
@@ -677,7 +681,7 @@ let decode_catalog t src =
   let ntables = Codec.get_uvarint src in
   for _ = 1 to ntables do
     let schema = Schema.decode src in
-    let versioned = Codec.get_bool src in
+    let _versioned = Codec.get_bool src (* the history tag below says it again *) in
     let dir_pages = get_int_list src in
     let data_pages = get_int_list src in
     let free_pages = get_int_list src in
@@ -700,30 +704,16 @@ let decode_catalog t src =
     in
     let ntidx = Codec.get_uvarint src in
     let text_paths = List.init ntidx (fun _ -> get_path src) in
-    let vstore =
-      if Codec.get_bool src then begin
-        let x_next_id = Codec.get_varint src in
-        let x_clock = Codec.get_varint src in
-        let x_delta_pages = get_int_list src in
-        let nobj = Codec.get_uvarint src in
-        let x_objects =
-          List.init nobj (fun _ ->
-              let id = Codec.get_varint src in
-              let root = Tid.decode src in
-              let created = Codec.get_varint src in
-              let deleted_at = if Codec.get_bool src then Some (Codec.get_varint src) else None in
-              let nv = Codec.get_uvarint src in
-              let versions =
-                List.init nv (fun _ ->
-                    let ts = Codec.get_varint src in
-                    let delta = if Codec.get_bool src then Some (Tid.decode src) else None in
-                    (ts, delta))
-              in
-              (id, root, created, deleted_at, versions))
-        in
-        Some (VS.restore store t.pool { VS.x_next_id; x_clock; x_delta_pages; x_objects })
-      end
-      else None
+    let history =
+      match Codec.get_u8 src with
+      | 0 -> None
+      | n when n = history_log -> Some (VS.restore t.pool ~pages:(get_int_list src))
+      | 1 ->
+          db_error
+            "versioned table %s was written by an older build that kept its versions in the \
+             catalog; this engine keeps them in a history log and cannot read it"
+            schema.Schema.name
+      | n -> Codec.decode_error "Db.load: history tag %d" n
     in
     let indexes =
       List.map
@@ -739,9 +729,8 @@ let decode_catalog t src =
     Hashtbl.replace t.tables (String.uppercase_ascii schema.Schema.name)
       {
         schema;
-        versioned;
         store;
-        vstore;
+        history;
         indexes;
         text_indexes;
         (* the published row count: a rollback restores the state the
@@ -914,6 +903,22 @@ let rollback t =
   match (t.wal_txn, t.wal) with
   | Some st, Some w -> abort_wal_txn t w st
   | _ -> db_error "ROLLBACK without BEGIN"
+
+(* A new empty table (CREATE TABLE, {!register_table}). *)
+let add_table t (schema : Schema.t) ~versioned =
+  let ti =
+    {
+      schema;
+      store = OS.create ~layout:t.layout ~clustering:t.clustering t.pool;
+      history = (if versioned then Some (VS.create t.pool) else None);
+      indexes = [];
+      text_indexes = [];
+      stat_rows = 0;
+    }
+  in
+  Hashtbl.replace t.tables (String.uppercase_ascii schema.Schema.name) ti;
+  touch t schema.Schema.name;
+  ti
 
 (* Rebuild a table under a changed schema (ALTER): fresh object store,
    reinserted rows, indexes rebuilt where their paths still resolve. *)
@@ -1100,28 +1105,13 @@ let candidate_roots t ti ?inner (where : Ast.pred option) : Tid.t list =
       count_access t `Seq;
       OS.roots ti.store
 
-(* The objects an UPDATE or DELETE changes, with their current tuples.
-   Versioned tables have no index paths (CREATE INDEX refuses them), so
-   every time-version id is a candidate. *)
-let dml_targets t ti (where : Ast.pred option) :
-    [ `Ids of VS.t * (int * Value.tuple) list | `Roots of (Tid.t * Value.tuple) list ] =
-  match ti.vstore with
-  | Some vs ->
-      count_access t `Seq;
-      `Ids
-        ( vs,
-          List.filter_map
-            (fun id ->
-              let tup = VS.current vs ti.schema id in
-              if row_matches t ti where tup then Some (id, tup) else None)
-            (VS.ids vs) )
-  | None ->
-      `Roots
-        (List.filter_map
-           (fun root ->
-             let tup = OS.fetch ti.store ti.schema root in
-             if row_matches t ti where tup then Some (root, tup) else None)
-           (candidate_roots t ti where))
+(* The objects an UPDATE or DELETE changes, with their current tuples. *)
+let dml_targets t ti (where : Ast.pred option) : (Tid.t * Value.tuple) list =
+  List.filter_map
+    (fun root ->
+      let tup = OS.fetch ti.store ti.schema root in
+      if row_matches t ti where tup then Some (root, tup) else None)
+    (candidate_roots t ti where)
 
 (* --- read statements ------------------------------------------------------------
 
@@ -1150,24 +1140,19 @@ let snapshot_view (s : Mvcc.snapshot) =
   let catalog name =
     Option.map
       (fun v ->
-        let scan asof =
-          match asof, v.Mvcc.v_asof with
-          | Eval.Current, _ -> Mvcc.scan v
-          | (Eval.Asof_date ts | Eval.Asof_int ts), Some date_reader -> date_reader ts
-          | Eval.Asof_int lsn, None -> scan_at_lsn s name lsn
-          | Eval.Asof_date _, None -> Eval.not_versioned name
-        in
-        let index =
-          if v.Mvcc.v_versioned then None
-          else
+        {
+          Eval.schema = v.Mvcc.v_schema;
+          scan =
+            table_scan name v.Mvcc.v_schema v.Mvcc.v_history ~fetch:(Mvcc.fetch v)
+              ~current:(fun () -> Mvcc.scan v) ~at_lsn:(scan_at_lsn s name);
+          index =
             Some
               {
                 Eval.fetch = Mvcc.fetch v;
                 indexes = List.filter (fun (_, vi) -> VI.strategy vi <> VI.Data_tid) v.Mvcc.v_indexes;
                 text_indexes = v.Mvcc.v_text_indexes;
-              }
-        in
-        { Eval.schema = v.Mvcc.v_schema; scan; index })
+              };
+        })
       (Mvcc.resolve s name)
   in
   {
@@ -1250,11 +1235,7 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       let schema =
         Schema.validate { Schema.name = String.uppercase_ascii name; table = { Schema.kind = Schema.Set; fields = fields_of_defs fields } }
       in
-      let store = OS.create ~layout:t.layout ~clustering:t.clustering t.pool in
-      let vstore = if versioned then Some (VS.create store t.pool) else None in
-      Hashtbl.replace t.tables (String.uppercase_ascii name)
-        { schema; versioned; store; vstore; indexes = []; text_indexes = []; stat_rows = 0 };
-      touch t name;
+      ignore (add_table t schema ~versioned);
       Msg (Printf.sprintf "table %s created%s" (String.uppercase_ascii name) (if versioned then " (versioned)" else ""))
   | Ast.Drop_table name ->
       let _ = table_exn t name in
@@ -1263,7 +1244,6 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       Msg (Printf.sprintf "table %s dropped" (String.uppercase_ascii name))
   | Ast.Create_index { table; path; strategy } ->
       let ti = table_exn t table in
-      if ti.versioned then db_error "indexes on versioned tables are not supported";
       let strategy =
         match strategy with Ast.S_data -> VI.Data_tid | Ast.S_root -> VI.Root_tid | Ast.S_hier -> VI.Hierarchical
       in
@@ -1274,7 +1254,6 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       Msg (Printf.sprintf "index %s created (%s)" iname (VI.strategy_name strategy))
   | Ast.Create_text_index { table; path } ->
       let ti = table_exn t table in
-      if ti.versioned then db_error "text indexes on versioned tables are not supported";
       let tix = TI.create ti.store ti.schema path in
       ti.text_indexes <- (path, tix) :: ti.text_indexes;
       touch_rows t table;
@@ -1283,28 +1262,20 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       let ti = table_exn t table in
       touch_rows t table;
       let tuples = List.map (tuple_of_literals ti.schema.Schema.table) rows in
-      (match ti.vstore with
-      | Some vs -> List.iter (fun tup -> ignore (VS.insert vs ti.schema ~ts:vs.VS.clock tup)) tuples
-      | None ->
-          List.iter
-            (fun tup ->
-              let root = OS.insert ti.store ti.schema tup in
-              touch_root t table root;
-              reindex_object ti root)
-            tuples);
+      List.iter (fun tup -> ignore (insert_object t ti tup)) tuples;
       Msg (Printf.sprintf "%d row(s) inserted into %s" (List.length rows) (String.uppercase_ascii table))
   | Ast.Insert { table; sub_path = []; where = Some _; _ } ->
       db_error "INSERT INTO %s: WHERE requires a subtable path" table
   | Ast.Insert { table; sub_path; where; rows } ->
       (* insert into a subtable of selected complex objects *)
       let ti = table_exn t table in
-      if ti.versioned then db_error "subtable insert on versioned tables is not supported";
       let sub =
         match Schema.resolve_path ti.schema.Schema.table sub_path with
         | Schema.Table sub -> sub
         | Schema.Atomic _ -> db_error "%s is not a subtable" (String.concat "." sub_path)
       in
       touch_rows t table;
+      let ts = eval_ts t ti None in
       let tuples = List.map (tuple_of_literals sub) rows in
       let steps = List.map (fun a -> OS.Attr a) sub_path in
       let targets =
@@ -1314,7 +1285,7 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       in
       List.iter
         (fun root ->
-          touch_root t table root;
+          log_event t ti ~ts root (fun () -> VS.Changed (VS.Whole (OS.fetch ti.store ti.schema root)));
           deindex_object ti root;
           List.iter (fun tup -> OS.append_element ti.store ti.schema root steps tup) tuples;
           reindex_object ti root)
@@ -1324,7 +1295,7 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
            (String.concat "." sub_path) (List.length targets))
   | Ast.Alter_add { table; field } ->
       let ti = table_exn t table in
-      if ti.versioned then db_error "ALTER on versioned tables is not supported";
+      if Option.is_some ti.history then db_error "ALTER on versioned tables is not supported";
       let new_field = List.hd (fields_of_defs [ field ]) in
       let schema' =
         Schema.validate
@@ -1342,7 +1313,7 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       Msg (Printf.sprintf "attribute %s added to %s" new_field.Schema.name (String.uppercase_ascii table))
   | Ast.Alter_drop { table; attr } ->
       let ti = table_exn t table in
-      if ti.versioned then db_error "ALTER on versioned tables is not supported";
+      if Option.is_some ti.history then db_error "ALTER on versioned tables is not supported";
       let idx =
         match Schema.find_field ti.schema.Schema.table attr with
         | Some (i, _) -> i
@@ -1364,8 +1335,7 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
   | Ast.Update { table; sub_path = _ :: _ as sub_path; sets; where; at } ->
       let ti = table_exn t table in
       touch_rows t table;
-      if ti.versioned then db_error "subtable update on versioned tables is not supported";
-      if at <> None then db_error "AT applies to versioned tables only";
+      let ts = eval_ts t ti at in
       let inner = subtable_scopes ti sub_path in
       let sub = List.hd inner in
       (* reject SETs of unknown or non-atomic element attributes *)
@@ -1383,14 +1353,14 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
           (* every new element is computed before the object changes *)
           let updates =
             List.map
-              (fun (steps, etup, env) -> (steps, set_atoms t sub etup env sets))
+              (fun (steps, etup, env) -> (steps, etup, set_atoms t sub etup env sets))
               (matching_elements t ti tup sub_path where)
           in
           if updates <> [] then begin
-            touch_root t table root;
             deindex_object ti root;
             List.iter
-              (fun (steps, atoms) ->
+              (fun (steps, etup, atoms) ->
+                log_event t ti ~ts root (fun () -> VS.Changed (VS.Atoms (steps, VS.atoms_at sub etup [])));
                 OS.update_atoms ti.store ti.schema root steps atoms;
                 incr count)
               updates;
@@ -1401,8 +1371,7 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
   | Ast.Delete { table; sub_path = _ :: _ as sub_path; where; at } ->
       let ti = table_exn t table in
       touch_rows t table;
-      if ti.versioned then db_error "subtable delete on versioned tables is not supported";
-      if at <> None then db_error "AT applies to versioned tables only";
+      let ts = eval_ts t ti at in
       let inner = subtable_scopes ti sub_path in
       let count = ref 0 in
       List.iter
@@ -1410,7 +1379,7 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
           let tup = OS.fetch ti.store ti.schema root in
           let targets = matching_elements t ti tup sub_path where in
           if targets <> [] then begin
-            touch_root t table root;
+            log_event t ti ~ts root (fun () -> VS.Changed (VS.Whole tup));
             deindex_object ti root;
             (* delete deepest-last indices first so shallower ones stay valid *)
             let sorted =
@@ -1430,9 +1399,10 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
           end)
         (candidate_roots t ti ~inner where);
       Msg (Printf.sprintf "%d element(s) deleted from %s" !count (String.concat "." sub_path))
-  | Ast.Update { table; sub_path = []; sets; where; at } -> (
+  | Ast.Update { table; sub_path = []; sets; where; at } ->
       let ti = table_exn t table in
       touch_rows t table;
+      let ts = eval_ts t ti at in
       (* reject SETs of unknown or table-valued attributes *)
       List.iter
         (fun (a, _) ->
@@ -1444,39 +1414,29 @@ let exec_stmt_body ?trace ?rewrite t (stmt : Ast.stmt) : result =
       let new_atoms tup =
         set_atoms t ti.schema.Schema.table tup [ ("#row", (ti.schema.Schema.table, tup)) ] sets
       in
-      let updated n = Msg (Printf.sprintf "%d row(s) updated in %s" n (String.uppercase_ascii table)) in
-      match dml_targets t ti where with
-      | `Ids (vs, targets) ->
-          let ts = eval_ts t at ~vs in
-          List.iter (fun (id, tup) -> VS.update_atoms vs ti.schema id ~ts [] (new_atoms tup)) targets;
-          updated (List.length targets)
-      | `Roots targets ->
-          List.iter
-            (fun (root, tup) ->
-              let atoms = new_atoms tup in
-              touch_root t table root;
-              deindex_object ti root;
-              OS.update_atoms ti.store ti.schema root [] atoms;
-              reindex_object ti root)
-            targets;
-          updated (List.length targets))
-  | Ast.Delete { table; sub_path = []; where; at } -> (
+      let targets = dml_targets t ti where in
+      List.iter
+        (fun (root, tup) ->
+          let atoms = new_atoms tup in
+          log_event t ti ~ts root (fun () ->
+              VS.Changed (VS.Atoms ([], VS.atoms_at ti.schema.Schema.table tup [])));
+          deindex_object ti root;
+          OS.update_atoms ti.store ti.schema root [] atoms;
+          reindex_object ti root)
+        targets;
+      Msg (Printf.sprintf "%d row(s) updated in %s" (List.length targets) (String.uppercase_ascii table))
+  | Ast.Delete { table; sub_path = []; where; at } ->
       let ti = table_exn t table in
       touch_rows t table;
-      let deleted n = Msg (Printf.sprintf "%d row(s) deleted from %s" n (String.uppercase_ascii table)) in
-      match dml_targets t ti where with
-      | `Ids (vs, targets) ->
-          let ts = eval_ts t at ~vs in
-          List.iter (fun (id, _) -> VS.delete vs ti.schema id ~ts) targets;
-          deleted (List.length targets)
-      | `Roots targets ->
-          List.iter
-            (fun (root, _) ->
-              touch_root t table root;
-              deindex_object ti root;
-              OS.delete ti.store ti.schema root)
-            targets;
-          deleted (List.length targets))
+      let ts = eval_ts t ti at in
+      let targets = dml_targets t ti where in
+      List.iter
+        (fun (root, tup) ->
+          log_event t ti ~ts root (fun () -> VS.Died tup);
+          deindex_object ti root;
+          OS.delete ti.store ti.schema root)
+        targets;
+      Msg (Printf.sprintf "%d row(s) deleted from %s" (List.length targets) (String.uppercase_ascii table))
 
 (* Mutations evaluate their predicates and SET expressions through
    Eval directly; a nested SELECT inside one runs as a block of this
@@ -1526,32 +1486,14 @@ let register_table t (schema : Schema.t) ?(versioned = false) (rows : Value.tupl
   let key = String.uppercase_ascii schema.Schema.name in
   if Hashtbl.mem t.tables key then db_error "table %s already exists" schema.Schema.name;
   logged t (fun () ->
-      let store = OS.create ~layout:t.layout ~clustering:t.clustering t.pool in
-      let vstore = if versioned then Some (VS.create store t.pool) else None in
-      let ti =
-        {
-          schema;
-          versioned;
-          store;
-          vstore;
-          indexes = [];
-          text_indexes = [];
-          stat_rows = List.length rows;
-        }
-      in
-      Hashtbl.replace t.tables key ti;
-      touch t key;
-      match vstore with
-      | Some vs -> List.iter (fun tup -> ignore (VS.insert vs schema ~ts:0 tup)) rows
-      | None -> List.iter (fun tup -> ignore (OS.insert ti.store schema tup)) rows)
+      let ti = add_table t schema ~versioned in
+      List.iter (fun tup -> ignore (insert_object t ti tup)) rows;
+      ti.stat_rows <- List.length rows)
 
 let insert_tuple t ~table (tup : Value.tuple) : Tid.t =
   let ti = table_exn t table in
-  (match ti.vstore with Some _ -> db_error "use the language for versioned tables" | None -> ());
   logged t (fun () ->
-      let root = OS.insert ti.store ti.schema tup in
-      touch_root t table root;
-      reindex_object ti root;
+      let root = insert_object t ti tup in
       ti.stat_rows <- ti.stat_rows + 1;
       root)
 
@@ -1769,8 +1711,9 @@ let resolve_tname t (token : string) : Value.v =
    newest committed version at or below the snapshot LSN, and evaluate
    read-only statements against that — no predicate locks, no engine
    latch, and writers are never blocked.  ASOF falls out naturally:
-   versioned tables carry their frozen Section 5 date reader, and
-   [ASOF <int>] on any table is time-travel to an older LSN within the
+   a versioned table's version carries its Section 5 history, frozen
+   with it, which folds back from the version's own objects; [ASOF
+   <int>] on any other table is time-travel to an older LSN within the
    same pinned snapshot. *)
 
 let snapshot t : Mvcc.snapshot = Mvcc.snapshot t.mvcc

@@ -258,8 +258,9 @@ val replicate_undo : t -> (int * int * string) list -> unit
     its objects and its indexes as of that commit — and touch no
     shared storage at all — no predicate locks, no engine
     latch, never blocking (or blocked by) writers.  [ASOF <int>] inside
-    a snapshot is time-travel to an older LSN; versioned tables keep
-    their Section 5 date-ASOF semantics through a frozen reader.  Old
+    a snapshot is time-travel to an older LSN; a versioned table's
+    version carries its Section 5 history, so ASOF on it folds back
+    from the version's objects.  Old
     versions are garbage-collected (see {!set_mvcc_retain}); resolving
     below the GC horizon raises {!Nf2_temporal.Mvcc.Snapshot_too_old}. *)
 

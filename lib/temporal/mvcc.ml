@@ -57,10 +57,9 @@ type objects = {
 type version = {
   v_lsn : int;
   v_schema : Schema.t;
-  v_versioned : bool;
   v_objects : objects;
   v_rows : int;
-  v_asof : (int -> Value.tuple list) option;
+  v_history : Version_store.state option;
   v_live : bool; (* false: drop tombstone — the table is gone above v_lsn *)
   v_bytes : int; (* approximate payload size of all its objects *)
   v_own_bytes : int; (* the part not shared with its predecessor *)
@@ -101,16 +100,16 @@ and approx_bytes_tuple tup = List.fold_left (fun acc v -> acc + 16 + approx_byte
 type input =
   | Publish of {
       schema : Schema.t;
-      versioned : bool;
       objects : (key * Tid.t option * Value.tuple) list;
-      asof : (int -> Value.tuple list) option;
       indexes : (Schema.path * VI.t) list;
       text_indexes : (Schema.path * TI.t) list;
+      history : Version_store.state option;
     }
   | Patch of {
       changes : (key * Tid.t * Value.tuple option) list;
       indexes : (Schema.path * VI.t) list;
       text_indexes : (Schema.path * TI.t) list;
+      history : Version_store.state option;
     }
   | Drop
 
@@ -227,9 +226,9 @@ let publish (t : t) ?(monotonize = true) ~lsn (inputs : (string * input) list) =
               | Drop, Some prev ->
                   push
                     { prev with v_lsn = lsn; v_objects = objects_of KMap.empty TMap.empty;
-                      v_rows = 0; v_asof = None; v_live = false; v_bytes = 0; v_own_bytes = 0;
+                      v_rows = 0; v_history = None; v_live = false; v_bytes = 0; v_own_bytes = 0;
                       v_indexes = []; v_text_indexes = [] }
-              | Publish { schema; versioned; objects; asof; indexes; text_indexes }, _ ->
+              | Publish { schema; objects; indexes; text_indexes; history }, _ ->
                   let objs, roots, bytes =
                     List.fold_left
                       (fun (m, r, b) (k, root, tup) ->
@@ -239,11 +238,10 @@ let publish (t : t) ?(monotonize = true) ~lsn (inputs : (string * input) list) =
                       (KMap.empty, TMap.empty, 0) objects
                   in
                   push
-                    { v_lsn = lsn; v_schema = schema; v_versioned = versioned;
-                      v_objects = objects_of objs roots; v_rows = KMap.cardinal objs;
-                      v_asof = asof; v_live = true; v_bytes = bytes; v_own_bytes = bytes;
+                    { v_lsn = lsn; v_schema = schema; v_objects = objects_of objs roots;
+                      v_rows = KMap.cardinal objs; v_history = history; v_live = true; v_bytes = bytes; v_own_bytes = bytes;
                       v_indexes = indexes; v_text_indexes = text_indexes }
-              | Patch { changes; indexes; text_indexes }, Some prev when prev.v_live ->
+              | Patch { changes; indexes; text_indexes; history }, Some prev when prev.v_live ->
                   let objs, roots, rows, bytes, own =
                     List.fold_left
                       (fun (m, r, rows, bytes, own) (k, root, tup) ->
@@ -263,7 +261,7 @@ let publish (t : t) ?(monotonize = true) ~lsn (inputs : (string * input) list) =
                   push
                     { prev with v_lsn = lsn; v_objects = objects_of objs roots; v_rows = rows;
                       v_bytes = bytes; v_own_bytes = own; v_indexes = indexes;
-                      v_text_indexes = text_indexes }
+                      v_text_indexes = text_indexes; v_history = history }
               | Patch _, _ -> invalid_arg ("Mvcc.publish: patch of " ^ key ^ " without a live version"))
             cur.s_tables inputs
         in

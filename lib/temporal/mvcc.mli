@@ -1,11 +1,8 @@
 (** Engine-wide multi-version store for MVCC snapshot reads.
 
-    {!Nf2_temporal.Version_store} keeps {e per-table} reverse-delta
-    chains stamped with user-visible timestamps (Section 5 ASOF); this
-    module generalises the idea to the whole engine: every commit
-    publishes, per touched table, a new immutable version stamped with
-    the commit LSN, and the full map [table -> version chain] lives
-    behind a single [Atomic.t].  A snapshot is therefore one atomic
+    Every commit publishes, per touched table, a new immutable version
+    stamped with the commit LSN, and the full map [table -> version
+    chain] lives behind a single [Atomic.t].  A snapshot is therefore one atomic
     read — readers never take a lock or latch, never block a writer,
     and always see a transaction-consistent state: the newest version
     of every table at or below the snapshot LSN.
@@ -36,7 +33,12 @@
     to the newest [retain] versions plus whatever the oldest pinned
     snapshot still needs.  Resolving a table at an LSN below the
     trimmed horizon raises {!Snapshot_too_old} — the typed error the
-    server maps to its own SQLSTATE. *)
+    server maps to its own SQLSTATE.
+
+    {!Version_store} answers a different question: the durable,
+    user-dated past of a versioned table (Section 5), which is never
+    collected.  A version of such a table carries that history frozen
+    at its commit, so date-ASOF reads through a snapshot too. *)
 
 module Schema = Nf2_model.Schema
 module Value = Nf2_model.Value
@@ -64,12 +66,12 @@ type objects
 type version = {
   v_lsn : int;  (** commit LSN that published this version *)
   v_schema : Schema.t;
-  v_versioned : bool;  (** carries a Section 5 time-version store *)
   v_objects : objects;  (** contents; read them with {!scan} *)
   v_rows : int;  (** number of objects *)
-  v_asof : (int -> Value.tuple list) option;
-      (** frozen date-ASOF reader (versioned tables): pure, touches no
-          shared storage *)
+  v_history : Version_store.state option;
+      (** a versioned table's Section 5 history as of [v_lsn]: with
+          {!fetch} on this version it answers date-ASOF without
+          touching shared storage *)
   v_live : bool;  (** [false]: drop tombstone — the table is gone above [v_lsn] *)
   v_bytes : int;
       (** approximate payload size of all its objects, kept up to date
@@ -98,21 +100,22 @@ val fetch : version -> Tid.t -> Value.tuple
 
 (** What a commit publishes for one table.  [indexes] and
     [text_indexes] are frozen handles ({!VI.freeze}, {!TI.freeze}) on
-    the table's indexes as of the commit. *)
+    the table's indexes as of the commit, and [history] is a versioned
+    table's frozen history ({!Version_store.freeze}). *)
 type input =
   | Publish of {
       schema : Schema.t;
-      versioned : bool;
       objects : (key * Tid.t option * Value.tuple) list;
           (** with the root TID indexes address it by, if any *)
-      asof : (int -> Value.tuple list) option;
       indexes : (Schema.path * VI.t) list;
       text_indexes : (Schema.path * TI.t) list;
+      history : Version_store.state option;
     }  (** the table's full contents (after DDL, load, recovery, replica apply) *)
   | Patch of {
       changes : (key * Tid.t * Value.tuple option) list;
       indexes : (Schema.path * VI.t) list;
       text_indexes : (Schema.path * TI.t) list;
+      history : Version_store.state option;
     }
       (** the objects a commit touched, by position and root: [Some]
           replaces or adds, [None] removes; every other object is shared

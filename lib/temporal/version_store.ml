@@ -1,20 +1,26 @@
 (* Time-version support (Section 5 of the paper; /DLW84, Lu84/).
 
-   A versioned table keeps, per logical object, the current state in
-   the object store plus a chain of *reverse deltas*: each update
-   appends an encoded description of how to get from the state after
-   the update back to the state before it.  An ASOF query materialises
-   the current object and folds back the deltas younger than the
-   requested time point.  This gives the paper's emphasis on storage
-   space (small updates store small deltas) while keeping current-state
-   access at full speed.
+   A versioned table keeps its objects in its ordinary object store and
+   their past in this history: an append-only log on heap pages with
+   one entry per event — a birth, a change, a death — written before
+   the change it describes.  A change entry is a *reverse delta*
+   telling how to get from the state after the change back to the
+   state before it; an ASOF query takes the current object and folds
+   back the deltas younger than the requested time point.  This gives
+   the paper's emphasis on storage space (small updates store small
+   deltas) while current-state access stays that of a plain table.
 
    The paper exposes only fixed-point ASOF queries at the language
    level ("walk-through-time queries ... have not been brought up to
-   the language interface"); [history] below is the corresponding
-   lower-level interval access on version metadata.  Timestamps are
+   the language interface"); [history] and [walk_through_time] below
+   are the corresponding lower-level interval access.  Timestamps are
    logical: any monotone int works; the language layer uses days (the
-   DATE representation) by default. *)
+   DATE representation) by default.
+
+   Entries name their object id, and a birth starts a new id, so a root
+   TID the store reuses after a death starts a new chain.  Entries also
+   carry a sequence number: first-fit placement can put a later entry
+   on an earlier page, and [restore] replays them in logged order. *)
 
 module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
@@ -22,6 +28,8 @@ module Value = Nf2_model.Value
 module OS = Nf2_storage.Object_store
 module Tid = Nf2_storage.Tid
 module Heap = Nf2_storage.Heap
+module IMap = Map.Make (Int)
+module TMap = Map.Make (Tid)
 
 exception Temporal_error of string
 
@@ -34,34 +42,27 @@ type delta =
 
 and step_path = OS.step list
 
-type version_meta = {
-  ts : int; (* when this state *started* to be current *)
-  delta_tid : Tid.t option; (* reverse delta to the *previous* state; None for the first *)
+type event = Born | Changed of delta | Died of Value.tuple
+
+type fate = Alive of Tid.t | Dead of int * Value.tuple (* death time, last state *)
+
+type chain = {
+  created : int;
+  changes : (int * delta) list; (* newest first: when the newer state began, how to undo it *)
+  fate : fate;
 }
 
-type vobject = {
-  id : int;
-  mutable root : Tid.t; (* current state in the object store *)
-  mutable created : int;
-  mutable deleted_at : int option;
-  mutable versions : version_meta list; (* newest first *)
-}
+type state = { chains : chain IMap.t; clock : int }
 
 type t = {
-  store : OS.t;
-  deltas : Heap.t; (* encoded reverse deltas *)
-  objects : (int, vobject) Hashtbl.t;
+  log : Heap.t;
+  mutable state : state;
+  mutable ids : int TMap.t; (* root of each live object -> its id *)
   mutable next_id : int;
-  mutable clock : int; (* last timestamp seen, to enforce monotonicity *)
+  mutable next_seq : int;
 }
 
-let create store pool = { store; deltas = Heap.create pool; objects = Hashtbl.create 64; next_id = 0; clock = 0 }
-
-let touch_clock t ts =
-  if ts < t.clock then temporal_error "timestamps must be monotone (%d < %d)" ts t.clock;
-  t.clock <- ts
-
-(* --- delta codec ------------------------------------------------------ *)
+(* --- entry codec ------------------------------------------------------ *)
 
 let encode_step b = function
   | OS.Attr name ->
@@ -77,30 +78,48 @@ let decode_step src =
   | 1 -> OS.Elem (Codec.get_uvarint src)
   | n -> Codec.decode_error "Version_store.decode_step: %d" n
 
-let encode_delta (d : delta) =
+(* seq, id, ts, then the event; a birth carries the new root *)
+let encode_entry ~seq ~id ~ts root (ev : event) =
   let b = Codec.create_sink () in
-  (match d with
-  | Whole tup ->
+  Codec.put_uvarint b seq;
+  Codec.put_uvarint b id;
+  Codec.put_varint b ts;
+  (match ev with
+  | Born ->
       Codec.put_u8 b 0;
-      Value.encode_tuple b tup
-  | Atoms (path, atoms) ->
+      Tid.encode b root
+  | Changed (Whole tup) ->
       Codec.put_u8 b 1;
+      Value.encode_tuple b tup
+  | Changed (Atoms (path, atoms)) ->
+      Codec.put_u8 b 2;
       Codec.put_uvarint b (List.length path);
       List.iter (encode_step b) path;
       Codec.put_uvarint b (List.length atoms);
-      List.iter (Atom.encode b) atoms);
+      List.iter (Atom.encode b) atoms
+  | Died last ->
+      Codec.put_u8 b 3;
+      Value.encode_tuple b last);
   Codec.contents b
 
-let decode_delta payload : delta =
+let decode_entry payload =
   let src = Codec.source_of_string payload in
-  match Codec.get_u8 src with
-  | 0 -> Whole (Value.decode_tuple src)
-  | 1 ->
-      let np = Codec.get_uvarint src in
-      let path = List.init np (fun _ -> decode_step src) in
-      let na = Codec.get_uvarint src in
-      Atoms (path, List.init na (fun _ -> Atom.decode src))
-  | n -> Codec.decode_error "Version_store.decode_delta: %d" n
+  let seq = Codec.get_uvarint src in
+  let id = Codec.get_uvarint src in
+  let ts = Codec.get_varint src in
+  let ev =
+    match Codec.get_u8 src with
+    | 0 -> `Born (Tid.decode src)
+    | 1 -> `Ev (Changed (Whole (Value.decode_tuple src)))
+    | 2 ->
+        let np = Codec.get_uvarint src in
+        let path = List.init np (fun _ -> decode_step src) in
+        let na = Codec.get_uvarint src in
+        `Ev (Changed (Atoms (path, List.init na (fun _ -> Atom.decode src))))
+    | 3 -> `Ev (Died (Value.decode_tuple src))
+    | n -> Codec.decode_error "Version_store.decode_entry: %d" n
+  in
+  (seq, id, ts, ev)
 
 (* --- value-level helpers ----------------------------------------------- *)
 
@@ -170,191 +189,119 @@ let replace_atoms (tbl : Schema.table) (tup : Value.tuple) (path : step_path) (a
 
 (* --- lifecycle ---------------------------------------------------------- *)
 
-let insert t (schema : Schema.t) ~ts (tup : Value.tuple) : int =
-  touch_clock t ts;
-  let root = OS.insert t.store schema tup in
-  let id = t.next_id in
-  t.next_id <- t.next_id + 1;
-  Hashtbl.replace t.objects id
-    { id; root; created = ts; deleted_at = None; versions = [ { ts; delta_tid = None } ] };
-  id
+let empty = { chains = IMap.empty; clock = 0 }
 
-let find t id =
-  match Hashtbl.find_opt t.objects id with
-  | Some v -> v
-  | None -> temporal_error "no versioned object %d" id
+let create pool = { log = Heap.create pool; state = empty; ids = TMap.empty; next_id = 0; next_seq = 0 }
 
-let current t (schema : Schema.t) id : Value.tuple =
-  let v = find t id in
-  if v.deleted_at <> None then temporal_error "object %d is deleted" id;
-  OS.fetch t.store schema v.root
+let pages t = Heap.pages t.log
+let clock t = t.state.clock
+let freeze t = t.state
+let object_id t root = TMap.find_opt root t.ids
 
-(* Full-state update: stores a reverse Whole delta. *)
-let update t (schema : Schema.t) id ~ts (tup : Value.tuple) =
-  touch_clock t ts;
-  let v = find t id in
-  let old = OS.fetch t.store schema v.root in
-  let delta_tid = Heap.insert t.deltas (encode_delta (Whole old)) in
-  OS.delete t.store schema v.root;
-  v.root <- OS.insert t.store schema tup;
-  v.versions <- { ts; delta_tid = Some delta_tid } :: v.versions
+(* Apply one logged event to the index. *)
+let apply t ~id ~ts root (ev : event) =
+  let chains = t.state.chains in
+  let chain =
+    match ev, IMap.find_opt id chains with
+    | Born, _ ->
+        t.ids <- TMap.add root id t.ids;
+        { created = ts; changes = []; fate = Alive root }
+    | Changed d, Some c -> { c with changes = (ts, d) :: c.changes }
+    | Died last, Some c ->
+        t.ids <- TMap.remove root t.ids;
+        { c with fate = Dead (ts, last) }
+    | _, None -> temporal_error "history entry for unknown object %d" id
+  in
+  t.state <- { chains = IMap.add id chain chains; clock = max ts t.state.clock }
 
-(* Targeted atom update: stores a small reverse Atoms delta and patches
-   the stored object in place. *)
-let update_atoms t (schema : Schema.t) id ~ts (path : step_path) (atoms : Atom.t list) =
-  touch_clock t ts;
-  let v = find t id in
-  let cur = OS.fetch t.store schema v.root in
-  let old_atoms = atoms_at schema.Schema.table cur path in
-  let delta_tid = Heap.insert t.deltas (encode_delta (Atoms (path, old_atoms))) in
-  OS.update_atoms t.store schema v.root path atoms;
-  v.versions <- { ts; delta_tid = Some delta_tid } :: v.versions
+let record t ~ts root (ev : event) =
+  if ts < t.state.clock then temporal_error "timestamps must be monotone (%d < %d)" ts t.state.clock;
+  let id =
+    match ev, TMap.find_opt root t.ids with
+    | Born, _ ->
+        t.next_id <- t.next_id + 1;
+        t.next_id - 1
+    | _, Some id -> id
+    | _, None -> temporal_error "%s is not a live versioned object" (Tid.to_string root)
+  in
+  ignore (Heap.insert t.log (encode_entry ~seq:t.next_seq ~id ~ts root ev));
+  t.next_seq <- t.next_seq + 1;
+  apply t ~id ~ts root ev
 
-let delete t (_schema : Schema.t) id ~ts =
-  touch_clock t ts;
-  let v = find t id in
-  v.deleted_at <- Some ts
+let restore pool ~pages =
+  let t = { (create pool) with log = Heap.restore pool ~pages } in
+  Heap.fold t.log (fun acc _ payload -> decode_entry payload :: acc) []
+  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
+  |> List.iter (fun (seq, id, ts, ev) ->
+         t.next_seq <- seq + 1;
+         t.next_id <- max t.next_id (id + 1);
+         match ev with
+         | `Born root -> apply t ~id ~ts root Born
+         | `Ev ev -> (
+             match IMap.find_opt id t.state.chains with
+             | Some { fate = Alive root; _ } -> apply t ~id ~ts root ev
+             | _ -> temporal_error "history entry for dead or unknown object %d" id));
+  t
 
 (* --- ASOF --------------------------------------------------------------- *)
 
-(* State of object [id] as of time [ts] (inclusive), or None if it did
-   not exist then. *)
-let asof t (schema : Schema.t) id ~ts : Value.tuple option =
-  let v = find t id in
-  if ts < v.created then None
-  else if (match v.deleted_at with Some d -> ts >= d | None -> false) then None
-  else begin
-    (* fold back deltas of versions strictly younger than ts *)
-    let cur = OS.fetch t.store schema v.root in
-    let rec back state = function
-      | [] -> state
-      | { ts = vts; delta_tid } :: older ->
-          if vts <= ts then state
-          else
-            let state =
-              match delta_tid with
-              | None -> state
-              | Some dt -> (
-                  match decode_delta (Heap.read_exn t.deltas dt) with
-                  | Whole old -> old
-                  | Atoms (path, atoms) -> replace_atoms schema.Schema.table state path atoms)
-            in
-            back state older
-    in
-    Some (back cur v.versions)
-  end
+let find (s : state) id =
+  match IMap.find_opt id s.chains with
+  | Some c -> c
+  | None -> temporal_error "no versioned object %d" id
 
-(* All objects alive at [ts], reconstructed. *)
-let snapshot t (schema : Schema.t) ~ts : Value.tuple list =
-  Hashtbl.fold (fun id _ acc -> match asof t schema id ~ts with Some tup -> tup :: acc | None -> acc)
-    t.objects []
-  |> List.sort Value.compare_tuple
+(* The chain's state as of [ts] (inclusive), or None if the object did
+   not exist then: its newest state, with the deltas of changes
+   strictly younger than [ts] folded back. *)
+let chain_asof (tbl : Schema.table) ~fetch c ~ts =
+  let newest =
+    match c.fate with
+    | _ when ts < c.created -> None
+    | Dead (d, _) when ts >= d -> None
+    | Dead (_, last) -> Some last
+    | Alive root -> Some (fetch root)
+  in
+  let rec back state = function
+    | (vts, d) :: older when vts > ts ->
+        let state = match d with Whole old -> old | Atoms (path, atoms) -> replace_atoms tbl state path atoms in
+        back state older
+    | _ -> state
+  in
+  Option.map (fun tup -> back tup c.changes) newest
 
-let current_all t (schema : Schema.t) : Value.tuple list =
-  Hashtbl.fold
-    (fun _ v acc -> if v.deleted_at = None then OS.fetch t.store schema v.root :: acc else acc)
-    t.objects []
-  |> List.sort Value.compare_tuple
+let asof (s : state) (schema : Schema.t) ~fetch ~ts : Value.tuple list =
+  IMap.fold
+    (fun _ c acc -> match chain_asof schema.Schema.table ~fetch c ~ts with Some tup -> tup :: acc | None -> acc)
+    s.chains []
+  |> List.rev
 
-(* Version metadata for walk-through-time processing (exposed at the
-   subtuple-manager level only, as in the prototype). *)
-let history t id : (int * bool) list =
-  let v = find t id in
-  List.rev_map (fun { ts; delta_tid } -> (ts, delta_tid = None)) v.versions
+let object_asof (s : state) (schema : Schema.t) ~fetch id ~ts =
+  chain_asof schema.Schema.table ~fetch (find s id) ~ts
 
-let ids t = Hashtbl.fold (fun id _ acc -> id :: acc) t.objects [] |> List.sort Int.compare
+(* When each state of the object began, oldest first. *)
+let stamps c = c.created :: List.rev_map fst c.changes
 
-(* Walk-through-time: every distinct state of object [id] whose
-   version interval intersects [lo, hi], oldest first, with the
-   timestamp at which that state became current.  This is the interval
-   access the prototype supported at the subtuple-manager level without
-   surfacing it in the language (Section 5). *)
-let walk_through_time t (schema : Schema.t) id ~lo ~hi : (int * Value.tuple) list =
+let history (s : state) id : (int * bool) list =
+  let c = find s id in
+  (c.created, true) :: List.rev_map (fun (ts, _) -> (ts, false)) c.changes
+
+(* Walk-through-time: every distinct state of object [id] whose version
+   interval intersects [lo, hi], oldest first, with the timestamp at
+   which that state became current. *)
+let walk_through_time (s : state) (schema : Schema.t) ~fetch id ~lo ~hi : (int * Value.tuple) list =
   if hi < lo then temporal_error "walk_through_time: empty interval (%d > %d)" lo hi;
-  let v = find t id in
-  let stamps = List.rev_map (fun { ts; _ } -> ts) v.versions in
+  let c = find s id in
+  let stamps = stamps c in
   (* states current somewhere in [lo, hi]: the last version at or
      before lo, plus every version starting within (lo, hi] *)
   let relevant = List.filter (fun ts -> ts > lo && ts <= hi) stamps in
-  let base = List.filter (fun ts -> ts <= lo) stamps in
-  let points = (match base with [] -> [] | _ -> [ lo ]) @ relevant in
+  let base = if List.exists (fun ts -> ts <= lo) stamps then [ lo ] else [] in
   List.filter_map
-    (fun ts -> match asof t schema id ~ts with Some tup -> Some (ts, tup) | None -> None)
-    points
+    (fun ts -> Option.map (fun tup -> (ts, tup)) (chain_asof schema.Schema.table ~fetch c ~ts))
+    (base @ relevant)
 
-(* Freeze the whole store into pure in-memory data for MVCC snapshot
-   reads (lib/temporal/mvcc): every historical state of every object is
-   decoded eagerly — all page access happens here, on the engine's
-   write side — and the returned closure answers date-ASOF questions
-   from the decoded states alone, touching no shared storage.  The
-   closure reproduces [snapshot] exactly: alive-at-ts filtering, then
-   [Value.compare_tuple] order. *)
-let freeze t (schema : Schema.t) : int -> Value.tuple list =
-  let objects =
-    Hashtbl.fold
-      (fun id v acc ->
-        let stamps = List.sort_uniq Int.compare (List.rev_map (fun m -> m.ts) v.versions) in
-        let states =
-          List.filter_map
-            (fun ts -> match asof t schema id ~ts with Some tup -> Some (ts, tup) | None -> None)
-            stamps
-        in
-        (v.created, v.deleted_at, states) :: acc)
-      t.objects []
-  in
-  fun ts ->
-    List.filter_map
-      (fun (created, deleted_at, states) ->
-        if ts < created then None
-        else if (match deleted_at with Some d -> ts >= d | None -> false) then None
-        else
-          (* newest decoded state at or before ts (states are oldest first) *)
-          List.fold_left (fun acc (sts, tup) -> if sts <= ts then Some tup else acc) None states)
-      objects
-    |> List.sort Value.compare_tuple
+(* --- space accounting (experiments) -------------------------------------- *)
 
-(* Space accounting for the C6 experiment. *)
-(* --- persistence ------------------------------------------------------- *)
+let delta_bytes t = Heap.fold t.log (fun acc _ payload -> acc + String.length payload) 0
 
-type export = {
-  x_next_id : int;
-  x_clock : int;
-  x_delta_pages : int list;
-  x_objects : (int * Tid.t * int * int option * (int * Tid.t option) list) list;
-      (* id, current root, created, deleted_at, versions newest-first *)
-}
-
-let export t : export =
-  {
-    x_next_id = t.next_id;
-    x_clock = t.clock;
-    x_delta_pages = Heap.pages t.deltas;
-    x_objects =
-      Hashtbl.fold
-        (fun id v acc ->
-          (id, v.root, v.created, v.deleted_at, List.map (fun m -> (m.ts, m.delta_tid)) v.versions)
-          :: acc)
-        t.objects [];
-  }
-
-let restore store pool (x : export) : t =
-  let t =
-    {
-      store;
-      deltas = Heap.restore pool ~pages:x.x_delta_pages;
-      objects = Hashtbl.create 64;
-      next_id = x.x_next_id;
-      clock = x.x_clock;
-    }
-  in
-  List.iter
-    (fun (id, root, created, deleted_at, versions) ->
-      Hashtbl.replace t.objects id
-        { id; root; created; deleted_at; versions = List.map (fun (ts, delta_tid) -> { ts; delta_tid }) versions })
-    x.x_objects;
-  t
-
-let delta_bytes t =
-  Heap.fold t.deltas (fun acc _ payload -> acc + String.length payload) 0
-
-let version_count t id = List.length (find t id).versions
+let version_count (s : state) id = List.length (stamps (find s id))

@@ -1,12 +1,22 @@
 (** Time-version support (Section 5 of the paper; /DLW84, Lu84/).
 
-    A versioned table keeps, per logical object, the current state in
-    the object store plus a chain of {e reverse deltas}: each update
-    appends a description of how to get from the state after the update
-    back to the one before.  An ASOF query materialises the current
-    object and folds back the deltas younger than the requested time.
-    Timestamps are logical monotone ints (the language layer uses days,
-    i.e. the DATE representation). *)
+    A versioned table is an ordinary table — its objects live in the
+    table's object store, with indexes, subtable DML and the MVCC
+    publish path of any other table — plus this history: an
+    append-only log on heap pages recording how each object was born,
+    changed and died, written before each change.  A change is logged
+    as a {e reverse delta}: how to get from the state after it back to
+    the state before it.  An ASOF query takes each object's current
+    state from the reader's view and folds back the deltas younger than
+    the requested time point.  Timestamps are logical monotone ints
+    (the language layer uses days, i.e. the DATE representation).
+
+    The log is the durable form; an in-memory index over it (object id
+    to its chain of decoded deltas, root TID to object id) answers
+    queries and is rebuilt from the pages by {!restore}.  Its queryable
+    part is an immutable {!state}, so {!freeze} is O(1) and a frozen
+    state answers ASOF for an MVCC snapshot without touching shared
+    storage. *)
 
 module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
@@ -19,50 +29,54 @@ type delta = Whole of Value.tuple | Atoms of step_path * Atom.t list
 
 and step_path = OS.step list
 
-type t = private {
-  store : OS.t;
-  deltas : Nf2_storage.Heap.t;
-  objects : (int, vobject) Hashtbl.t;
-  mutable next_id : int;
-  mutable clock : int;  (** last timestamp seen (monotonicity guard) *)
-}
+(** What happens to an object's root. *)
+type event =
+  | Born  (** it was just inserted *)
+  | Changed of delta  (** it is about to change; the delta undoes the change *)
+  | Died of Value.tuple  (** it is about to be deleted, in this last state *)
 
-and vobject
+type t
+(** A table's live history: the log and its index. *)
 
-val create : OS.t -> Nf2_storage.Buffer_pool.t -> t
+type state
+(** An immutable state of a history. *)
 
-(** {1 Lifecycle} — all timestamps must be monotone per store.
-    @raise Temporal_error on violations. *)
+val create : Nf2_storage.Buffer_pool.t -> t
 
-(** Store a new object; returns its logical id. *)
-val insert : t -> Schema.t -> ts:int -> Value.tuple -> int
+val restore : Nf2_storage.Buffer_pool.t -> pages:int list -> t
+(** Re-attach a log persisted earlier and rebuild its index from it. *)
 
-(** Current state.  @raise Temporal_error if deleted/unknown. *)
-val current : t -> Schema.t -> int -> Value.tuple
+val pages : t -> int list
+(** The log's pages — all the catalog keeps of a history. *)
 
-(** Replace the whole state (stores a [Whole] reverse delta). *)
-val update : t -> Schema.t -> int -> ts:int -> Value.tuple -> unit
+val record : t -> ts:int -> Nf2_storage.Tid.t -> event -> unit
+(** Log an event of the object at the root.  A birth starts a new
+    object id, so a root TID reused after a death starts a new chain.
+    @raise Temporal_error if [ts] precedes {!clock} or the root is not
+    a live object of this history. *)
 
-(** Rewrite the first-level atoms of the subobject at the path (stores
-    a small [Atoms] reverse delta and patches the object in place). *)
-val update_atoms : t -> Schema.t -> int -> ts:int -> step_path -> Atom.t list -> unit
+val clock : t -> int
+(** The newest timestamp logged (0 for an empty history). *)
 
-(** Logical deletion at a time point; the past stays queryable. *)
-val delete : t -> Schema.t -> int -> ts:int -> unit
+val object_id : t -> Nf2_storage.Tid.t -> int option
+(** The id of the live object at the root. *)
 
-(** {1 ASOF} *)
+val freeze : t -> state
+(** The current state, in O(1). *)
 
-(** State as of [ts] (inclusive); [None] before creation or at/after
-    deletion. *)
-val asof : t -> Schema.t -> int -> ts:int -> Value.tuple option
+(** {1 ASOF} — [fetch] reads an object's current state by its root: the
+    object store on the live view, the MVCC version on a snapshot. *)
 
-(** All objects alive at [ts], reconstructed (sorted). *)
-val snapshot : t -> Schema.t -> ts:int -> Value.tuple list
+(** Every object alive at [ts] (inclusive), in id order. *)
+val asof : state -> Schema.t -> fetch:(Nf2_storage.Tid.t -> Value.tuple) -> ts:int -> Value.tuple list
 
-val current_all : t -> Schema.t -> Value.tuple list
+(** One object's state at [ts]; [None] before its birth or from its
+    death on.  @raise Temporal_error for an unknown id. *)
+val object_asof :
+  state -> Schema.t -> fetch:(Nf2_storage.Tid.t -> Value.tuple) -> int -> ts:int -> Value.tuple option
 
 (** Version metadata [(ts, is_initial)] oldest first. *)
-val history : t -> int -> (int * bool) list
+val history : state -> int -> (int * bool) list
 
 (** Walk-through-time: every distinct state whose validity interval
     intersects [\[lo, hi\]], oldest first, stamped with the time it
@@ -70,37 +84,23 @@ val history : t -> int -> (int * bool) list
     the interval start) — the interval access the prototype supported
     below the language interface (Section 5).
     @raise Temporal_error on an empty interval. *)
-val walk_through_time : t -> Schema.t -> int -> lo:int -> hi:int -> (int * Value.tuple) list
-
-val ids : t -> int list
-
-(** Decode the store's entire history into pure in-memory data (all
-    page access happens at freeze time) and return a date-ASOF reader
-    equivalent to {!snapshot} that touches no shared storage — the
-    bridge to the engine-wide MVCC layer ({!Nf2_temporal.Mvcc}). *)
-val freeze : t -> Schema.t -> int -> Value.tuple list
-
-(** {1 Persistence} *)
-
-type export = {
-  x_next_id : int;
-  x_clock : int;
-  x_delta_pages : int list;
-  x_objects : (int * Nf2_storage.Tid.t * int * int option * (int * Nf2_storage.Tid.t option) list) list;
-}
-
-(** Version metadata for {!restore} — the object store and delta pages
-    themselves persist with the disk image. *)
-val export : t -> export
-
-val restore : OS.t -> Nf2_storage.Buffer_pool.t -> export -> t
+val walk_through_time :
+  state ->
+  Schema.t ->
+  fetch:(Nf2_storage.Tid.t -> Value.tuple) ->
+  int ->
+  lo:int ->
+  hi:int ->
+  (int * Value.tuple) list
 
 (** {1 Space accounting (experiments)} *)
 
 val delta_bytes : t -> int
-val version_count : t -> int -> int
+(** Payload bytes of every log entry. *)
 
-(** {1 Value-level delta helpers (exposed for tests)} *)
+val version_count : state -> int -> int
+
+(** {1 Value-level delta helpers} *)
 
 val atoms_at : Schema.table -> Value.tuple -> step_path -> Atom.t list
 val replace_atoms : Schema.table -> Value.tuple -> step_path -> Atom.t list -> Value.tuple

@@ -644,6 +644,23 @@ let test_snapshot_too_old_over_wire () =
            (rows c (Printf.sprintf "SELECT x.K FROM x IN T ASOF %d" (Db.current_snapshot_lsn (Server.db srv)))));
       Client.close c)
 
+(* A non-monotone AT on a versioned table is a statement error: the
+   refusal arrives as a semantic error before anything changes, and the
+   same connection goes on answering. *)
+let test_non_monotone_at_over_wire () =
+  with_server (fun srv ->
+      let c = conn srv in
+      ignore (expect_ok c "CREATE TABLE D (DNO INT, BUDGET INT) WITH VERSIONS");
+      ignore (expect_ok c "INSERT INTO D VALUES (314, 320000)");
+      ignore (expect_ok c "UPDATE D SET BUDGET = 500000 WHERE DNO = 314 AT DATE '1985-01-01'");
+      (match query c "UPDATE D SET BUDGET = 1 WHERE DNO = 314 AT DATE '1980-01-01'" with
+      | P.Error { code; _ } -> Alcotest.(check string) "semantic error" P.err_semantic code
+      | _ -> Alcotest.fail "expected the non-monotone AT to be refused");
+      Alcotest.(check (list (list string)))
+        "same connection, unchanged row" [ [ "500000" ] ]
+        (rows c "SELECT x.BUDGET FROM x IN D");
+      Client.close c)
+
 (* --- crash during concurrent commits ------------------------------------ *)
 
 (* Kill the "machine" at the k-th WAL fsync while several sessions
@@ -726,6 +743,7 @@ let () =
           Alcotest.test_case "prepared rewrite cached" `Quick test_prepared_rewrite_once;
           Alcotest.test_case "prometheus read gauges" `Quick test_prometheus_read_gauges;
           Alcotest.test_case "snapshot too old on the wire" `Quick test_snapshot_too_old_over_wire;
+          Alcotest.test_case "non-monotone AT on the wire" `Quick test_non_monotone_at_over_wire;
         ] );
       ( "crash",
         [ Alcotest.test_case "crash mid-commit recovers" `Quick test_crash_mid_commit_recovers ] );

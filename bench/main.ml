@@ -6,7 +6,8 @@
 
    Run with:  dune exec bench/main.exe            (all sections)
               dune exec bench/main.exe -- F6 F7   (selected sections)
-   An unknown section id exits with status 2 and lists the valid ids. *)
+   An unknown section id exits with status 2 and lists the valid ids.
+   [main.exe --bulk-load N] runs one of WL's logged bulk loads alone. *)
 
 module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
@@ -1034,6 +1035,60 @@ let bench_ablations () =
 (* WL: write-ahead logging — overhead and crash recovery              *)
 (* ================================================================== *)
 
+(* The logged bulk load: [rows] ORDERS-shape objects (the point-oltp
+   table: OID, CUST, STATUS and three LINES) in 5,000-row INSERTs with
+   the WAL on.  Prints "<wall s> <log bytes> <log records> <VmHWM kB>"
+   on one line; run as [main.exe --bulk-load N] in a process of its
+   own, so that VmHWM is this load's peak and no other section's. *)
+let bulk_load rows =
+  let db = Db.create ~wal:true () in
+  ignore
+    (Db.exec db "CREATE TABLE ORDERS (OID INT, CUST TEXT, STATUS TEXT, LINES TABLE (SKU INT, QTY INT))");
+  let w = Option.get (Db.wal db) in
+  let bytes0 = (Wal.stats w).Wal.bytes and records0 = (Wal.stats w).Wal.records in
+  let rng = Prng.create 22 in
+  let statuses = [| "open"; "paid"; "shipped" |] in
+  let row k =
+    let line () = Printf.sprintf "(%d, %d)" (Prng.in_range rng 1 99999) (Prng.in_range rng 1 50) in
+    Printf.sprintf "(%d, 'C%s', '%s', {%s, %s, %s})" k (Prng.word rng 7) (Prng.pick rng statuses)
+      (line ()) (line ()) (line ())
+  in
+  let batch = 5000 in
+  let (), ns =
+    time_once (fun () ->
+        let rec go first =
+          if first <= rows then begin
+            let n = min batch (rows - first + 1) in
+            ignore
+              (Db.exec db
+                 ("INSERT INTO ORDERS VALUES " ^ String.concat ", " (List.init n (fun i -> row (first + i)))));
+            go (first + n)
+          end
+        in
+        go 1)
+  in
+  let count = Db.query db "SELECT x.OID FROM x IN ORDERS" in
+  if List.length (Rel.tuples count) <> rows then failwith "bulk load: row count";
+  let hwm_kb =
+    In_channel.with_open_text "/proc/self/status" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.find_map (fun l -> Scanf.sscanf_opt l "VmHWM: %d kB" Fun.id)
+    |> Option.value ~default:0
+  in
+  Printf.printf "%.3f %d %d %d\n" (ns /. 1e9) ((Wal.stats w).Wal.bytes - bytes0)
+    ((Wal.stats w).Wal.records - records0) hwm_kb
+
+(* Run [bulk_load rows] in a child process of this executable. *)
+let bulk_load_child rows =
+  let ic =
+    Unix.open_process_args_in Sys.executable_name
+      [| Sys.executable_name; "--bulk-load"; string_of_int rows |]
+  in
+  let line = In_channel.input_line ic in
+  match (Unix.close_process_in ic, line) with
+  | Unix.WEXITED 0, Some l -> Some (Scanf.sscanf l "%f %d %d %d" (fun s b r h -> (s, b, r, h)))
+  | _ -> None
+
 let bench_wal () =
   section "WL" "write-ahead logging: overhead and crash recovery";
   let scripts =
@@ -1094,7 +1149,33 @@ let bench_wal () =
   check "recovery restores exactly the committed prefix"
     (Db.table_names recovered = Db.table_names oracle
     && (Db.table_names recovered = []
-       || Rel.equal (Db.query recovered "SELECT * FROM R") (Db.query oracle "SELECT * FROM R")))
+       || Rel.equal (Db.query recovered "SELECT * FROM R") (Db.query oracle "SELECT * FROM R")));
+  subsection "logged bulk load (ORDERS-shape rows, 5,000-row INSERTs, WAL on)";
+  let loads = List.map (fun rows -> (rows, bulk_load_child rows)) [ 1_000; 10_000; 100_000 ] in
+  print_table
+    ~header:[ "rows"; "wall time"; "log bytes/row"; "log records/row"; "peak RSS (VmHWM)" ]
+    (List.map
+       (fun (rows, r) ->
+         match r with
+         | None -> [ string_of_int rows; "failed"; "-"; "-"; "-" ]
+         | Some (secs, bytes, records, hwm_kb) ->
+             let per x = Printf.sprintf "%.1f" (float_of_int x /. float_of_int rows) in
+             [
+               string_of_int rows;
+               ns_to_string (secs *. 1e9);
+               per bytes;
+               per records;
+               Printf.sprintf "%d MiB" (hwm_kb / 1024);
+             ])
+       loads);
+  check "every bulk load completed" (List.for_all (fun (_, r) -> r <> None) loads);
+  check "the log carries the rows, not whole pages: <= 640 log bytes per row"
+    (List.for_all
+       (fun (rows, r) ->
+         match r with Some (_, bytes, _, _) -> bytes <= 640 * rows | None -> false)
+       loads);
+  check "the 100k-row load peaks under 1,536 MiB"
+    (match List.assoc 100_000 loads with Some (_, _, _, hwm_kb) -> hwm_kb < 1536 * 1024 | None -> false)
 
 (* ================================================================== *)
 (* SRV: concurrent server — throughput and group commit               *)
@@ -2219,6 +2300,11 @@ let sections : (string * (unit -> unit)) list =
   ]
 
 let () =
+  (match Sys.argv with
+  | [| _; "--bulk-load"; rows |] ->
+      bulk_load (int_of_string rows);
+      exit 0
+  | _ -> ());
   let requested = List.tl (Array.to_list Sys.argv) in
   (match List.filter (fun id -> not (List.mem_assoc id sections)) requested with
   | [] -> ()

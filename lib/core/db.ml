@@ -71,8 +71,14 @@ and dirty = Whole | Roots of TidSet.t
 (* A WAL transaction: the log holds its page before-images for physical
    undo; [saved_catalog] is the cheap in-memory metadata snapshot
    restored on rollback (pages are the expensive part, and those are
-   undone from the log). *)
-and wal_txn_state = { wtx : Wal.txid; saved_catalog : string }
+   undone from the log), and [saved_histories] the versioned tables'
+   history indexes as of BEGIN, by table key, which rollback takes up
+   again instead of re-reading each history log. *)
+and wal_txn_state = {
+  wtx : Wal.txid;
+  saved_catalog : string;
+  saved_histories : (string * VS.t) list;
+}
 
 (* A database opened by {!open_files}: [image] is rewritten at every
    checkpoint, [log] holds the WAL's durable bytes since then. *)
@@ -675,8 +681,10 @@ let encode_catalog b t =
     names
 
 (* Rebuild [t.tables] and [t.tnames] from a catalog image, re-attaching
-   stores to [t.pool] and rebuilding indexes. *)
-let decode_catalog t src =
+   stores to [t.pool] and rebuilding indexes.  A table's history is
+   taken from [histories] (a rollback's, kept from BEGIN) when it is
+   there, else rebuilt from its log. *)
+let decode_catalog ?(histories = []) t src =
   Hashtbl.reset t.tables;
   let ntables = Codec.get_uvarint src in
   for _ = 1 to ntables do
@@ -707,7 +715,12 @@ let decode_catalog t src =
     let history =
       match Codec.get_u8 src with
       | 0 -> None
-      | n when n = history_log -> Some (VS.restore t.pool ~pages:(get_int_list src))
+      | n when n = history_log ->
+          let pages = get_int_list src in
+          Some
+            (match List.assoc_opt (String.uppercase_ascii schema.Schema.name) histories with
+            | Some h -> h
+            | None -> VS.restore t.pool ~pages)
       | 1 ->
           db_error
             "versioned table %s was written by an older build that kept its versions in the \
@@ -801,7 +814,7 @@ let wal_payload t : string =
   encode_catalog b t;
   Codec.contents b
 
-let restore_catalog t (payload : string) =
+let restore_catalog ?histories t (payload : string) =
   let src = Codec.source_of_string payload in
   let layout, clustering = get_physical ~what:"catalog payload" src in
   (* rollback restores always match; a *shipped* payload from a primary
@@ -809,12 +822,17 @@ let restore_catalog t (payload : string) =
      images it describes would be misread under this layout *)
   if layout <> t.layout || clustering <> t.clustering then
     db_error "catalog payload: layout/clustering mismatch with this database";
-  decode_catalog t src
+  decode_catalog ?histories t src
 
 let begin_wal_txn t w =
   let wtx = Wal.begin_tx w in
   BP.set_tx t.pool wtx;
-  let st = { wtx; saved_catalog = wal_payload t } in
+  let saved_histories =
+    Hashtbl.fold
+      (fun key ti acc -> match ti.history with Some h -> (key, VS.copy h) :: acc | None -> acc)
+      t.tables []
+  in
+  let st = { wtx; saved_catalog = wal_payload t; saved_histories } in
   t.wal_txn <- Some st;
   st
 
@@ -841,7 +859,7 @@ let abort_wal_txn t w (st : wal_txn_state) =
   BP.set_tx t.pool Wal.system_tx;
   t.wal_txn <- None;
   t.dirty <- SMap.empty; (* nothing committed: publish nothing *)
-  restore_catalog t st.saved_catalog
+  restore_catalog ~histories:st.saved_histories t st.saved_catalog
 
 (* Run [f] as its own logged transaction when a WAL is attached and no
    transaction is already open.  [Disk.Crash] (simulated machine death)

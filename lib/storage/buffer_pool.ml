@@ -21,9 +21,14 @@
    latch, so there is no lock-order cycle.
 
    When a WAL is attached, every dirty callback is bracketed by a
-   before-image copy: the byte range the callback changed becomes a
-   physiological log record under the pool's current transaction, and
-   the frame is stamped with its LSN.  No dirty frame reaches the disk
+   before-image copy into a page buffer the partition keeps for reuse:
+   each run of bytes the callback changed becomes one physiological
+   log record under the pool's current transaction (two runs whose
+   identical gap is cheaper to log than a second record's framing
+   share one), and the frame is stamped with the last record's LSN.
+   A slotted-page change touches the header at one end and the slot
+   directory at the other, so a single first-to-last-byte span would
+   log nearly the whole page twice.  No dirty frame reaches the disk
    before its log record is durable — the flush path forces a log flush
    (or, in strict mode, raises [Wal_ordering]) whenever the frame's LSN
    is ahead of the log's durable mark.
@@ -52,7 +57,7 @@ type stats = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable log_captures : int; (* dirty callbacks that produced a log record *)
+  mutable log_captures : int; (* dirty callbacks that logged a change: callbacks, not records *)
   mutable contended : int; (* pin-path latch acquisitions that had to wait *)
   mutable rebalances : int; (* frames moved between partitions under pressure *)
 }
@@ -67,6 +72,7 @@ type partition = {
   mutable tick : int;
   pstats : stats; (* contended/rebalances unused here; see the Atomics below *)
   waited : int Atomic.t; (* try_lock failures on the pin path *)
+  mutable spares : Bytes.t list; (* before-image buffers free for reuse *)
 }
 
 type t = {
@@ -112,6 +118,7 @@ let create ?(frames = 64) ?partitions disk =
             tick = 0;
             pstats = zero_stats ();
             waited = Atomic.make 0;
+            spares = [];
           });
     rebalance_mu = Mutex.create ();
     rebalanced = Atomic.make 0;
@@ -229,22 +236,48 @@ let wal t = t.wal
 let set_tx t tx = t.wal_tx <- tx
 let set_strict_wal t b = t.strict_wal <- b
 
-(* Log the byte range a dirty callback changed: one physiological
-   record spanning the first through last differing byte. *)
+(* A record's framing beyond its two images (length prefix, tag, LSN,
+   tx, page, offset, image lengths, checksum): an identical gap costs
+   twice its length inside a joined record, so a gap shorter than half
+   the framing is cheaper to log than to split at. *)
+let record_framing = 16
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Log what a dirty callback changed: one physiological record per run
+   of differing bytes, runs closer than [record_framing / 2] joined.
+   Each logged range starts and ends on a differing byte.  Equal
+   stretches are skipped 8 bytes at a time. *)
 let capture_diff t p (w : Wal.t) (before : Bytes.t) (f : frame) =
+  let after = f.buf in
   let n = Bytes.length before in
-  let lo = ref 0 in
-  while !lo < n && Bytes.unsafe_get before !lo = Bytes.unsafe_get f.buf !lo do incr lo done;
-  if !lo < n then begin
-    let hi = ref (n - 1) in
-    while !hi > !lo && Bytes.unsafe_get before !hi = Bytes.unsafe_get f.buf !hi do decr hi done;
-    let len = !hi - !lo + 1 in
-    let lsn =
-      Wal.log_update w ~tx:t.wal_tx ~page:f.page ~off:!lo
-        ~before:(Bytes.sub_string before !lo len)
-        ~after:(Bytes.sub_string f.buf !lo len)
+  let rec next_diff i =
+    if i + 8 <= n && get64u before i = get64u after i then next_diff (i + 8)
+    else if i < n && Bytes.unsafe_get before i = Bytes.unsafe_get after i then next_diff (i + 1)
+    else i
+  in
+  let rec next_same i =
+    if i < n && Bytes.unsafe_get before i <> Bytes.unsafe_get after i then next_same (i + 1)
+    else i
+  in
+  (* [lo] differs; log the run it starts, with every later run that
+     begins within the join distance of its end *)
+  let rec runs lo =
+    let rec extend hi =
+      let next = next_diff hi in
+      if next < n && 2 * (next - hi) < record_framing then extend (next_same next) else (hi, next)
     in
-    f.lsn <- lsn;
+    let hi, next = extend (next_same lo) in
+    let len = hi - lo in
+    f.lsn <-
+      Wal.log_update w ~tx:t.wal_tx ~page:f.page ~off:lo
+        ~before:(Bytes.sub_string before lo len)
+        ~after:(Bytes.sub_string after lo len);
+    if next < n then runs next
+  in
+  let first = next_diff 0 in
+  if first < n then begin
+    runs first;
     p.pstats.log_captures <- p.pstats.log_captures + 1
   end
 
@@ -360,30 +393,42 @@ let with_page t page ~dirty fn =
      latch; the callback itself runs unlatched (the pin keeps the frame
      resident).  A fully-pinned partition borrows a frame from a
      sibling and retries. *)
+  let logging = dirty && Option.is_some t.wal in
   let rec pin () =
     match latched_pin p (fun () ->
         match try_load t p page with
         | Some f ->
             f.pins <- f.pins + 1;
-            Some f
+            (* a before-image buffer for the log, taken with the pin;
+               nested writes to the same partition each take their own *)
+            let spare =
+              if not logging then None
+              else
+                match p.spares with
+                | b :: rest ->
+                    p.spares <- rest;
+                    Some b
+                | [] -> Some (Bytes.create (Bytes.length f.buf))
+            in
+            Some (f, spare)
         | None -> None)
     with
-    | Some f -> f
+    | Some pinned -> pinned
     | None -> if rebalance t p then pin () else raise Pool_exhausted
   in
-  let f = pin () in
+  let f, before = pin () in
   (* Snapshot for the log: the capture runs in the cleanup path so even
      a callback that raises mid-mutation leaves its changes logged (and
      therefore undoable). *)
-  let before =
-    match t.wal with Some _ when dirty -> Some (Bytes.copy f.buf) | _ -> None
-  in
+  Option.iter (fun b -> Bytes.blit f.buf 0 b 0 (Bytes.length b)) before;
   Fun.protect
     ~finally:(fun () ->
       latched p (fun () ->
-          (match (before, t.wal) with
-          | Some b, Some w -> capture_diff t p w b f
-          | _ -> ());
+          (match before with
+          | Some b ->
+              Option.iter (fun w -> capture_diff t p w b f) t.wal;
+              p.spares <- b :: p.spares
+          | None -> ());
           f.pins <- f.pins - 1;
           if dirty then f.dirty <- true))
     (fun () ->

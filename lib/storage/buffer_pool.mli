@@ -11,10 +11,10 @@
     count; physical I/O is counted by {!Disk}.
 
     With a {!Wal} attached, every dirty callback is bracketed by a
-    before-image copy and the changed byte range becomes a log record
-    under the pool's current transaction; the flush path enforces the
-    WAL-before-data rule (forced log flush, or {!Wal_ordering} in
-    strict mode). *)
+    before-image copy (into a buffer the partition reuses) and each run
+    of changed bytes becomes a log record under the pool's current
+    transaction; the flush path enforces the WAL-before-data rule
+    (forced log flush, or {!Wal_ordering} in strict mode). *)
 
 (** Aggregated counters.  {!stats} returns a fresh snapshot summed
     across partitions under their latches, so two snapshots bracketing
@@ -23,7 +23,9 @@ type stats = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable log_captures : int;  (** dirty callbacks that produced a log record *)
+  mutable log_captures : int;
+      (** dirty callbacks that logged a change — callbacks, not records:
+          one callback logs a record per changed run *)
   mutable contended : int;  (** pin-path latch acquisitions that had to wait *)
   mutable rebalances : int;  (** frames donated between partitions under pressure *)
 }

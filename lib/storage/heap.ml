@@ -25,6 +25,8 @@ let restore pool ~pages =
 
 let pages t = t.pages
 
+let copy t = { t with ranks = Hashtbl.copy t.ranks; fsm = Hashtbl.copy t.fsm }
+
 let note_free t page buf = Hashtbl.replace t.fsm page (Page.usable_free buf)
 
 let page_size t = Disk.page_size (Buffer_pool.disk t.pool)

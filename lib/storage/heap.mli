@@ -15,6 +15,12 @@ val restore : Buffer_pool.t -> pages:int list -> t
 (** Pages owned by this heap, newest first. *)
 val pages : t -> int list
 
+(** An independent copy of the heap's in-memory bookkeeping over the
+    same pages.  Once the pages are rewound to the state they had when
+    the copy was taken (a rolled-back transaction), the copy is that
+    heap again, without reading a page as {!restore} does. *)
+val copy : t -> t
+
 (** Store a record; returns its stable TID. *)
 val insert : t -> string -> Tid.t
 

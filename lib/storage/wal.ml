@@ -3,13 +3,14 @@
    transaction begin/commit/abort, checkpoints).
 
    The log models an append-only file with explicit durability: records
-   accumulate in a volatile tail until [flush] moves the durable-prefix
-   mark forward (an fsync).  A simulated crash keeps only the durable
-   prefix — [durable_contents] — which the {!Recovery} module replays.
-   An optional sync hook (installed by {!Faulty_disk}) can make an
-   fsync persist only part of the pending bytes and then kill the
-   process, producing a torn log tail; the record framing (length
-   prefix + checksum byte) lets the reader drop such a tail. *)
+   are kept once, serialised, and accumulate in a volatile tail until
+   [flush] moves the durable-prefix mark forward (an fsync).  A
+   simulated crash keeps only the durable prefix — [durable_contents] —
+   which the {!Recovery} module replays.  An optional sync hook
+   (installed by {!Faulty_disk}) can make an fsync persist only part of
+   the pending bytes and then kill the process, producing a torn log
+   tail; the record framing (length prefix + checksum byte) lets the
+   reader drop such a tail. *)
 
 type lsn = int
 type txid = int
@@ -50,7 +51,9 @@ type t = {
   mutable durable_lsn : lsn;  (* last LSN wholly inside the durable prefix *)
   mutable next_lsn : lsn;
   mutable next_tx : txid;
-  mutable recs : (lsn * int * record) list;  (* (lsn, end offset, record), newest first *)
+  (* [buf] is the only copy of each record; [recs] locates them *)
+  mutable recs : (lsn * int) list;  (* (lsn, end offset in [buf]), newest first *)
+  begins : (txid, int) Hashtbl.t;  (* open transaction -> offset of its Begin *)
   mutable sync_hook : (int -> int) option;  (* pending bytes -> bytes persisted *)
   mutable group_commit : bool;  (* commits defer their fsync to [sync_to] *)
   mutable group_window : unit -> unit;  (* leader's gathering pause *)
@@ -87,6 +90,7 @@ let create () =
     next_lsn = 1;
     next_tx = 1;
     recs = [];
+    begins = Hashtbl.create 8;
     sync_hook = None;
     group_commit = false;
     group_window = (fun () -> ());
@@ -261,7 +265,7 @@ let append_unlocked t (mk : lsn -> record) : lsn =
   Buffer.add_buffer t.buf frame;
   Buffer.add_string t.buf payload;
   Buffer.add_char t.buf (Char.chr (checksum payload));
-  t.recs <- (lsn, Buffer.length t.buf, r) :: t.recs;
+  t.recs <- (lsn, Buffer.length t.buf) :: t.recs;
   t.stats.records <- t.stats.records + 1;
   t.stats.bytes <- Buffer.length t.buf;
   lsn
@@ -272,6 +276,7 @@ let begin_tx t : txid =
   with_mu t (fun () ->
       let tx = t.next_tx in
       t.next_tx <- tx + 1;
+      Hashtbl.replace t.begins tx (Buffer.length t.buf);
       ignore (append_unlocked t (fun _ -> Begin tx));
       tx)
 
@@ -311,7 +316,7 @@ let flush_unlocked ?(forced = false) t =
        record that fits is the one — the walk is O(records since the
        last flush), not O(log) *)
     let rec advance = function
-      | (lsn, end_off, _) :: rest ->
+      | (lsn, end_off) :: rest ->
           if end_off <= t.durable_len then begin
             if lsn > t.durable_lsn then t.durable_lsn <- lsn
           end
@@ -339,6 +344,7 @@ let flush ?forced t = with_mu t (fun () -> flush_unlocked ?forced t)
    lets followers slip their commit records in before the fsync. *)
 let commit t ~tx ~payload =
   with_mu t (fun () ->
+      Hashtbl.remove t.begins tx;
       ignore (append_unlocked t (fun _ -> Commit { tx; payload }));
       if t.appender_run then begin
         (* async mode: enqueue for the appender thread and return; the
@@ -480,7 +486,10 @@ let set_async_appender t enabled =
 
 let appender_running t = with_mu t (fun () -> t.appender_run)
 
-let log_abort t tx = ignore (append t (fun _ -> Abort tx))
+let log_abort t tx =
+  with_mu t (fun () ->
+      Hashtbl.remove t.begins tx;
+      ignore (append_unlocked t (fun _ -> Abort tx)))
 
 let log_checkpoint t ~payload =
   with_mu t (fun () ->
@@ -513,7 +522,7 @@ let file_records path =
 (* --- introspection ------------------------------------------------------ *)
 
 let contents t = with_mu t (fun () -> Buffer.contents t.buf)
-let durable_contents t = with_mu t (fun () -> String.sub (Buffer.contents t.buf) 0 t.durable_len)
+let durable_contents t = with_mu t (fun () -> Buffer.sub t.buf 0 t.durable_len)
 
 (* The log-shipping read: every durable record strictly after [since],
    raw framed bytes ready for re-decoding on the replica.  [recs] is
@@ -525,8 +534,8 @@ let durable_contents t = with_mu t (fun () -> String.sub (Buffer.contents t.buf)
 let durable_since ?(max_bytes = max_int) t (since : lsn) : string * lsn * lsn =
   with_mu t (fun () ->
       let rec newer acc = function
-        | (l, e, _) :: rest when l > since -> newer ((l, e) :: acc) rest
-        | (_, e, _) :: _ -> (acc, e) (* boundary record = [since] itself *)
+        | (l, e) :: rest when l > since -> newer ((l, e) :: acc) rest
+        | (_, e) :: _ -> (acc, e) (* boundary record = [since] itself *)
         | [] -> (acc, 0)
       in
       let after, start_off = newer [] t.recs in
@@ -543,12 +552,16 @@ let durable_since ?(max_bytes = max_int) t (since : lsn) : string * lsn * lsn =
           (Buffer.sub t.buf start_off (stop_off - start_off), last, t.durable_lsn))
 
 (* Chronological (page, off, before) images of a transaction's updates,
-   for runtime rollback. *)
+   for runtime rollback: only the log from the transaction's Begin on
+   is decoded. *)
 let tx_updates t tx : (int * int * string) list =
   with_mu t (fun () ->
-      List.fold_left
-        (fun acc (_, _, r) ->
-          match r with
-          | Update u when u.tx = tx -> (u.page, u.off, u.before) :: acc
-          | _ -> acc)
-        [] t.recs)
+      match Hashtbl.find_opt t.begins tx with
+      | None -> []
+      | Some start ->
+          List.filter_map
+            (fun (_, r) ->
+              match r with
+              | Update u when u.tx = tx -> Some (u.page, u.off, u.before)
+              | _ -> None)
+            (records_of_string (Buffer.sub t.buf start (Buffer.length t.buf - start))))

@@ -153,6 +153,7 @@ val records_of_string : string -> (lsn * record) list
     [("", since, durable)]. *)
 val durable_since : ?max_bytes:int -> t -> lsn -> string * lsn * lsn
 
-(** Chronological (page, offset, before-image) updates of one
-    transaction, for runtime rollback. *)
+(** Chronological (page, offset, before-image) updates of an open
+    transaction, for runtime rollback: only the log from its [Begin] on
+    is decoded.  [[]] once the transaction has committed or aborted. *)
 val tx_updates : t -> txid -> (int * int * string) list

@@ -196,6 +196,7 @@ let create pool = { log = Heap.create pool; state = empty; ids = TMap.empty; nex
 let pages t = Heap.pages t.log
 let clock t = t.state.clock
 let freeze t = t.state
+let copy t = { t with log = Heap.copy t.log }
 let object_id t root = TMap.find_opt root t.ids
 
 (* Apply one logged event to the index. *)

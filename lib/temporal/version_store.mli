@@ -64,6 +64,13 @@ val object_id : t -> Nf2_storage.Tid.t -> int option
 val freeze : t -> state
 (** The current state, in O(1). *)
 
+val copy : t -> t
+(** An independent copy of the history, sharing its immutable index.
+    A transaction keeps one from its start: once a rollback has rewound
+    the log's pages, the copy is the history as it was, and takes the
+    place of the one the transaction changed without the re-read of
+    the whole log that {!restore} makes. *)
+
 (** {1 ASOF} — [fetch] reads an object's current state by its root: the
     object store on the live view, the MVCC version on a snapshot. *)
 

@@ -377,6 +377,52 @@ let test_at_refused_on_plain_tables () =
       "DELETE FROM P.ITEMS WHERE I = 1 AT DATE '1985-01-01'";
     ]
 
+(* ROLLBACK takes up the history index kept from BEGIN instead of
+   re-reading the history log: ASOF answers and the clock are those of
+   before BEGIN, and an empty transaction's rollback makes as many pool
+   accesses next to a long history as next to a short one. *)
+let test_rollback_keeps_history () =
+  let versioned updates =
+    let db = Db.create ~wal:true () in
+    ignore (Db.exec db "CREATE TABLE V (K INT, N INT, ITEMS TABLE (I INT)) WITH VERSIONS");
+    ignore (Db.exec db "INSERT INTO V VALUES (1, 0, {(1)}), (2, 0, {}), (3, 0, {(3), (4)})");
+    for i = 1 to updates do
+      ignore
+        (Db.exec db (Printf.sprintf "UPDATE V SET N = %d WHERE K = %d AT %d" i (1 + (i mod 3)) (10 * i)))
+    done;
+    db
+  in
+  let render db q = Nf2_algebra.Rel.render (Db.query db q) in
+  let asof db ts = render db (Printf.sprintf "SELECT * FROM x IN V ASOF %d" ts) in
+  let stamps = [ 0; 5; 10; 15; 500; 995; 1000; 2000; 3500; 5000 ] in
+  let db = versioned 100 in
+  let before = List.map (asof db) stamps in
+  ignore
+    (Db.exec db
+       "BEGIN; UPDATE V SET N = -1 WHERE K = 1 AT 2000; UPDATE V.ITEMS SET I = 0 AT 3000; DELETE FROM \
+        V WHERE K = 3 AT 4000; INSERT INTO V VALUES (4, 4, {}); ROLLBACK");
+  List.iter2
+    (fun ts expected -> Alcotest.(check string) (Printf.sprintf "ASOF %d after rollback" ts) expected (asof db ts))
+    stamps before;
+  (* the clock is back at 1000: a change stamped before the rolled-back
+     ones is accepted and joins the history *)
+  ignore (Db.exec db "UPDATE V SET N = 7 WHERE K = 2 AT 1500");
+  Alcotest.(check string) "ASOF 1499 after a later change" (List.nth before 6) (asof db 1499);
+  Alcotest.(check string) "ASOF 1500 shows it" (render db "SELECT * FROM x IN V") (asof db 1500);
+  let accesses updates =
+    let db = versioned updates in
+    let pool = Db.pool db in
+    let count () =
+      let s = BP.stats pool in
+      s.BP.hits + s.BP.misses
+    in
+    let c0 = count () in
+    ignore (Db.exec db "BEGIN; ROLLBACK");
+    count () - c0
+  in
+  checki "empty rollback: pool accesses after 100 vs 1,000 logged updates" (accesses 100)
+    (accesses 1000)
+
 let () =
   Alcotest.run "temporal"
     [
@@ -396,5 +442,6 @@ let () =
           Alcotest.test_case "ASOF example (Section 5)" `Quick test_language_asof_example;
           Alcotest.test_case "versioned table vs plain twin" `Quick test_versioned_vs_plain_twin;
           Alcotest.test_case "AT refused on plain tables" `Quick test_at_refused_on_plain_tables;
+          Alcotest.test_case "rollback keeps the history" `Quick test_rollback_keeps_history;
         ] );
     ]

@@ -504,6 +504,103 @@ let test_wal_stats () =
   let ps = BP.stats (Db.pool db) in
   checkb "pool captured log records" true (ps.BP.log_captures > 0)
 
+(* --- what a page write logs ---------------------------------------------- *)
+
+module Page = Nf2_storage.Page
+
+(* The log's Update records after [since], oldest first. *)
+let updates_since w since =
+  List.filter_map
+    (fun (lsn, r) ->
+      match r with
+      | Wal.Update { off; before; after; _ } when lsn > since -> Some (off, before, after)
+      | _ -> None)
+    (Wal.records_of_string (Wal.contents w))
+
+let apply_images page images =
+  List.iter (fun (off, img) -> Bytes.blit_string img 0 page off (String.length img)) images;
+  page
+
+(* Random slotted-page operations, each one [BP.write] under a WAL: the
+   records a write emits are disjoint runs in offset order, each
+   starting and ending on a byte the write changed, and their images
+   replay the write exactly — redo turns the before page into the after
+   page, undo in reverse order turns it back. *)
+let test_capture_runs () =
+  let disk = D.create ~page_size:4096 () in
+  let pool = BP.create ~frames:4 disk in
+  let w = Wal.create () in
+  BP.attach_wal pool w;
+  let page = BP.alloc pool in
+  BP.write pool page Page.init;
+  let rng = Prng.create 22 in
+  let record () = String.make (Prng.in_range rng 1 120) (Char.chr (Prng.in_range rng 65 90)) in
+  let image () = BP.read pool page Bytes.copy in
+  for step = 1 to 400 do
+    let msg = Printf.sprintf "step %d" step in
+    let before = image () in
+    let since = Wal.last_lsn w in
+    BP.write pool page (fun buf ->
+        let live = Array.of_list (Page.live_records buf) in
+        match Prng.int rng 4 with
+        | 0 -> ignore (Page.insert buf (record ()))
+        | 1 when live <> [||] -> ignore (Page.delete buf (Prng.pick rng live))
+        | 2 when live <> [||] -> ignore (Page.update buf (Prng.pick rng live) (record ()))
+        | 3 -> Page.compact buf
+        | _ -> ignore (Page.insert buf (record ())));
+    let after = image () in
+    let recs = updates_since w since in
+    checkb (msg ^ ": a change is logged iff the page changed") (before <> after) (recs <> []);
+    ignore
+      (List.fold_left
+         (fun prev_end (off, b, a) ->
+           let len = String.length a in
+           checkb (msg ^ ": disjoint, in offset order") true (off >= prev_end && len > 0);
+           checki (msg ^ ": images of one length") len (String.length b);
+           checkb (msg ^ ": run starts on a changed byte") true
+             (Bytes.get before off <> Bytes.get after off);
+           checkb (msg ^ ": run ends on a changed byte") true
+             (Bytes.get before (off + len - 1) <> Bytes.get after (off + len - 1));
+           off + len)
+         0 recs);
+    let redo = apply_images (Bytes.copy before) (List.map (fun (o, _, a) -> (o, a)) recs) in
+    checkb (msg ^ ": redo reproduces the after page") true (Bytes.equal redo after);
+    let undo = apply_images (Bytes.copy after) (List.rev_map (fun (o, b, _) -> (o, b)) recs) in
+    checkb (msg ^ ": undo reproduces the before page") true (Bytes.equal undo before)
+  done
+
+(* Bytes of the page images one statement logs (commit payloads are
+   not page images and are left out). *)
+let update_bytes db sql =
+  let w = Option.get (Db.wal db) in
+  let since = Wal.last_lsn w in
+  ignore (Db.exec db sql);
+  List.fold_left
+    (fun acc (_, b, a) -> acc + String.length b + String.length a)
+    0 (updates_since w since)
+
+(* A one-row write logs about what it changed, not whole pages: the
+   ORDERS shape of the point-oltp workload on a populated, indexed
+   table. *)
+let test_capture_size () =
+  let db = Db.create ~wal:true () in
+  let row k =
+    Printf.sprintf "(%d, 'C%07d', 'open', {(%d, %d), (%d, %d), (%d, %d)})" k k (k * 7) (k mod 50)
+      (k * 11) (k mod 13) (k * 13) (k mod 7)
+  in
+  ignore
+    (Db.exec db "CREATE TABLE ORDERS (OID INT, CUST TEXT, STATUS TEXT, LINES TABLE (SKU INT, QTY INT))");
+  ignore
+    (Db.exec db
+       ("INSERT INTO ORDERS VALUES " ^ String.concat ", " (List.init 200 (fun k -> row (k + 1)))));
+  ignore (Db.exec db "CREATE INDEX ON ORDERS (OID)");
+  let insert = update_bytes db ("INSERT INTO ORDERS VALUES " ^ row 201) in
+  checkb (Printf.sprintf "one-row INSERT logs %d B of page images (< 2 KB)" insert) true
+    (insert < 2048);
+  let update = update_bytes db "UPDATE ORDERS SET CUST = 'zz' WHERE OID = 77" in
+  checkb (Printf.sprintf "shorter-value UPDATE logs %d B of page images (< 512 B)" update) true
+    (update < 512)
+
 let () =
   Alcotest.run "wal"
     [
@@ -538,5 +635,7 @@ let () =
           Alcotest.test_case "uncommitted vanishes" `Quick test_uncommitted_vanishes;
           Alcotest.test_case "recovery deterministic" `Quick test_recovery_deterministic;
           Alcotest.test_case "stats" `Quick test_wal_stats;
+          Alcotest.test_case "captured runs replay the write" `Quick test_capture_runs;
+          Alcotest.test_case "one-row writes log what changed" `Quick test_capture_size;
         ] );
     ]

@@ -2168,14 +2168,23 @@ let bench_wa () =
   section "WA" "raw-speed storage: async WAL appender, pool partitions, eviction scan";
   subsection "commit fsync scheduling (WAL level, 200us device fsync, 2ms legacy window)";
   let per_thread threads = if threads = 1 then 300 else 40 in
-  let trials =
-    List.concat_map
-      (fun threads ->
-        List.map
-          (fun mode -> wa_commit_trial ~mode ~threads ~per_thread:(per_thread threads) ())
-          [ Wa_immediate; Wa_window; Wa_appender ])
-      [ 1; 16 ]
+  let modes = [ Wa_immediate; Wa_window; Wa_appender ] in
+  (* one 300-txn single-thread trial is too noisy for a 20% bound:
+     run the three modes in interleaved rounds and keep each mode's
+     median round *)
+  let rounds = 5 in
+  let single_rounds =
+    List.concat
+      (List.init rounds (fun _ ->
+           List.map (fun mode -> wa_commit_trial ~mode ~threads:1 ~per_thread:(per_thread 1) ()) modes))
   in
+  let median_round mode =
+    let of_mode = List.filter (fun t -> t.wa_mode = mode) single_rounds in
+    List.nth (List.sort (fun a b -> compare a.wa_qps b.wa_qps) of_mode) (rounds / 2)
+  in
+  let multi = List.map (fun mode -> wa_commit_trial ~mode ~threads:16 ~per_thread:(per_thread 16) ()) modes in
+  let trials = List.map median_round modes @ multi in
+  Printf.printf "(1-thread rows: the median of %d interleaved rounds per mode)\n" rounds;
   print_table
     ~header:[ "threads"; "mode"; "txns"; "txn/s"; "fsyncs/txn"; "avg batch" ]
     (List.map
@@ -2199,7 +2208,7 @@ let bench_wa () =
            (t.wa_threads * per_thread t.wa_threads)
            t.wa_threads (wa_mode_name t.wa_mode))
         (t.wa_txns = t.wa_threads * per_thread t.wa_threads))
-    trials;
+    (single_rounds @ multi);
   check "appender at 16 threads >= 2x the windowed group commit"
     ((find 16 Wa_appender).wa_qps >= 2. *. (find 16 Wa_window).wa_qps);
   check "appender at 16 threads shares fsyncs (fsyncs/txn < 1)"
@@ -2209,9 +2218,9 @@ let bench_wa () =
     <= (find 16 Wa_window).wa_fsyncs_per_txn +. 0.05);
   check "appender batches commits at 16 threads (avg batch > 1.5)"
     ((find 16 Wa_appender).wa_avg_batch > 1.5);
-  check "single-thread windowed group commit within 20% of immediate sync"
+  check "single-thread windowed group commit within 20% of immediate sync (medians)"
     ((find 1 Wa_window).wa_qps >= 0.8 *. (find 1 Wa_immediate).wa_qps);
-  check "single-thread appender within 20% of immediate sync"
+  check "single-thread appender within 20% of immediate sync (medians)"
     ((find 1 Wa_appender).wa_qps >= 0.8 *. (find 1 Wa_immediate).wa_qps);
   subsection "larger-than-memory scan (32-frame pool, REPORTS-style objects)";
   let rows =

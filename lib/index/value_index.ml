@@ -64,6 +64,9 @@ let insert_object t (root : Tid.t) =
       if not skip then Bptree.insert t.tree ~key:(Atom.to_key atom) addr)
     entries
 
+(* Data_tid postings do not identify their object (the paper's
+   complaint!): they stay behind as dangling data TIDs, and lookups
+   re-validate them instead. *)
 let remove_object t (root : Tid.t) =
   let entries = OS.index_entries t.store t.schema root t.path in
   List.iter
@@ -72,16 +75,7 @@ let remove_object t (root : Tid.t) =
         | A_root r -> Tid.equal r root
         | A_hier h -> Tid.equal h.OS.root root
         | A_data _ -> false))
-    entries;
-  (* Data_tid postings do not identify their object (the paper's
-     complaint!) — removal must rebuild by filtering every key. *)
-  match t.strategy with
-  | Data_tid ->
-      let keys = Bptree.keys t.tree in
-      List.iter
-        (fun _k -> ())
-        keys (* data TIDs become dangling; lookups re-validate instead *)
-  | Root_tid | Hierarchical -> ()
+    entries
 
 let create store schema strategy path =
   (match Schema.resolve_path schema.Schema.table path with

@@ -46,6 +46,11 @@ let keywords =
     "BEGIN"; "COMMIT"; "ROLLBACK";
   ]
 
+let keyword_set =
+  let h = Hashtbl.create 128 in
+  List.iter (fun k -> Hashtbl.replace h k ()) keywords;
+  h
+
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
@@ -71,7 +76,7 @@ let tokenize (input : string) : token list =
       done;
       let word = String.sub input start (!i - start) in
       let up = String.uppercase_ascii word in
-      if List.mem up keywords then push (KW up) else push (IDENT word)
+      if Hashtbl.mem keyword_set up then push (KW up) else push (IDENT word)
     end
     else if is_digit c then begin
       let start = !i in

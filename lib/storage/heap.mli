@@ -1,8 +1,11 @@
 (** Heap file: an unordered record store over a set of pages, with
     stable TIDs (via forward pointers) and an in-memory free-space map.
 
-    Used for flat (1NF) tables, for root MD subtuples of complex
-    objects, for version deltas, and by the Lorie-style baseline. *)
+    The record protocol itself (forwarding, spilling, chunk chains)
+    lives in {!Record}; a heap is that protocol over global TIDs with
+    first-fit placement, plus scans in page order.  Used for flat (1NF)
+    tables, for root MD subtuples of complex objects, for version
+    deltas, and by the Lorie-style baseline. *)
 
 type t
 
@@ -35,7 +38,8 @@ val read_exn : t -> Tid.t -> string
 val delete : t -> Tid.t -> unit
 
 (** Update in place when possible; otherwise spill the payload to
-    another page and leave a forward pointer — the TID never changes. *)
+    another page and leave a forward pointer — the TID never changes.
+    @raise Record.Broken when no record is at the TID. *)
 val update : t -> Tid.t -> string -> unit
 
 (** Iterate live records, each exactly once, under its home TID. *)

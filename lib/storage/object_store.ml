@@ -11,7 +11,11 @@
    - Root MD subtuples live in a directory heap and are addressed by
      ordinary (global) TIDs; that TID is the object's identity.
    - Clustering can be disabled for the ablation experiment: subtuples
-     are then spread over pages shared by all objects.  *)
+     are then spread over pages shared by all objects.
+   - Records are stored exactly as in heap files: the record protocol
+     (forwarding, spilling, chunk chains) is [Record]'s, run over the
+     object's Mini-TIDs; this module only maps Mini-TIDs through the
+     page list and chooses where a new record goes.  *)
 
 module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
@@ -30,8 +34,7 @@ type t = {
   layout : Mini_directory.layout;
   clustering : bool;
   dir : Heap.t; (* root MD subtuples *)
-  mutable data_pages : int list; (* every page holding object subtuples *)
-  fsm : (int, int) Hashtbl.t; (* free bytes per data page *)
+  data : Free_space.t; (* every page holding object subtuples *)
   mutable free_pages : int list; (* emptied pages ready for reuse *)
   md_reads : int Atomic.t;
   data_reads : int Atomic.t;
@@ -42,19 +45,21 @@ exception Store_error of string
 
 let store_error fmt = Fmt.kstr (fun s -> raise (Store_error s)) fmt
 
-let create ?(layout = Mini_directory.SS3) ?(clustering = true) pool =
+let make ~layout ~clustering pool ~dir ~data ~free_pages =
   {
     pool;
     layout;
     clustering;
-    dir = Heap.create pool;
-    data_pages = [];
-    fsm = Hashtbl.create 64;
-    free_pages = [];
+    dir;
+    data;
+    free_pages;
     md_reads = Atomic.make 0;
     data_reads = Atomic.make 0;
     subtuple_writes = Atomic.make 0;
   }
+
+let create ?(layout = Mini_directory.SS3) ?(clustering = true) pool =
+  make ~layout ~clustering pool ~dir:(Heap.create pool) ~data:(Free_space.create pool) ~free_pages:[]
 
 let layout t = t.layout
 
@@ -71,242 +76,75 @@ let reset_stats t =
   Atomic.set t.subtuple_writes 0
 
 (* ------------------------------------------------------------------ *)
-(* Page management and local record operations *)
+(* An object's local address space *)
 
-let note_free t page buf = Hashtbl.replace t.fsm page (Page.usable_free buf)
+let page_size t = Disk.page_size (Buffer_pool.disk t.pool)
 
+(* A page for a record no candidate page has room for: an emptied page
+   when one is waiting, else a new one. *)
 let fresh_page t =
   match t.free_pages with
   | p :: rest ->
       t.free_pages <- rest;
-      Buffer_pool.write t.pool p (fun buf ->
-          Page.init buf;
-          note_free t p buf);
+      Free_space.format t.data p;
       p
-  | [] ->
-      let p = Buffer_pool.alloc t.pool in
-      Buffer_pool.write t.pool p (fun buf ->
-          Page.init buf;
-          note_free t p buf);
-      t.data_pages <- p :: t.data_pages;
-      p
+  | [] -> Free_space.alloc t.data
 
-let try_insert_into t page encoded =
-  Buffer_pool.write t.pool page (fun buf ->
-      let s = Page.insert buf encoded in
-      note_free t page buf;
-      s)
+(* The object's records, as a space of [Record]'s protocol: Mini-TIDs
+   resolve through the page list (record pointers carry (lpage, slot),
+   so they survive relocation).  With clustering on, a new record goes
+   on the object's own pages first (the paper's strategy); with
+   clustering off, on any shared page with room, merely registered in
+   the page list. *)
+let space t (plist : Page_list.t) =
+  {
+    Record.pages = t.data;
+    page_of = Page_list.resolve plist;
+    place =
+      (fun encoded ->
+        Atomic.incr t.subtuple_writes;
+        let candidates =
+          if t.clustering then List.map snd (Page_list.entries plist) else Free_space.pages t.data
+        in
+        let page, slot = Free_space.place t.data ~candidates ~fresh:(fun () -> fresh_page t) encoded in
+        let lpage = match Page_list.position_of plist page with Some i -> i | None -> Page_list.add plist page in
+        { Tid.page = lpage; slot });
+  }
 
-(* Byte budgets (local records use the same page layout as heaps). *)
-let page_size t = Disk.page_size (Buffer_pool.disk t.pool)
-let record_budget t = page_size t - Page.header_size - Page.slot_size
-let max_single_payload t = record_budget t - 8
-let max_chunk_part t = record_budget t - Record.chunk_overhead
-
-(* Low-level placement of one encoded record in the object's local
-   address space; returns its Mini-TID.  With clustering on, the page
-   list is scanned first (the paper's strategy); with clustering off,
-   any shared page with room is used and merely registered in the page
-   list. *)
-let place_record t (plist : Page_list.t) (record : Record.t) : Mini_tid.t =
-  Atomic.incr t.subtuple_writes;
-  let encoded = Record.encode record in
-  let need = String.length encoded + Page.slot_size in
-  let candidates =
-    if t.clustering then List.map snd (Page_list.entries plist)
-    else List.filter (fun p -> match Hashtbl.find_opt t.fsm p with Some f -> f >= need | None -> false) t.data_pages
-  in
-  let rec try_pages = function
-    | [] -> None
-    | page :: rest -> (
-        let roomy = match Hashtbl.find_opt t.fsm page with Some f -> f >= need | None -> false in
-        if not roomy then try_pages rest
-        else
-          match try_insert_into t page encoded with
-          | Some slot -> Some (page, slot)
-          | None -> try_pages rest)
-  in
-  match try_pages candidates with
-  | Some (page, slot) ->
-      let lpage =
-        match Page_list.position_of plist page with
-        | Some i -> i
-        | None -> Page_list.add plist page
-      in
-      { Mini_tid.lpage; slot }
-  | None -> (
-      let page = fresh_page t in
-      match try_insert_into t page encoded with
-      | Some slot ->
-          let lpage = Page_list.add plist page in
-          { Mini_tid.lpage; slot }
-      | None -> store_error "record larger than a page (%d bytes)" (String.length encoded))
-
-(* Intra-object pointers stored inside records (forward targets, chunk
-   chains) are *local*: the Tid fields carry (lpage, slot) so they stay
-   valid across object relocation. *)
 let local_of_tid (tid : Tid.t) : Mini_tid.t = { Mini_tid.lpage = tid.Tid.page; slot = tid.Tid.slot }
 let tid_of_local (m : Mini_tid.t) : Tid.t = { Tid.page = m.Mini_tid.lpage; slot = m.Mini_tid.slot }
 
-let split_parts t payload =
-  let part = max_chunk_part t in
-  let n = String.length payload in
-  let rec go off acc =
-    if off >= n then List.rev acc
-    else
-      let len = min part (n - off) in
-      go (off + len) (String.sub payload off len :: acc)
-  in
-  if n = 0 then [ "" ] else go 0 []
+(* ------------------------------------------------------------------ *)
+(* Subtuples through the record protocol (a broken address surfaces as
+   a store error) *)
 
-(* Place a subtuple payload, chunking it over several records when it
+(* Place a subtuple payload, chunked over several records when it
    exceeds a page (subtable MD subtuples may carry thousands of
    pointers, Section 4.1). *)
-let place_logical t (plist : Page_list.t) ~(head : [ `Plain | `Spilled ]) (payload : string) :
-    Mini_tid.t =
-  if String.length payload <= max_single_payload t then
-    place_record t plist (match head with `Plain -> Record.Plain payload | `Spilled -> Record.Spilled payload)
-  else begin
-    let parts = split_parts t payload in
-    let rec write_tail = function
-      | [] -> None
-      | part :: rest ->
-          let next = write_tail rest in
-          Some (tid_of_local (place_record t plist (Record.Chunk { part; next; scan_root = false })))
-    in
-    match parts with
-    | [] -> assert false
-    | first :: rest ->
-        let next = write_tail rest in
-        place_record t plist (Record.Chunk { part = first; next; scan_root = head = `Plain })
-  end
+let place sp payload =
+  match Record.insert sp ~head:`Plain payload with
+  | at -> local_of_tid at
+  | exception Record.Broken msg -> store_error "%s" msg
 
-let place t plist payload = place_logical t plist ~head:`Plain payload
-
-let read_raw_local t (plist : Page_list.t) (m : Mini_tid.t) =
-  let page = Page_list.resolve plist m.Mini_tid.lpage in
-  Buffer_pool.read t.pool page (fun buf -> Page.read buf m.Mini_tid.slot)
-
-(* Assemble a local chunk chain. *)
-let rec assemble_chain t plist part next =
-  match next with
-  | None -> part
-  | Some tid -> (
-      match read_raw_local t plist (local_of_tid tid) with
-      | Some s -> (
-          match Record.decode s with
-          | Record.Chunk { part = p2; next = n2; _ } -> part ^ assemble_chain t plist p2 n2
-          | _ -> store_error "chunk chain corrupted")
-      | None -> store_error "dangling chunk pointer")
-
-(* Read a local record, following at most one forward hop and any chunk
-   chain. *)
-let read_local t (plist : Page_list.t) (m : Mini_tid.t) : string =
-  match read_raw_local t plist m with
+let read_sub sp (m : Mini_tid.t) =
+  match Record.read sp (tid_of_local m) with
+  | Some payload -> payload
   | None -> store_error "dangling Mini-TID %s" (Mini_tid.to_string m)
-  | Some s -> (
-      match Record.decode s with
-      | Record.Plain payload | Record.Spilled payload -> payload
-      | Record.Chunk { part; next; _ } -> assemble_chain t plist part next
-      | Record.Forward target -> (
-          match read_raw_local t plist (local_of_tid target) with
-          | Some s2 -> (
-              match Record.decode s2 with
-              | Record.Plain payload | Record.Spilled payload -> payload
-              | Record.Chunk { part; next; _ } -> assemble_chain t plist part next
-              | Record.Forward _ -> store_error "chained forward at %s" (Tid.to_string target))
-          | None -> store_error "dangling forward at %s" (Mini_tid.to_string m)))
+  | exception Record.Broken msg -> store_error "%s" msg
 
-let read_md t plist m =
+let read_md t sp m =
   Atomic.incr t.md_reads;
-  Subtuple.decode_md (read_local t plist m)
+  Subtuple.decode_md (read_sub sp m)
 
-let read_data t plist m =
+let read_data t sp m =
   Atomic.incr t.data_reads;
-  Subtuple.decode_data (read_local t plist m)
+  Subtuple.decode_data (read_sub sp m)
 
-let kill_local t (plist : Page_list.t) (m : Mini_tid.t) =
-  let page = Page_list.resolve plist m.Mini_tid.lpage in
-  Buffer_pool.write t.pool page (fun buf ->
-      ignore (Page.delete buf m.Mini_tid.slot);
-      note_free t page buf)
-
-(* Free continuation chunks reachable from a decoded record. *)
-let rec free_tail t plist = function
-  | None -> ()
-  | Some tid ->
-      let m = local_of_tid tid in
-      (match read_raw_local t plist m with
-      | Some s -> (
-          match Record.decode s with Record.Chunk { next; _ } -> free_tail t plist next | _ -> ())
-      | None -> ());
-      kill_local t plist m
-
-(* Update a local record in place when possible; spill + forward when it
-   outgrows its page so the Mini-TID stays valid. *)
-let update_local t (plist : Page_list.t) (m : Mini_tid.t) (payload : string) =
+let update_sub t sp m payload =
   Atomic.incr t.subtuple_writes;
-  let home =
-    match read_raw_local t plist m with
-    | Some s -> Record.decode s
-    | None -> store_error "update_local: dangling Mini-TID %s" (Mini_tid.to_string m)
-  in
-  let target, target_rec =
-    match home with
-    | Record.Forward target -> (
-        let tm = local_of_tid target in
-        match read_raw_local t plist tm with
-        | Some s -> (tm, Record.decode s)
-        | None -> store_error "update_local: dangling forward")
-    | r -> (m, r)
-  in
-  (match target_rec with Record.Chunk { next; _ } -> free_tail t plist next | _ -> ());
-  let already_spilled = not (Mini_tid.equal target m) in
-  let fits_single = String.length payload <= max_single_payload t in
-  let try_in_place () =
-    if not fits_single then false
-    else begin
-      let encoded =
-        Record.encode (if already_spilled then Record.Spilled payload else Record.Plain payload)
-      in
-      let page = Page_list.resolve plist target.Mini_tid.lpage in
-      Buffer_pool.write t.pool page (fun buf ->
-          let ok = Page.update buf target.Mini_tid.slot encoded in
-          note_free t page buf;
-          ok)
-    end
-  in
-  if not (try_in_place ()) then begin
-    if already_spilled then kill_local t plist target;
-    let spill = place_logical t plist ~head:`Spilled payload in
-    let fwd = Record.encode (Record.Forward (tid_of_local spill)) in
-    let page = Page_list.resolve plist m.Mini_tid.lpage in
-    let ok =
-      Buffer_pool.write t.pool page (fun buf ->
-          let ok = Page.update buf m.Mini_tid.slot fwd in
-          note_free t page buf;
-          ok)
-    in
-    if not ok then store_error "forward pointer does not fit in page %d" page
-  end
+  try Record.update sp (tid_of_local m) payload with Record.Broken msg -> store_error "%s" msg
 
-let delete_local t (plist : Page_list.t) (m : Mini_tid.t) =
-  (match read_raw_local t plist m with
-  | Some s -> (
-      match Record.decode s with
-      | Record.Forward target -> (
-          let tm = local_of_tid target in
-          (match read_raw_local t plist tm with
-          | Some s2 -> (
-              match Record.decode s2 with
-              | Record.Chunk { next; _ } -> free_tail t plist next
-              | _ -> ())
-          | None -> ());
-          kill_local t plist tm)
-      | Record.Chunk { next; _ } -> free_tail t plist next
-      | Record.Plain _ | Record.Spilled _ -> ())
-  | None -> ());
-  kill_local t plist m
+let delete_sub sp m = try Record.delete sp (tid_of_local m) with Record.Broken msg -> store_error "%s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Schema/value helpers *)
@@ -355,13 +193,13 @@ let assemble (tbl : Schema.table) (atoms : Atom.t list) (subvals : Value.table l
 (* Build the MD structure of a complex (sub)object; returns the node's
    sections.  Placement of the node's own MD record (if the layout
    gives it one) is up to the caller. *)
-let rec build_sections t layout plist (tbl : Schema.table) (tup : Value.tuple) : Subtuple.sections =
+let rec build_sections t layout sp (tbl : Schema.table) (tup : Value.tuple) : Subtuple.sections =
   let atoms, subs = split_fields tbl tup in
-  let d = place t plist (Subtuple.encode_data atoms) in
+  let d = place sp (Subtuple.encode_data atoms) in
   match layout with
   | Mini_directory.SS1 | Mini_directory.SS3 ->
       let subtable_ptrs =
-        List.map (fun (_, sub, inner) -> Subtuple.C (build_subtable t layout plist sub inner)) subs
+        List.map (fun (_, sub, inner) -> Subtuple.C (build_subtable t layout sp sub inner)) subs
       in
       [ Subtuple.D d :: subtable_ptrs ]
   | Mini_directory.SS2 ->
@@ -372,17 +210,17 @@ let rec build_sections t layout plist (tbl : Schema.table) (tup : Value.tuple) :
               (fun etup ->
                 if Schema.flat sub then
                   let eatoms, _ = split_fields sub etup in
-                  Subtuple.D (place t plist (Subtuple.encode_data eatoms))
+                  Subtuple.D (place sp (Subtuple.encode_data eatoms))
                 else
-                  let child_sections = build_sections t layout plist sub etup in
-                  Subtuple.C (place t plist (Subtuple.encode_md child_sections)))
+                  let child_sections = build_sections t layout sp sub etup in
+                  Subtuple.C (place sp (Subtuple.encode_md child_sections)))
               inner.Value.tuples)
           subs
       in
       [ Subtuple.D d ] :: elem_sections
 
 (* SS1/SS3 subtables get their own MD record; one section per element. *)
-and build_subtable t layout plist (sub : Schema.table) (inner : Value.table) : Mini_tid.t =
+and build_subtable t layout sp (sub : Schema.table) (inner : Value.table) : Mini_tid.t =
   let sections =
     List.map
       (fun etup ->
@@ -390,27 +228,27 @@ and build_subtable t layout plist (sub : Schema.table) (inner : Value.table) : M
         | Mini_directory.SS1 ->
             if Schema.flat sub then
               let eatoms, _ = split_fields sub etup in
-              [ Subtuple.D (place t plist (Subtuple.encode_data eatoms)) ]
+              [ Subtuple.D (place sp (Subtuple.encode_data eatoms)) ]
             else
-              let child_sections = build_sections t layout plist sub etup in
-              [ Subtuple.C (place t plist (Subtuple.encode_md child_sections)) ]
+              let child_sections = build_sections t layout sp sub etup in
+              [ Subtuple.C (place sp (Subtuple.encode_md child_sections)) ]
         | Mini_directory.SS3 ->
             (* element section: own data pointer + nested subtable MDs *)
             let eatoms, esubs = split_fields sub etup in
-            let d = place t plist (Subtuple.encode_data eatoms) in
+            let d = place sp (Subtuple.encode_data eatoms) in
             Subtuple.D d
-            :: List.map (fun (_, s2, inner2) -> Subtuple.C (build_subtable t layout plist s2 inner2)) esubs
+            :: List.map (fun (_, s2, inner2) -> Subtuple.C (build_subtable t layout sp s2 inner2)) esubs
         | Mini_directory.SS2 -> assert false)
       inner.Value.tuples
   in
-  place t plist (Subtuple.encode_md sections)
+  place sp (Subtuple.encode_md sections)
 
 let encode_root_record plist sections = Subtuple.encode_root plist sections
 
 let insert t (schema : Schema.t) (tup : Value.tuple) : Tid.t =
   Value.check_tuple schema.table tup;
   let plist = Page_list.create () in
-  let sections = build_sections t t.layout plist schema.table tup in
+  let sections = build_sections t t.layout (space t plist) schema.table tup in
   Heap.insert t.dir (encode_root_record plist sections)
 
 (* ------------------------------------------------------------------ *)
@@ -455,23 +293,23 @@ let obj_view_of_sections layout home (sections : Subtuple.sections) : obj_view =
 (* Load the sections stored at [home]. Root sections must be supplied
    by the caller (they live in the root record alongside the page
    list). *)
-let sections_at t plist root_sections = function
+let sections_at t sp root_sections = function
   | H_root -> root_sections
-  | H_md m -> read_md t plist m
+  | H_md m -> read_md t sp m
 
 (* The element references of a subtable. *)
-let subtable_elements t plist root_sections (sub : Schema.table) (st : subtable_ref) : elem_ref list =
+let subtable_elements t sp root_sections (sub : Schema.table) (st : subtable_ref) : elem_ref list =
   let flat = Schema.flat sub in
   match st with
   | St_md m -> (
-      let sections = read_md t plist m in
+      let sections = read_md t sp m in
       match t.layout with
       | Mini_directory.SS1 ->
           List.map
             (function
               | [ Subtuple.D d ] -> El_flat d
               | [ Subtuple.C cm ] ->
-                  let child_sections = read_md t plist cm in
+                  let child_sections = read_md t sp cm in
                   El_complex (obj_view_of_sections t.layout (H_md cm) child_sections, Eh_md cm)
               | _ -> store_error "SS1 subtable MD: malformed element section")
             sections
@@ -494,7 +332,7 @@ let subtable_elements t plist root_sections (sub : Schema.table) (st : subtable_
             sections
       | Mini_directory.SS2 -> store_error "SS2 has no subtable MD records")
   | St_section (home, i) ->
-      let sections = sections_at t plist root_sections home in
+      let sections = sections_at t sp root_sections home in
       let entries =
         match List.nth_opt sections i with
         | Some e -> e
@@ -504,7 +342,7 @@ let subtable_elements t plist root_sections (sub : Schema.table) (st : subtable_
         (function
           | Subtuple.D d -> El_flat d
           | Subtuple.C cm ->
-              let child_sections = read_md t plist cm in
+              let child_sections = read_md t sp cm in
               El_complex (obj_view_of_sections t.layout (H_md cm) child_sections, Eh_md cm))
         entries
 
@@ -514,55 +352,55 @@ let subtable_elements t plist root_sections (sub : Schema.table) (st : subtable_
 let load_root t (root : Tid.t) =
   Atomic.incr t.md_reads;
   match Heap.read t.dir root with
-  | Some payload -> Subtuple.decode_root payload
+  | Some payload ->
+      let plist, sections = Subtuple.decode_root payload in
+      (plist, space t plist, sections)
   | None -> store_error "no complex object at %s" (Tid.to_string root)
 
-let rec read_object t plist root_sections (tbl : Schema.table) (view : obj_view) : Value.tuple =
-  let atoms = read_data t plist view.data in
+let rec read_object t sp root_sections (tbl : Schema.table) (view : obj_view) : Value.tuple =
+  let atoms = read_data t sp view.data in
   let subvals =
     List.map2
-      (fun (_, sub) st -> read_subtable t plist root_sections sub st)
+      (fun (_, sub) st -> read_subtable t sp root_sections sub st)
       (table_fields tbl) view.subtables
   in
   assemble tbl atoms subvals
 
-and read_subtable t plist root_sections (sub : Schema.table) (st : subtable_ref) : Value.table =
-  let elems = subtable_elements t plist root_sections sub st in
+and read_subtable t sp root_sections (sub : Schema.table) (st : subtable_ref) : Value.table =
+  let elems = subtable_elements t sp root_sections sub st in
   let tuples =
     List.map
       (fun e ->
         match e with
         | El_flat d ->
-            let atoms = read_data t plist d in
+            let atoms = read_data t sp d in
             assemble sub atoms []
-        | El_complex (v, _) -> read_object t plist root_sections sub v)
+        | El_complex (v, _) -> read_object t sp root_sections sub v)
       elems
   in
   { Value.kind = sub.kind; tuples }
 
-let root_view t plist root_sections =
-  ignore plist;
-  obj_view_of_sections t.layout H_root root_sections
+let root_view t root_sections = obj_view_of_sections t.layout H_root root_sections
 
 let fetch t (schema : Schema.t) (root : Tid.t) : Value.tuple =
-  let plist, sections = load_root t root in
-  read_object t plist sections schema.table (root_view t plist sections)
+  let _, sp, sections = load_root t root in
+  read_object t sp sections schema.table (root_view t sections)
 
 (* Path steps for partial access. *)
 type step = Attr of string | Elem of int
 
-let rec fetch_steps t plist root_sections (tbl : Schema.table) (view : obj_view) (steps : step list) :
+let rec fetch_steps t sp root_sections (tbl : Schema.table) (view : obj_view) (steps : step list) :
     Value.v =
   match steps with
   | [] ->
       (* whole (sub)object as a single-tuple value *)
-      Value.Table { Value.kind = Schema.Set; tuples = [ read_object t plist root_sections tbl view ] }
+      Value.Table { Value.kind = Schema.Set; tuples = [ read_object t sp root_sections tbl view ] }
   | Attr name :: rest -> (
       let _, f = Schema.field_exn tbl name in
       match f.attr with
       | Schema.Atomic _ ->
           if rest <> [] then store_error "path continues past atomic attribute %s" name;
-          let atoms = read_data t plist view.data in
+          let atoms = read_data t sp view.data in
           let idx =
             (* position among the atomic attributes only *)
             let rec count i = function
@@ -584,26 +422,26 @@ let rec fetch_steps t plist root_sections (tbl : Schema.table) (view : obj_view)
             pos 0 (table_fields tbl)
           in
           let st = List.nth view.subtables sti in
-          fetch_subtable_steps t plist root_sections sub st rest)
+          fetch_subtable_steps t sp root_sections sub st rest)
   | Elem _ :: _ -> store_error "unexpected element index at object level"
 
-and fetch_subtable_steps t plist root_sections (sub : Schema.table) (st : subtable_ref)
+and fetch_subtable_steps t sp root_sections (sub : Schema.table) (st : subtable_ref)
     (steps : step list) : Value.v =
   match steps with
-  | [] -> Value.Table (read_subtable t plist root_sections sub st)
+  | [] -> Value.Table (read_subtable t sp root_sections sub st)
   | Elem i :: rest -> (
-      let elems = subtable_elements t plist root_sections sub st in
+      let elems = subtable_elements t sp root_sections sub st in
       match List.nth_opt elems i with
       | None -> store_error "element index %d out of range" i
       | Some (El_flat d) ->
           if rest = [] then
-            Value.Table { Value.kind = Schema.Set; tuples = [ assemble sub (read_data t plist d) [] ] }
+            Value.Table { Value.kind = Schema.Set; tuples = [ assemble sub (read_data t sp d) [] ] }
           else (
             match rest with
             | [ Attr name ] -> (
                 match Schema.field_exn sub name with
                 | _, { Schema.attr = Schema.Atomic _; _ } ->
-                    let atoms = read_data t plist d in
+                    let atoms = read_data t sp d in
                     let rec count i = function
                       | [] -> store_error "attribute %s not found" name
                       | (g : Schema.field) :: gs ->
@@ -613,45 +451,45 @@ and fetch_subtable_steps t plist root_sections (sub : Schema.table) (st : subtab
                     Value.Atom (List.nth atoms (count 0 sub.fields))
                 | _ -> store_error "flat element has no subtable attributes")
             | _ -> store_error "invalid path into flat element")
-      | Some (El_complex (v, _)) -> fetch_steps t plist root_sections sub v rest)
+      | Some (El_complex (v, _)) -> fetch_steps t sp root_sections sub v rest)
   | Attr _ :: _ -> store_error "expected element index before attribute inside subtable"
 
 let fetch_path t (schema : Schema.t) (root : Tid.t) (steps : step list) : Value.v =
-  let plist, sections = load_root t root in
-  fetch_steps t plist sections schema.table (root_view t plist sections) steps
+  let _, sp, sections = load_root t root in
+  fetch_steps t sp sections schema.table (root_view t sections) steps
 
 (* ------------------------------------------------------------------ *)
 (* Deletion *)
 
-let rec free_object t plist root_sections (view : obj_view) =
-  delete_local t plist view.data;
-  List.iter (free_subtable t plist root_sections) view.subtables
+let rec free_object t sp root_sections (view : obj_view) =
+  delete_sub sp view.data;
+  List.iter (free_subtable t sp root_sections) view.subtables
 
-and free_subtable t plist root_sections (st : subtable_ref) =
+and free_subtable t sp root_sections (st : subtable_ref) =
   (* free elements; the subtable's own MD record too when it has one *)
   (match st with
   | St_md m ->
-      let sections = read_md t plist m in
-      List.iter (fun section -> List.iter (free_entry t plist root_sections) section) sections;
-      delete_local t plist m
+      let sections = read_md t sp m in
+      List.iter (fun section -> List.iter (free_entry t sp root_sections) section) sections;
+      delete_sub sp m
   | St_section (home, i) ->
-      let sections = sections_at t plist root_sections home in
+      let sections = sections_at t sp root_sections home in
       let entries = match List.nth_opt sections i with Some e -> e | None -> [] in
-      List.iter (free_entry t plist root_sections) entries)
+      List.iter (free_entry t sp root_sections) entries)
 
-and free_entry t plist root_sections = function
-  | Subtuple.D d -> delete_local t plist d
+and free_entry t sp root_sections = function
+  | Subtuple.D d -> delete_sub sp d
   | Subtuple.C m ->
-      let child_sections = read_md t plist m in
+      let child_sections = read_md t sp m in
       (match t.layout with
       | Mini_directory.SS2 | Mini_directory.SS1 ->
           (* child is a complex subobject MD *)
           let v = obj_view_of_sections t.layout (H_md m) child_sections in
-          free_object t plist root_sections v
+          free_object t sp root_sections v
       | Mini_directory.SS3 ->
           (* child is a nested subtable MD *)
-          List.iter (fun section -> List.iter (free_entry t plist root_sections) section) child_sections);
-      delete_local t plist m
+          List.iter (fun section -> List.iter (free_entry t sp root_sections) section) child_sections);
+      delete_sub sp m
 
 (* Release pages of the object that hold no live records anymore. *)
 let release_empty_pages t plist =
@@ -662,21 +500,14 @@ let release_empty_pages t plist =
         Page_list.remove plist ~lpage;
         if t.clustering then begin
           t.free_pages <- page :: t.free_pages;
-          Hashtbl.remove t.fsm page
+          Free_space.forget t.data page
         end
       end)
     (Page_list.entries plist)
 
 let delete t (_schema : Schema.t) (root : Tid.t) =
-  let plist, sections = load_root t root in
-  (* SS3 frees via the uniform walk as well *)
-  let view = root_view t plist sections in
-  free_object t plist sections view;
-  (match t.layout with
-  | Mini_directory.SS2 ->
-      (* SS2 root sections may hold direct element entries in sections 1.. *)
-      ()
-  | _ -> ());
+  let plist, sp, sections = load_root t root in
+  free_object t sp sections (root_view t sections);
   release_empty_pages t plist;
   Heap.delete t.dir root
 
@@ -693,7 +524,7 @@ type md_stat = {
 }
 
 let md_stats t (_schema : Schema.t) (root : Tid.t) : md_stat =
-  let plist, sections = load_root t root in
+  let plist, sp, sections = load_root t root in
   let md_n = ref 1 and md_b = ref 0 and data_n = ref 0 and data_b = ref 0 and ptrs = ref 0 in
   (* root record bytes *)
   md_b := String.length (encode_root_record plist sections);
@@ -704,10 +535,10 @@ let md_stats t (_schema : Schema.t) (root : Tid.t) : md_stat =
   let rec go_entry = function
     | Subtuple.D d ->
         incr data_n;
-        data_b := !data_b + String.length (read_local t plist d)
+        data_b := !data_b + String.length (read_sub sp d)
     | Subtuple.C m ->
         incr md_n;
-        let payload = read_local t plist m in
+        let payload = read_sub sp m in
         md_b := !md_b + String.length payload;
         let child = Subtuple.decode_md payload in
         count_sections child;
@@ -724,16 +555,15 @@ let md_stats t (_schema : Schema.t) (root : Tid.t) : md_stat =
   }
 
 (* Logical MD view for rendering (Fig 6). *)
-let md_view t (schema : Schema.t) (root : Tid.t) : Mini_directory.view =
-  let plist, sections = load_root t root in
-  let render_data d = String.concat " " (List.map Atom.to_string (read_data t plist d)) in
+let md_view t (_schema : Schema.t) (root : Tid.t) : Mini_directory.view =
+  let plist, sp, sections = load_root t root in
+  let render_data d = String.concat " " (List.map Atom.to_string (read_data t sp d)) in
   let rec entry_view = function
     | Subtuple.D d -> Mini_directory.Vd (render_data d)
     | Subtuple.C m ->
-        let child = read_md t plist m in
+        let child = read_md t sp m in
         Mini_directory.Vc (Mini_directory.Md { label = "MD@" ^ Mini_tid.to_string m; entries = List.map (List.map entry_view) child })
   in
-  ignore schema;
   Mini_directory.Md
     {
       label = Printf.sprintf "root MD (%s, %d pages)" (Mini_directory.layout_name t.layout)
@@ -767,7 +597,7 @@ let check_first_level_atoms (tbl : Schema.table) (atoms : Atom.t list) =
     tys atoms
 
 let update_atoms t (schema : Schema.t) (root : Tid.t) (steps : step list) (new_atoms : Atom.t list) =
-  let plist, sections = load_root t root in
+  let plist, sp, sections = load_root t root in
   let rec descend (tbl : Schema.table) (view : obj_view) = function
     | [] -> view.data
     | Attr name :: rest -> (
@@ -787,14 +617,14 @@ let update_atoms t (schema : Schema.t) (root : Tid.t) (steps : step list) (new_a
     | Elem _ :: _ -> store_error "update_atoms: unexpected element step"
   and descend_subtable (sub : Schema.table) st = function
     | Elem i :: rest -> (
-        let elems = subtable_elements t plist sections sub st in
+        let elems = subtable_elements t sp sections sub st in
         match List.nth_opt elems i with
         | None -> store_error "update_atoms: element %d out of range" i
         | Some (El_flat d) -> if rest = [] then d else store_error "update_atoms: flat element has no children"
         | Some (El_complex (v, _)) -> descend sub v rest)
     | _ -> store_error "update_atoms: expected element index"
   in
-  let d = descend schema.table (root_view t plist sections) steps in
+  let d = descend schema.table (root_view t sections) steps in
   (* schema of the target (sub)object, for validation *)
   let rec target_table (tbl : Schema.table) = function
     | [] -> tbl
@@ -805,14 +635,14 @@ let update_atoms t (schema : Schema.t) (root : Tid.t) (steps : step list) (new_a
     | Elem _ :: rest -> target_table tbl rest
   in
   check_first_level_atoms (target_table schema.table steps) new_atoms;
-  update_local t plist d (Subtuple.encode_data new_atoms);
+  update_sub t sp d (Subtuple.encode_data new_atoms);
   (* placement may have extended the page list (spill) *)
   write_root t root plist sections
 
 (* Append a new element tuple to the subtable reached by [steps] (the
    last step must be Attr of a table attribute). *)
 let append_element t (schema : Schema.t) (root : Tid.t) (steps : step list) (etup : Value.tuple) =
-  let plist, sections = load_root t root in
+  let plist, sp, sections = load_root t root in
   let root_sections = ref sections in
   (* navigate to the subtable ref and its element schema *)
   let rec descend (tbl : Schema.table) (view : obj_view) = function
@@ -847,14 +677,14 @@ let append_element t (schema : Schema.t) (root : Tid.t) (steps : step list) (etu
     | _ -> store_error "append_element: path must end at a subtable attribute"
   and descend_subtable (sub : Schema.table) st = function
     | Elem i :: rest -> (
-        let elems = subtable_elements t plist !root_sections sub st in
+        let elems = subtable_elements t sp !root_sections sub st in
         match List.nth_opt elems i with
         | None -> store_error "append_element: element %d out of range" i
         | Some (El_complex (v, _)) -> descend sub v rest
         | Some (El_flat _) -> store_error "append_element: cannot descend into flat element")
     | _ -> store_error "append_element: expected element index"
   in
-  let sub, st = descend schema.table (root_view t plist !root_sections) steps in
+  let sub, st = descend schema.table (root_view t !root_sections) steps in
   Value.check_tuple sub etup;
   (* build the new element's records *)
   (match t.layout, st with
@@ -864,39 +694,39 @@ let append_element t (schema : Schema.t) (root : Tid.t) (steps : step list) (etu
         | Mini_directory.SS1 ->
             if Schema.flat sub then
               let eatoms, _ = split_fields sub etup in
-              [ Subtuple.D (place t plist (Subtuple.encode_data eatoms)) ]
+              [ Subtuple.D (place sp (Subtuple.encode_data eatoms)) ]
             else
-              let child_sections = build_sections t t.layout plist sub etup in
-              [ Subtuple.C (place t plist (Subtuple.encode_md child_sections)) ]
+              let child_sections = build_sections t t.layout sp sub etup in
+              [ Subtuple.C (place sp (Subtuple.encode_md child_sections)) ]
         | Mini_directory.SS3 ->
             let eatoms, esubs = split_fields sub etup in
-            let d = place t plist (Subtuple.encode_data eatoms) in
+            let d = place sp (Subtuple.encode_data eatoms) in
             Subtuple.D d
-            :: List.map (fun (_, s2, inner2) -> Subtuple.C (build_subtable t t.layout plist s2 inner2)) esubs
+            :: List.map (fun (_, s2, inner2) -> Subtuple.C (build_subtable t t.layout sp s2 inner2)) esubs
         | Mini_directory.SS2 -> assert false
       in
-      let cur = read_md t plist m in
-      update_local t plist m (Subtuple.encode_md (cur @ [ new_section ]))
+      let cur = read_md t sp m in
+      update_sub t sp m (Subtuple.encode_md (cur @ [ new_section ]))
   | Mini_directory.SS2, St_section (home, i) ->
       let new_entry =
         if Schema.flat sub then
           let eatoms, _ = split_fields sub etup in
-          Subtuple.D (place t plist (Subtuple.encode_data eatoms))
+          Subtuple.D (place sp (Subtuple.encode_data eatoms))
         else
-          let child_sections = build_sections t t.layout plist sub etup in
-          Subtuple.C (place t plist (Subtuple.encode_md child_sections))
+          let child_sections = build_sections t t.layout sp sub etup in
+          Subtuple.C (place sp (Subtuple.encode_md child_sections))
       in
-      let cur = sections_at t plist !root_sections home in
+      let cur = sections_at t sp !root_sections home in
       let updated = List.mapi (fun j sec -> if j = i then sec @ [ new_entry ] else sec) cur in
       (match home with
       | H_root -> root_sections := updated
-      | H_md m -> update_local t plist m (Subtuple.encode_md updated))
+      | H_md m -> update_sub t sp m (Subtuple.encode_md updated))
   | _ -> store_error "append_element: layout/subtable-ref mismatch");
   write_root t root plist !root_sections
 
 (* Remove element [idx] from the subtable reached by [steps]. *)
 let delete_element t (schema : Schema.t) (root : Tid.t) (steps : step list) ~idx =
-  let plist, sections = load_root t root in
+  let plist, sp, sections = load_root t root in
   let root_sections = ref sections in
   let rec descend (tbl : Schema.table) (view : obj_view) = function
     | [ Attr name ] -> (
@@ -930,34 +760,34 @@ let delete_element t (schema : Schema.t) (root : Tid.t) (steps : step list) ~idx
     | _ -> store_error "delete_element: path must end at a subtable attribute"
   and descend_subtable (sub : Schema.table) st = function
     | Elem i :: rest -> (
-        let elems = subtable_elements t plist !root_sections sub st in
+        let elems = subtable_elements t sp !root_sections sub st in
         match List.nth_opt elems i with
         | None -> store_error "delete_element: element %d out of range" i
         | Some (El_complex (v, _)) -> descend sub v rest
         | Some (El_flat _) -> store_error "delete_element: cannot descend into flat element")
     | _ -> store_error "delete_element: expected element index"
   in
-  let _sub, st = descend schema.table (root_view t plist !root_sections) steps in
+  let _sub, st = descend schema.table (root_view t !root_sections) steps in
   (match st with
   | St_md m ->
-      let cur = read_md t plist m in
+      let cur = read_md t sp m in
       (match List.nth_opt cur idx with
       | None -> store_error "delete_element: index %d out of range" idx
-      | Some section -> List.iter (free_entry t plist !root_sections) section);
+      | Some section -> List.iter (free_entry t sp !root_sections) section);
       let updated = List.filteri (fun j _ -> j <> idx) cur in
-      update_local t plist m (Subtuple.encode_md updated)
+      update_sub t sp m (Subtuple.encode_md updated)
   | St_section (home, i) ->
-      let cur = sections_at t plist !root_sections home in
+      let cur = sections_at t sp !root_sections home in
       let entries = List.nth cur i in
       (match List.nth_opt entries idx with
       | None -> store_error "delete_element: index %d out of range" idx
-      | Some entry -> free_entry t plist !root_sections entry);
+      | Some entry -> free_entry t sp !root_sections entry);
       let updated =
         List.mapi (fun j sec -> if j = i then List.filteri (fun k _ -> k <> idx) sec else sec) cur
       in
       (match home with
       | H_root -> root_sections := updated
-      | H_md m -> update_local t plist m (Subtuple.encode_md updated)));
+      | H_md m -> update_sub t sp m (Subtuple.encode_md updated)));
   release_empty_pages t plist;
   write_root t root plist !root_sections
 
@@ -969,17 +799,15 @@ let delete_element t (schema : Schema.t) (root : Tid.t) (steps : step list) ~idx
 
 let relocate t (root : Tid.t) =
   if not t.clustering then store_error "relocate requires clustered storage";
-  let plist, sections = load_root t root in
+  let plist, _, sections = load_root t root in
   List.iter
     (fun (lpage, old_page) ->
       let fresh = Buffer_pool.alloc t.pool in
-      t.data_pages <- fresh :: t.data_pages;
       Buffer_pool.read t.pool old_page (fun src ->
           Buffer_pool.write t.pool fresh (fun dst -> Bytes.blit src 0 dst 0 (Bytes.length src)));
-      Hashtbl.replace t.fsm fresh
-        (Buffer_pool.read t.pool fresh (fun buf -> Page.usable_free buf));
+      Free_space.adopt t.data fresh;
       t.free_pages <- old_page :: t.free_pages;
-      Hashtbl.remove t.fsm old_page;
+      Free_space.forget t.data old_page;
       Page_list.replace plist ~lpage ~page:fresh)
     (Page_list.entries plist);
   write_root t root plist sections
@@ -1010,7 +838,7 @@ let hier_prefix_compatible a b =
    under [spath] (a pure attribute path) in the object at [root]. *)
 let index_entries t (schema : Schema.t) (root : Tid.t) (spath : Schema.path) :
     (Atom.t * hier) list =
-  let plist, sections = load_root t root in
+  let _, sp, sections = load_root t root in
   let acc = ref [] in
   let atom_position (tbl : Schema.table) name =
     let rec count i = function
@@ -1026,7 +854,7 @@ let index_entries t (schema : Schema.t) (root : Tid.t) (spath : Schema.path) :
     | [ name ] -> (
         match Schema.field_exn tbl name with
         | _, { Schema.attr = Schema.Atomic _; _ } ->
-            let atoms = read_data t plist view.data in
+            let atoms = read_data t sp view.data in
             let a = List.nth atoms (atom_position tbl name) in
             acc := (a, { root; path = List.rev rev_path }) :: !acc
         | _ -> store_error "index path must end at an atomic attribute")
@@ -1042,7 +870,7 @@ let index_entries t (schema : Schema.t) (root : Tid.t) (spath : Schema.path) :
               pos 0 (table_fields tbl)
             in
             let st = List.nth view.subtables sti in
-            let elems = subtable_elements t plist sections sub st in
+            let elems = subtable_elements t sp sections sub st in
             List.iter
               (fun e ->
                 match e with
@@ -1050,7 +878,7 @@ let index_entries t (schema : Schema.t) (root : Tid.t) (spath : Schema.path) :
                     (* final attribute must live in this flat element *)
                     match rest with
                     | [ attr ] ->
-                        let atoms = read_data t plist d in
+                        let atoms = read_data t sp d in
                         let a = List.nth atoms (atom_position sub attr) in
                         acc := (a, { root; path = List.rev (d :: rev_path) }) :: !acc
                     | _ -> store_error "path descends below a flat subobject")
@@ -1058,7 +886,7 @@ let index_entries t (schema : Schema.t) (root : Tid.t) (spath : Schema.path) :
               elems
         | _ -> store_error "path step %s is not a table attribute" name)
   in
-  go schema.table (root_view t plist sections) [] spath;
+  go schema.table (root_view t sections) [] spath;
   List.rev !acc
 
 (* Fig 7a's naive hierarchical addresses (SS3 only): components are the
@@ -1071,7 +899,7 @@ let index_entries t (schema : Schema.t) (root : Tid.t) (spath : Schema.path) :
 let index_entries_fig7a t (schema : Schema.t) (root : Tid.t) (spath : Schema.path) :
     (Atom.t * hier) list =
   if t.layout <> Mini_directory.SS3 then store_error "Fig 7a addresses are defined for SS3";
-  let plist, sections = load_root t root in
+  let _, sp, sections = load_root t root in
   let acc = ref [] in
   let atom_position (tbl : Schema.table) name =
     let rec count i = function
@@ -1085,7 +913,7 @@ let index_entries_fig7a t (schema : Schema.t) (root : Tid.t) (spath : Schema.pat
   let rec go (tbl : Schema.table) (view : obj_view) (rev_md_path : Mini_tid.t list) = function
     | [] -> ()
     | [ name ] ->
-        let atoms = read_data t plist view.data in
+        let atoms = read_data t sp view.data in
         let a = List.nth atoms (atom_position tbl name) in
         (* final component: the D pointer (data subtuple) *)
         acc := (a, { root; path = List.rev (view.data :: rev_md_path) }) :: !acc
@@ -1102,14 +930,14 @@ let index_entries_fig7a t (schema : Schema.t) (root : Tid.t) (spath : Schema.pat
             in
             let st = List.nth view.subtables sti in
             let md_ptr = match st with St_md m -> m | St_section _ -> store_error "SS3 expected" in
-            let elems = subtable_elements t plist sections sub st in
+            let elems = subtable_elements t sp sections sub st in
             List.iter
               (fun e ->
                 match e with
                 | El_flat d -> (
                     match rest with
                     | [ attr ] ->
-                        let atoms = read_data t plist d in
+                        let atoms = read_data t sp d in
                         let a = List.nth atoms (atom_position sub attr) in
                         acc := (a, { root; path = List.rev (d :: md_ptr :: rev_md_path) }) :: !acc
                     | _ -> store_error "path descends below a flat subobject")
@@ -1117,21 +945,21 @@ let index_entries_fig7a t (schema : Schema.t) (root : Tid.t) (spath : Schema.pat
               elems
         | _ -> store_error "path step %s is not a table attribute" name)
   in
-  go schema.table (root_view t plist sections) [] spath;
+  go schema.table (root_view t sections) [] spath;
   List.rev !acc
 
 (* Resolve the data subtuple a hierarchical address points at, decoding
    its atoms (the last path component), without touching anything else. *)
 let fetch_hier_atoms t (h : hier) : Atom.t list =
-  let plist, _ = load_root t h.root in
+  let _, sp, _ = load_root t h.root in
   match List.rev h.path with
   | [] -> store_error "fetch_hier_atoms: empty path"
-  | last :: _ -> read_data t plist last
+  | last :: _ -> read_data t sp last
 
 (* Translate a Mini-TID of an object into the equivalent global TID
    (position lookup in the page list, Section 4.1). *)
 let resolve_mini t (root : Tid.t) (m : Mini_tid.t) : Tid.t =
-  let plist, _ = load_root t root in
+  let plist, _, _ = load_root t root in
   { Tid.page = Page_list.resolve plist m.Mini_tid.lpage; slot = m.Mini_tid.slot }
 
 (* --- check-out / check-in (workstation transfer) -------------------- *)
@@ -1143,7 +971,7 @@ let resolve_mini t (root : Tid.t) (m : Mini_tid.t) : Tid.t =
    page level". *)
 let checkout t (root : Tid.t) : string =
   if not t.clustering then store_error "checkout requires clustered storage";
-  let plist, sections = load_root t root in
+  let plist, _, sections = load_root t root in
   let b = Codec.create_sink () in
   Codec.put_uvarint b (page_size t);
   let entries = Page_list.entries plist in
@@ -1187,9 +1015,8 @@ let checkin t (payload : string) : Tid.t =
   List.iter
     (fun (lpage, image) ->
       let page = Buffer_pool.alloc t.pool in
-      t.data_pages <- page :: t.data_pages;
       Buffer_pool.write t.pool page (fun buf -> Bytes.blit_string image 0 buf 0 (Bytes.length buf));
-      Hashtbl.replace t.fsm page (Buffer_pool.read t.pool page (fun buf -> Page.usable_free buf));
+      Free_space.adopt t.data page;
       Page_list.replace plist ~lpage ~page)
     entries;
   let sections = Subtuple.get_sections (Codec.source_of_string (Codec.get_string src)) in
@@ -1200,28 +1027,12 @@ let checkin t (payload : string) : Tid.t =
 (* Page-ownership metadata needed to re-attach a store to a persisted
    disk: (root-directory pages, data pages, free pages). *)
 let export_meta t : int list * int list * int list =
-  (Heap.pages t.dir, t.data_pages, t.free_pages)
+  (Heap.pages t.dir, Free_space.pages t.data, t.free_pages)
 
 let restore ?(layout = Mini_directory.SS3) ?(clustering = true) pool ~dir_pages ~data_pages
     ~free_pages =
-  let t =
-    {
-      pool;
-      layout;
-      clustering;
-      dir = Heap.restore pool ~pages:dir_pages;
-      data_pages;
-      fsm = Hashtbl.create 64;
-      free_pages;
-      md_reads = Atomic.make 0;
-      data_reads = Atomic.make 0;
-      subtuple_writes = Atomic.make 0;
-    }
-  in
-  List.iter
-    (fun page -> Buffer_pool.read pool page (fun buf -> Hashtbl.replace t.fsm page (Page.usable_free buf)))
-    data_pages;
-  t
+  let dir = Heap.restore pool ~pages:dir_pages in
+  make ~layout ~clustering pool ~dir ~data:(Free_space.restore pool data_pages) ~free_pages
 
 (* All root TIDs in the store. *)
 let roots t = List.rev (Heap.fold t.dir (fun acc tid _ -> tid :: acc) [])

@@ -51,8 +51,10 @@ type t = {
   mutable durable_lsn : lsn;  (* last LSN wholly inside the durable prefix *)
   mutable next_lsn : lsn;
   mutable next_tx : txid;
-  (* [buf] is the only copy of each record; [recs] locates them *)
-  mutable recs : (lsn * int) list;  (* (lsn, end offset in [buf]), newest first *)
+  (* [buf] is the only copy of each record; [ends] locates them.  LSNs
+     are dense from 1, so record [lsn] ends at [ends.(lsn - 1)] and the
+     first [next_lsn - 1] slots are in use (8 bytes a record) *)
+  mutable ends : int array;
   begins : (txid, int) Hashtbl.t;  (* open transaction -> offset of its Begin *)
   mutable sync_hook : (int -> int) option;  (* pending bytes -> bytes persisted *)
   mutable group_commit : bool;  (* commits defer their fsync to [sync_to] *)
@@ -89,7 +91,7 @@ let create () =
     durable_lsn = 0;
     next_lsn = 1;
     next_tx = 1;
-    recs = [];
+    ends = Array.make 1024 0;
     begins = Hashtbl.create 8;
     sync_hook = None;
     group_commit = false;
@@ -265,7 +267,12 @@ let append_unlocked t (mk : lsn -> record) : lsn =
   Buffer.add_buffer t.buf frame;
   Buffer.add_string t.buf payload;
   Buffer.add_char t.buf (Char.chr (checksum payload));
-  t.recs <- (lsn, Buffer.length t.buf) :: t.recs;
+  if lsn > Array.length t.ends then begin
+    let bigger = Array.make (2 * Array.length t.ends) 0 in
+    Array.blit t.ends 0 bigger 0 (Array.length t.ends);
+    t.ends <- bigger
+  end;
+  t.ends.(lsn - 1) <- Buffer.length t.buf;
   t.stats.records <- t.stats.records + 1;
   t.stats.bytes <- Buffer.length t.buf;
   lsn
@@ -312,18 +319,14 @@ let flush_unlocked ?(forced = false) t =
     Option.iter (fun oc -> write_synced oc (Buffer.sub t.buf t.durable_len persisted)) t.file;
     t.durable_len <- t.durable_len + persisted;
     (* advance durable_lsn to the last record wholly inside the prefix:
-       [recs] is newest-first with monotone end offsets, so the first
-       record that fits is the one — the walk is O(records since the
-       last flush), not O(log) *)
-    let rec advance = function
-      | (lsn, end_off) :: rest ->
-          if end_off <= t.durable_len then begin
-            if lsn > t.durable_lsn then t.durable_lsn <- lsn
-          end
-          else advance rest
-      | [] -> ()
+       end offsets grow with the LSN, so walking back from the newest
+       record the first that fits is the one — the walk is O(records
+       since the last flush), not O(log) *)
+    let rec advance lsn =
+      if lsn > t.durable_lsn then
+        if t.ends.(lsn - 1) <= t.durable_len then t.durable_lsn <- lsn else advance (lsn - 1)
     in
-    advance t.recs;
+    advance (t.next_lsn - 1);
     (* every durable-mark advance wakes the waiters in [sync_to]: a
        forced WAL-before-data flush can make a parked commit durable *)
     Condition.broadcast t.cond;
@@ -525,31 +528,27 @@ let contents t = with_mu t (fun () -> Buffer.contents t.buf)
 let durable_contents t = with_mu t (fun () -> Buffer.sub t.buf 0 t.durable_len)
 
 (* The log-shipping read: every durable record strictly after [since],
-   raw framed bytes ready for re-decoding on the replica.  [recs] is
-   newest-first with dense LSNs, so the records after [since] are a
-   prefix of the list and the walk stops at the boundary record, whose
-   end offset is where the slice starts.  [max_bytes] cuts the slice at
-   a record boundary (always keeping at least one record) so one batch
-   never outgrows a wire frame. *)
+   raw framed bytes ready for re-decoding on the replica.  The slice
+   starts where record [since] ends and takes durable records in LSN
+   order; [max_bytes] cuts it at a record boundary (always keeping at
+   least one record) so one batch never outgrows a wire frame. *)
 let durable_since ?(max_bytes = max_int) t (since : lsn) : string * lsn * lsn =
   with_mu t (fun () ->
-      let rec newer acc = function
-        | (l, e) :: rest when l > since -> newer ((l, e) :: acc) rest
-        | (_, e) :: _ -> (acc, e) (* boundary record = [since] itself *)
-        | [] -> (acc, 0)
+      let last = t.next_lsn - 1 in
+      let start_off = if since >= 1 && since <= last then t.ends.(since - 1) else 0 in
+      let first = max 1 (since + 1) in
+      (* the batch is [first .. stop] *)
+      let rec cut lsn =
+        if
+          lsn <= last
+          && t.ends.(lsn - 1) <= t.durable_len
+          && (lsn = first || t.ends.(lsn - 1) - start_off <= max_bytes)
+        then cut (lsn + 1)
+        else lsn - 1
       in
-      let after, start_off = newer [] t.recs in
-      (* oldest-first; durable only *)
-      let durable = List.filter (fun (_, e) -> e <= t.durable_len) after in
-      let rec cut chosen = function
-        | (l, e) :: rest when chosen = None || e - start_off <= max_bytes ->
-            cut (Some (l, e)) rest
-        | _ -> chosen
-      in
-      match cut None durable with
-      | None -> ("", since, t.durable_lsn)
-      | Some (last, stop_off) ->
-          (Buffer.sub t.buf start_off (stop_off - start_off), last, t.durable_lsn))
+      let stop = cut first in
+      if stop < first then ("", since, t.durable_lsn)
+      else (Buffer.sub t.buf start_off (t.ends.(stop - 1) - start_off), stop, t.durable_lsn))
 
 (* Chronological (page, off, before) images of a transaction's updates,
    for runtime rollback: only the log from the transaction's Begin on

@@ -754,6 +754,33 @@ let test_range_walker () =
     (tables "SELECT y.B FROM x IN T, y IN x.XS");
   Alcotest.(check (list string)) "INSERT rows name no ranges" [] (tables "INSERT INTO T VALUES (1)")
 
+(* Keyword lookup: a word lexes to [KW] exactly when its uppercased
+   form is in the keyword list, whatever its letter case; every other
+   identifier stays an [IDENT] with its spelling kept. *)
+let prop_lexer_keywords =
+  let gen =
+    QCheck.Gen.(
+      let random_case w =
+        map
+          (fun flips -> String.mapi (fun i c -> if List.nth flips i then Char.lowercase_ascii c else c) w)
+          (list_repeat (String.length w) bool)
+      in
+      let ident =
+        map2
+          (fun c rest -> String.make 1 c ^ rest)
+          (oneof [ char_range 'a' 'z'; char_range 'A' 'Z'; return '_' ])
+          (string_size ~gen:(oneof [ char_range 'a' 'z'; char_range 'A' 'Z'; char_range '0' '9'; return '_' ]) (0 -- 8))
+      in
+      oneof [ ident; oneofl Lexer.keywords >>= random_case ])
+  in
+  QCheck.Test.make ~name:"lexer: KW iff the uppercased word is a keyword" ~count:500
+    (QCheck.make ~print:Fun.id gen) (fun word ->
+      let up = String.uppercase_ascii word in
+      match Lexer.tokenize word with
+      | [ Lexer.KW k ] -> k = up && List.mem up Lexer.keywords
+      | [ Lexer.IDENT w ] -> w = word && not (List.mem up Lexer.keywords)
+      | _ -> false)
+
 let () =
   Alcotest.run "lang"
     [
@@ -762,6 +789,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_lexer_basics;
           Alcotest.test_case "keywords" `Quick test_lexer_keywords_case;
           Alcotest.test_case "numbers" `Quick test_lexer_numbers;
+          QCheck_alcotest.to_alcotest prop_lexer_keywords;
         ] );
       ( "parser",
         [

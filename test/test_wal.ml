@@ -601,6 +601,64 @@ let test_capture_size () =
   checkb (Printf.sprintf "shorter-value UPDATE logs %d B of page images (< 512 B)" update) true
     (update < 512)
 
+(* --- record index ---------------------------------------------------- *)
+
+(* The log's record index against the newest-first (lsn, end offset)
+   list it replaced: after random appends and fsyncs (some torn by the
+   sync hook), the durable LSN and every [durable_since] batch are what
+   the list's walks yield. *)
+let model_since recs ~durable_len ~max_bytes since =
+  let rec newer acc = function
+    | (l, e) :: rest when l > since -> newer ((l, e) :: acc) rest
+    | (_, e) :: _ -> (acc, e)
+    | [] -> (acc, 0)
+  in
+  let after, start_off = newer [] recs in
+  let durable = List.filter (fun (_, e) -> e <= durable_len) after in
+  let rec cut chosen = function
+    | (l, e) :: rest when chosen = None || e - start_off <= max_bytes -> cut (Some (l, e)) rest
+    | _ -> chosen
+  in
+  match cut None durable with
+  | None -> (start_off, 0, since)
+  | Some (last, stop_off) -> (start_off, stop_off - start_off, last)
+
+let prop_record_index =
+  QCheck.Test.make ~name:"record index vs (lsn, end offset) list" ~count:200
+    QCheck.(list_of_size Gen.(1 -- 60) (pair (int_bound 3) (int_bound 200)))
+    (fun ops ->
+      let w = Wal.create () in
+      let tx = Wal.begin_tx w in
+      let recs = ref [ (Wal.last_lsn w, (Wal.stats w).Wal.bytes) ] in
+      List.for_all
+        (fun (op, n) ->
+          (match op with
+          | 0 | 1 ->
+              let lsn = Wal.log_update w ~tx ~page:n ~off:0 ~before:(String.make n 'b') ~after:"a" in
+              recs := (lsn, (Wal.stats w).Wal.bytes) :: !recs
+          | 2 -> (
+              Wal.set_sync_hook w (Some (fun pending -> min pending (n * 3)));
+              try Wal.flush w with D.Crash _ -> ())
+          | _ ->
+              Wal.set_sync_hook w None;
+              Wal.flush w);
+          let durable_len = String.length (Wal.durable_contents w) in
+          let contents = Wal.contents w in
+          let model_durable =
+            List.fold_left (fun acc (l, e) -> if e <= durable_len then max acc l else acc) 0 !recs
+          in
+          Wal.durable_lsn w = model_durable
+          && List.for_all
+               (fun since ->
+                 List.for_all
+                   (fun max_bytes ->
+                     let bytes, last, durable = Wal.durable_since ~max_bytes w since in
+                     let start, len, model_last = model_since !recs ~durable_len ~max_bytes since in
+                     bytes = String.sub contents start len && last = model_last && durable = model_durable)
+                   [ 1; n * 4; max_int ])
+               (List.init (Wal.last_lsn w + 3) (fun i -> i - 1)))
+        ops)
+
 let () =
   Alcotest.run "wal"
     [
@@ -638,4 +696,5 @@ let () =
           Alcotest.test_case "captured runs replay the write" `Quick test_capture_runs;
           Alcotest.test_case "one-row writes log what changed" `Quick test_capture_size;
         ] );
+      ("record index", [ QCheck_alcotest.to_alcotest prop_record_index ]);
     ]

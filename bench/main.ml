@@ -7,7 +7,8 @@
    Run with:  dune exec bench/main.exe            (all sections)
               dune exec bench/main.exe -- F6 F7   (selected sections)
    An unknown section id exits with status 2 and lists the valid ids.
-   [main.exe --bulk-load N] runs one of WL's logged bulk loads alone. *)
+   [main.exe --bulk-load N] runs one of WL's logged bulk loads alone,
+   [main.exe --commit-cost N] one of its commit-cost measurements. *)
 
 module Atom = Nf2_model.Atom
 module Schema = Nf2_model.Schema
@@ -1035,17 +1036,12 @@ let bench_ablations () =
 (* WL: write-ahead logging — overhead and crash recovery              *)
 (* ================================================================== *)
 
-(* The logged bulk load: [rows] ORDERS-shape objects (the point-oltp
-   table: OID, CUST, STATUS and three LINES) in 5,000-row INSERTs with
-   the WAL on.  Prints "<wall s> <log bytes> <log records> <VmHWM kB>"
-   on one line; run as [main.exe --bulk-load N] in a process of its
-   own, so that VmHWM is this load's peak and no other section's. *)
-let bulk_load rows =
-  let db = Db.create ~wal:true () in
-  ignore
-    (Db.exec db "CREATE TABLE ORDERS (OID INT, CUST TEXT, STATUS TEXT, LINES TABLE (SKU INT, QTY INT))");
-  let w = Option.get (Db.wal db) in
-  let bytes0 = (Wal.stats w).Wal.bytes and records0 = (Wal.stats w).Wal.records in
+(* The point-oltp table: ORDERS-shape objects (OID, CUST, STATUS and
+   three LINES), [insert_orders] adding the same [rows] rows on every
+   call, in 5,000-row INSERTs. *)
+let orders_ddl = "CREATE TABLE ORDERS (OID INT, CUST TEXT, STATUS TEXT, LINES TABLE (SKU INT, QTY INT))"
+
+let insert_orders db rows =
   let rng = Prng.create 22 in
   let statuses = [| "open"; "paid"; "shipped" |] in
   let row k =
@@ -1054,19 +1050,26 @@ let bulk_load rows =
       (line ()) (line ()) (line ())
   in
   let batch = 5000 in
-  let (), ns =
-    time_once (fun () ->
-        let rec go first =
-          if first <= rows then begin
-            let n = min batch (rows - first + 1) in
-            ignore
-              (Db.exec db
-                 ("INSERT INTO ORDERS VALUES " ^ String.concat ", " (List.init n (fun i -> row (first + i)))));
-            go (first + n)
-          end
-        in
-        go 1)
+  let rec go first =
+    if first <= rows then begin
+      let n = min batch (rows - first + 1) in
+      ignore
+        (Db.exec db ("INSERT INTO ORDERS VALUES " ^ String.concat ", " (List.init n (fun i -> row (first + i)))));
+      go (first + n)
+    end
   in
+  go 1
+
+(* The logged bulk load: [rows] ORDERS rows with the WAL on.  Prints
+   "<wall s> <log bytes> <log records> <VmHWM kB>" on one line; run as
+   [main.exe --bulk-load N] in a process of its own, so that VmHWM is
+   this load's peak and no other section's. *)
+let bulk_load rows =
+  let db = Db.create ~wal:true () in
+  ignore (Db.exec db orders_ddl);
+  let w = Option.get (Db.wal db) in
+  let bytes0 = (Wal.stats w).Wal.bytes and records0 = (Wal.stats w).Wal.records in
+  let (), ns = time_once (fun () -> insert_orders db rows) in
   let count = Db.query db "SELECT x.OID FROM x IN ORDERS" in
   if List.length (Rel.tuples count) <> rows then failwith "bulk load: row count";
   let hwm_kb =
@@ -1078,16 +1081,56 @@ let bulk_load rows =
   Printf.printf "%.3f %d %d %d\n" (ns /. 1e9) ((Wal.stats w).Wal.bytes - bytes0)
     ((Wal.stats w).Wal.records - records0) hwm_kb
 
-(* Run [bulk_load rows] in a child process of this executable. *)
-let bulk_load_child rows =
+(* What commits cost at [rows] ORDERS rows indexed on OID, with the
+   WAL on: the median of 51 runs each of an empty BEGIN+COMMIT, an
+   autocommit one-row UPDATE (the same 50 rows at every size, CUST
+   rewritten at its own length) and an empty BEGIN+ROLLBACK, plus the
+   log bytes of all 51 UPDATEs.  Prints "<commit ns> <update ns>
+   <rollback ns> <update log bytes>" on one line; run as
+   [main.exe --commit-cost N] in a process of its own. *)
+let commit_cost_runs = 51
+
+let commit_cost rows =
+  let db = Db.create ~wal:true () in
+  ignore (Db.exec db orders_ddl);
+  insert_orders db rows;
+  ignore (Db.exec db "CREATE INDEX ON ORDERS (OID)");
+  let runs = commit_cost_runs in
+  let empty_commit =
+    median_run_ns runs (fun _ ->
+        Db.begin_txn db;
+        Db.commit db)
+  in
+  let w = Option.get (Db.wal db) in
+  let bytes0 = (Wal.stats w).Wal.bytes in
+  let update =
+    median_run_ns runs (fun i ->
+        ignore (Db.exec db (Printf.sprintf "UPDATE ORDERS SET CUST = 'U%07d' WHERE OID = %d" i (1 + (i mod 50)))))
+  in
+  let update_bytes = (Wal.stats w).Wal.bytes - bytes0 in
+  let rollback =
+    median_run_ns runs (fun _ ->
+        Db.begin_txn db;
+        Db.rollback db)
+  in
+  Printf.printf "%.0f %.0f %.0f %d\n" empty_commit update rollback update_bytes
+
+(* Run this executable as [main.exe flag n] in a child process and
+   [scan] the one line it prints. *)
+let child_line flag n scan =
   let ic =
-    Unix.open_process_args_in Sys.executable_name
-      [| Sys.executable_name; "--bulk-load"; string_of_int rows |]
+    Unix.open_process_args_in Sys.executable_name [| Sys.executable_name; flag; string_of_int n |]
   in
   let line = In_channel.input_line ic in
   match (Unix.close_process_in ic, line) with
-  | Unix.WEXITED 0, Some l -> Some (Scanf.sscanf l "%f %d %d %d" (fun s b r h -> (s, b, r, h)))
+  | Unix.WEXITED 0, Some l -> Some (scan l)
   | _ -> None
+
+let bulk_load_child rows =
+  child_line "--bulk-load" rows (fun l -> Scanf.sscanf l "%f %d %d %d" (fun s b r h -> (s, b, r, h)))
+
+let commit_cost_child rows =
+  child_line "--commit-cost" rows (fun l -> Scanf.sscanf l "%f %f %f %d" (fun c u r b -> (c, u, r, b)))
 
 let bench_wal () =
   section "WL" "write-ahead logging: overhead and crash recovery";
@@ -1150,6 +1193,33 @@ let bench_wal () =
     (Db.table_names recovered = Db.table_names oracle
     && (Db.table_names recovered = []
        || Rel.equal (Db.query recovered "SELECT * FROM R") (Db.query oracle "SELECT * FROM R")));
+  subsection "commit cost by table size (ORDERS indexed on OID, WAL on; medians of 51 runs)";
+  (* a commit logs the catalog only when it changed, so neither it nor
+     BEGIN's rollback snapshot costs O(table); times are printed, not
+     gated, since they swing with the host's load *)
+  let costs = List.map (fun rows -> (rows, commit_cost_child rows)) [ 1_000; 10_000; 40_000 ] in
+  print_table
+    ~header:
+      [ "rows"; "empty BEGIN+COMMIT"; "one-row UPDATE"; "empty BEGIN+ROLLBACK"; "UPDATE log bytes/commit" ]
+    (List.map
+       (fun (rows, r) ->
+         match r with
+         | None -> [ string_of_int rows; "failed"; "-"; "-"; "-" ]
+         | Some (c, u, r, b) ->
+             [
+               string_of_int rows;
+               ns_to_string c;
+               ns_to_string u;
+               ns_to_string r;
+               Printf.sprintf "%.1f" (float_of_int b /. float_of_int commit_cost_runs);
+             ])
+       costs);
+  check "every commit-cost run completed" (List.for_all (fun (_, r) -> r <> None) costs);
+  (match List.filter_map snd costs with
+  | (_, _, _, b) :: rest ->
+      check "a one-row UPDATE logs the same bytes at 1k, 10k and 40k rows, < 512 B per commit"
+        (List.for_all (fun (_, _, _, b') -> b' = b) rest && b < 512 * commit_cost_runs)
+  | [] -> ());
   subsection "logged bulk load (ORDERS-shape rows, 5,000-row INSERTs, WAL on)";
   let loads = List.map (fun rows -> (rows, bulk_load_child rows)) [ 1_000; 10_000; 100_000 ] in
   print_table
@@ -2312,6 +2382,9 @@ let () =
   (match Sys.argv with
   | [| _; "--bulk-load"; rows |] ->
       bulk_load (int_of_string rows);
+      exit 0
+  | [| _; "--commit-cost"; rows |] ->
+      commit_cost (int_of_string rows);
       exit 0
   | _ -> ());
   let requested = List.tl (Array.to_list Sys.argv) in

@@ -41,6 +41,23 @@ type table_info = {
   mutable stat_rows : int; (* planner statistic: current object count *)
 }
 
+(* The catalog as [encode_catalog] reads it, by reference: each table's
+   record, page lists, index lists and history pages, and the tuple
+   names.  Every part is an immutable value that is replaced when it
+   changes, so two stamps whose parts are physically equal describe the
+   same catalog — an O(#tables) check instead of an encode. *)
+type table_stamp = {
+  s_ti : table_info;
+  s_dir : int list;
+  s_data : int list;
+  s_free : int list;
+  s_indexes : index_info list;
+  s_text : (Schema.path * TI.t) list;
+  s_history : int list;
+}
+
+type stamp = { s_tables : table_stamp list; s_names : (string * Tname.t) list }
+
 type t = {
   disk : Disk.t;
   pool : BP.t;
@@ -51,6 +68,8 @@ type t = {
   mutable last_plan : string list;
   mutable wal : Wal.t option; (* physical write-ahead log, if attached *)
   mutable wal_txn : wal_txn_state option; (* open WAL transaction, if any *)
+  mutable catalog_cache : (stamp * string) option; (* the last encoded catalog, at its stamp *)
+  mutable logged_catalog : stamp option; (* the catalog of the attached WAL's newest payload *)
   mutable files : files option; (* image + log files, when opened from them *)
   mvcc : Mvcc.t; (* committed version chains for lock-free snapshot reads *)
   sys : Sysr.t; (* SYS introspection providers (engine + host layers) *)
@@ -71,14 +90,21 @@ and dirty = Whole | Roots of TidSet.t
 (* A WAL transaction: the log holds its page before-images for physical
    undo; [saved_catalog] is the cheap in-memory metadata snapshot
    restored on rollback (pages are the expensive part, and those are
-   undone from the log), and [saved_histories] the versioned tables'
-   history indexes as of BEGIN, by table key, which rollback takes up
-   again instead of re-reading each history log. *)
+   undone from the log), taken at [saved_stamp], and [saved_tables]
+   what rollback takes up again, by table key, instead of rebuilding
+   it from the store. *)
 and wal_txn_state = {
   wtx : Wal.txid;
   saved_catalog : string;
-  saved_histories : (string * VS.t) list;
+  saved_stamp : stamp;
+  saved_tables : (string * kept) list;
 }
+
+(* A table's access structures as of BEGIN: its history index (a copy)
+   and frozen handles on its value and text indexes, in catalog order.
+   [Bptree] is persistent, so freezing costs O(1) per index and the
+   live indexes' maintenance leaves the handles as they were. *)
+and kept = { k_history : VS.t option; k_indexes : VI.t list; k_text : TI.t list }
 
 (* A database opened by {!open_files}: [image] is rewritten at every
    checkpoint, [log] holds the WAL's durable bytes since then. *)
@@ -96,7 +122,9 @@ let attach_wal t =
       BP.flush_all t.pool;
       let w = Wal.create () in
       BP.attach_wal t.pool w;
-      t.wal <- Some w
+      t.wal <- Some w;
+      (* a new log holds no catalog yet: its first commit carries one *)
+      t.logged_catalog <- None
 
 let wal t = t.wal
 
@@ -336,6 +364,8 @@ let make ?(frames = 256) ?pool_partitions ~layout ~clustering disk =
       last_plan = [];
       wal = None;
       wal_txn = None;
+      catalog_cache = None;
+      logged_catalog = None;
       files = None;
       mvcc = Mvcc.create ();
       sys = Sysr.create ();
@@ -595,9 +625,9 @@ let insert_object t ti tup =
    The catalog (schemas, store page-ownership metadata, index specs,
    history log pages, tuple names) serialises separately from the
    page images: [save] writes pages + catalog, while WAL commit records
-   carry the catalog alone — it is the metadata a from-scratch kernel
-   would keep on pages, so recovery needs it alongside the replayed
-   page images. *)
+   carry the catalog alone, when it changed — it is the metadata a
+   from-scratch kernel would keep on pages, so recovery needs it
+   alongside the replayed page images. *)
 
 let magic = "AIMII001"
 
@@ -681,10 +711,10 @@ let encode_catalog b t =
     names
 
 (* Rebuild [t.tables] and [t.tnames] from a catalog image, re-attaching
-   stores to [t.pool] and rebuilding indexes.  A table's history is
-   taken from [histories] (a rollback's, kept from BEGIN) when it is
-   there, else rebuilt from its log. *)
-let decode_catalog ?(histories = []) t src =
+   stores to [t.pool].  A table's history and indexes are taken up from
+   [kept] (a rollback's, from BEGIN) when it is there, else rebuilt
+   from its log and its store. *)
+let decode_catalog ?(kept = []) t src =
   Hashtbl.reset t.tables;
   let ntables = Codec.get_uvarint src in
   for _ = 1 to ntables do
@@ -712,15 +742,16 @@ let decode_catalog ?(histories = []) t src =
     in
     let ntidx = Codec.get_uvarint src in
     let text_paths = List.init ntidx (fun _ -> get_path src) in
+    let kept = List.assoc_opt (String.uppercase_ascii schema.Schema.name) kept in
     let history =
       match Codec.get_u8 src with
       | 0 -> None
       | n when n = history_log ->
           let pages = get_int_list src in
           Some
-            (match List.assoc_opt (String.uppercase_ascii schema.Schema.name) histories with
-            | Some h -> h
-            | None -> VS.restore t.pool ~pages)
+            (match kept with
+            | Some { k_history = Some h; _ } -> h
+            | _ -> VS.restore t.pool ~pages)
       | 1 ->
           db_error
             "versioned table %s was written by an older build that kept its versions in the \
@@ -728,17 +759,21 @@ let decode_catalog ?(histories = []) t src =
             schema.Schema.name
       | n -> Codec.decode_error "Db.load: history tag %d" n
     in
-    let indexes =
-      List.map
-        (fun (p, strategy) ->
-          {
-            iname = Printf.sprintf "IDX_%s_%s" schema.Schema.name (String.concat "_" p);
-            ipath = p;
-            vindex = VI.create store schema strategy p;
-          })
-        index_specs
+    let vindexes, tindexes =
+      match kept with
+      | Some k ->
+          (List.map (fun v -> VI.rebind v store) k.k_indexes, List.map (fun x -> TI.rebind x store) k.k_text)
+      | None ->
+          ( List.map (fun (p, strategy) -> VI.create store schema strategy p) index_specs,
+            List.map (fun p -> TI.create store schema p) text_paths )
     in
-    let text_indexes = List.map (fun p -> (p, TI.create store schema p)) text_paths in
+    let indexes =
+      List.map2
+        (fun (p, _) vindex ->
+          { iname = Printf.sprintf "IDX_%s_%s" schema.Schema.name (String.concat "_" p); ipath = p; vindex })
+        index_specs vindexes
+    in
+    let text_indexes = List.combine text_paths tindexes in
     Hashtbl.replace t.tables (String.uppercase_ascii schema.Schema.name)
       {
         schema;
@@ -778,10 +813,11 @@ let decode_catalog ?(histories = []) t src =
 
    With a WAL attached, mutations run as logged transactions: page
    changes are captured as before/after-image records by the buffer
-   pool, COMMIT appends a commit record carrying the catalog image and
-   forces the log, and rollback (runtime abort) restores the
-   before-images through the pool — the compensations are logged like
-   any other update, so a crash mid-rollback still recovers cleanly.
+   pool, COMMIT appends a commit record (carrying the catalog image
+   when it changed) and forces the log, and rollback (runtime abort)
+   restores the before-images through the pool — the compensations
+   are logged like any other update, so a crash mid-rollback still
+   recovers cleanly.
    A simulated [Disk.Crash] is machine death: nothing is cleaned up. *)
 
 (* The physical configuration heading database images and catalog
@@ -807,14 +843,54 @@ let get_physical ~what src =
     db_error "%s: written with page compression, which this engine no longer supports" what;
   (layout, clustering)
 
-(* Catalog image as carried in WAL commit/checkpoint records. *)
-let wal_payload t : string =
-  let b = Codec.create_sink () in
-  put_physical b t;
-  encode_catalog b t;
-  Codec.contents b
+let catalog_stamp t : stamp =
+  {
+    s_tables =
+      Hashtbl.fold
+        (fun _ ti acc ->
+          let s_dir, s_data, s_free = OS.export_meta ti.store in
+          {
+            s_ti = ti;
+            s_dir;
+            s_data;
+            s_free;
+            s_indexes = ti.indexes;
+            s_text = ti.text_indexes;
+            s_history = (match ti.history with Some h -> VS.pages h | None -> []);
+          }
+          :: acc)
+        t.tables [];
+    s_names = Tname.all t.tnames;
+  }
 
-let restore_catalog ?histories t (payload : string) =
+let same_stamp a b =
+  a.s_names == b.s_names
+  && List.equal
+       (fun x y ->
+         x.s_ti == y.s_ti && x.s_dir == y.s_dir && x.s_data == y.s_data && x.s_free == y.s_free
+         && x.s_indexes == y.s_indexes && x.s_text == y.s_text && x.s_history == y.s_history)
+       a.s_tables b.s_tables
+
+(* Catalog image as carried in WAL commit/checkpoint records, at
+   [stamp] (the current one); encoded only when the catalog changed
+   since the last encode. *)
+let payload_at t stamp : string =
+  match t.catalog_cache with
+  | Some (s, payload) when same_stamp s stamp -> payload
+  | _ ->
+      let b = Codec.create_sink () in
+      put_physical b t;
+      encode_catalog b t;
+      let payload = Codec.contents b in
+      t.catalog_cache <- Some (stamp, payload);
+      payload
+
+(* Whether the attached log's newest catalog payload describes the
+   catalog at [stamp]: recovery and replicas take the newest payload,
+   so a commit then need not carry one. *)
+let logged_at t stamp = match t.logged_catalog with Some s -> same_stamp s stamp | None -> false
+
+let restore_catalog ?kept t (payload : string) =
   let src = Codec.source_of_string payload in
   let layout, clustering = get_physical ~what:"catalog payload" src in
   (* rollback restores always match; a *shipped* payload from a primary
@@ -822,22 +898,37 @@ let restore_catalog ?histories t (payload : string) =
      images it describes would be misread under this layout *)
   if layout <> t.layout || clustering <> t.clustering then
     db_error "catalog payload: layout/clustering mismatch with this database";
-  decode_catalog ?histories t src
+  decode_catalog ?kept t src;
+  (* the decoded catalog is the one [payload] encodes *)
+  t.catalog_cache <- Some (catalog_stamp t, payload)
 
 let begin_wal_txn t w =
   let wtx = Wal.begin_tx w in
   BP.set_tx t.pool wtx;
-  let saved_histories =
+  let saved_tables =
     Hashtbl.fold
-      (fun key ti acc -> match ti.history with Some h -> (key, VS.copy h) :: acc | None -> acc)
+      (fun key ti acc ->
+        ( key,
+          {
+            k_history = Option.map VS.copy ti.history;
+            k_indexes = List.map (fun ii -> VI.freeze ii.vindex) ti.indexes;
+            k_text = List.map (fun (_, x) -> TI.freeze x) ti.text_indexes;
+          } )
+        :: acc)
       t.tables []
   in
-  let st = { wtx; saved_catalog = wal_payload t; saved_histories } in
+  let saved_stamp = catalog_stamp t in
+  let st = { wtx; saved_catalog = payload_at t saved_stamp; saved_stamp; saved_tables } in
   t.wal_txn <- Some st;
   st
 
+(* The commit record carries the catalog only when it differs from the
+   one the log's newest payload holds. *)
 let commit_wal_txn t w (st : wal_txn_state) =
-  Wal.commit w ~tx:st.wtx ~payload:(Some (wal_payload t));
+  let stamp = catalog_stamp t in
+  let payload = if logged_at t stamp then None else Some (payload_at t stamp) in
+  Wal.commit w ~tx:st.wtx ~payload;
+  t.logged_catalog <- Some stamp;
   BP.set_tx t.pool Wal.system_tx;
   t.wal_txn <- None;
   (* the commit record is the last appended LSN: publish the touched
@@ -859,7 +950,10 @@ let abort_wal_txn t w (st : wal_txn_state) =
   BP.set_tx t.pool Wal.system_tx;
   t.wal_txn <- None;
   t.dirty <- SMap.empty; (* nothing committed: publish nothing *)
-  restore_catalog ~histories:st.saved_histories t st.saved_catalog
+  let logged = logged_at t st.saved_stamp in
+  restore_catalog ~kept:st.saved_tables t st.saved_catalog;
+  (* the catalog is BEGIN's again, so the log holds it if it did then *)
+  if logged then t.logged_catalog <- Some (catalog_stamp t)
 
 (* Run [f] as its own logged transaction when a WAL is attached and no
    transaction is already open.  [Disk.Crash] (simulated machine death)
@@ -1608,7 +1702,11 @@ let wal_checkpoint t =
   if in_txn t then db_error "checkpoint inside an open transaction";
   BP.flush_all t.pool;
   Option.iter (fun f -> save t f.image) t.files;
-  let lsn = Wal.log_checkpoint w ~payload:(Some (wal_payload t)) in
+  let stamp = catalog_stamp t in
+  let lsn = Wal.log_checkpoint w ~payload:(Some (payload_at t stamp)) in
+  (* a restarted log file holds no payload, but recovery then takes
+     the image's catalog, which is this one *)
+  t.logged_catalog <- Some stamp;
   Option.iter (fun f -> Wal.start_file w f.log) t.files;
   lsn
 
@@ -1642,13 +1740,15 @@ let replicate_record t ((_, r) : Wal.lsn * Wal.record) =
   | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Checkpoint _ -> ()
 
 (* Refresh the replica's catalog from a shipped commit / checkpoint
-   payload, making the transaction's objects visible to readers.  With
-   [lsn] (the shipped record's LSN) the refresh publishes a new MVCC
-   version stamped with the primary's commit LSN — and is a no-op when
-   that LSN was already applied, so catch-up may safely re-apply. *)
-let replicate_catalog ?lsn t (payload : string) =
+   payload, or from its own when the shipped commit carries none (the
+   primary's catalog is then the one last shipped), making the
+   transaction's objects visible to readers.  With [lsn] (the shipped
+   record's LSN) the refresh publishes a new MVCC version stamped with
+   the primary's commit LSN — and is a no-op when that LSN was already
+   applied, so catch-up may safely re-apply. *)
+let replicate_catalog ?lsn t (payload : string option) =
   if in_txn t then db_error "replicate_catalog inside an open transaction";
-  restore_catalog t payload;
+  restore_catalog t (match payload with Some p -> p | None -> payload_at t (catalog_stamp t));
   match lsn with
   | Some lsn -> mvcc_refresh_all ~lsn ~monotonize:false t
   | None -> mvcc_refresh_all t

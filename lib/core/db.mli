@@ -229,15 +229,17 @@ val recover_from_image : ?frames:int -> ?pool_partitions:int -> Nf2_storage.Reco
     @raise Db_error inside an open transaction. *)
 val replicate_record : t -> Nf2_storage.Wal.lsn * Nf2_storage.Wal.record -> unit
 
-(** Refresh the catalog from a shipped commit / checkpoint payload,
-    making the shipped transaction's objects visible to readers.  With
+(** Refresh the catalog from a shipped commit / checkpoint payload, or
+    with [None] (a shipped commit that carries none: the primary's
+    catalog did not change) from this database's own catalog, making
+    the shipped transaction's objects visible to readers.  With
     [lsn] (the shipped record's LSN) the refresh also publishes a new
     MVCC version stamped with the primary's commit LSN — and is a no-op
     if that LSN was already applied, so catch-up may safely re-apply.
     @raise Db_error if the payload's layout/clustering do not match
     this database or it was written with page compression on, or
     inside an open transaction. *)
-val replicate_catalog : ?lsn:int -> t -> string -> unit
+val replicate_catalog : ?lsn:int -> t -> string option -> unit
 
 (** Promotion undo: apply before-images (give them newest first)
     through the pool, rolling unresolved shipped transactions back off

@@ -85,6 +85,7 @@ let create store schema path =
   t
 
 let freeze t = { t with fragments = Bptree.freeze t.fragments; words = Bptree.freeze t.words }
+let rebind t store = { t with store }
 
 let path t = t.path
 

@@ -26,6 +26,10 @@ val remove_object : t -> Tid.t -> unit
     own nodes. *)
 val freeze : t -> t
 
+(** [t] over [store], which must hold the objects [t] indexes (a
+    rollback's restored store: the same pages as when [t] was frozen). *)
+val rebind : t -> OS.t -> t
+
 val path : t -> Schema.path
 
 (** All indexed words (sorted). *)

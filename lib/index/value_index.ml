@@ -86,6 +86,7 @@ let create store schema strategy path =
   t
 
 let freeze t = { t with tree = Bptree.freeze t.tree }
+let rebind t store = { t with store }
 
 let lookup t atom = Bptree.find t.tree (Atom.to_key atom)
 

@@ -45,6 +45,10 @@ val remove_object : t -> Tid.t -> unit
     the live store. *)
 val freeze : t -> t
 
+(** [t] over [store], which must hold the objects [t] indexes (a
+    rollback's restored store: the same pages as when [t] was frozen). *)
+val rebind : t -> OS.t -> t
+
 (** Raw postings for a key. *)
 val lookup : t -> Atom.t -> addr list
 

@@ -396,6 +396,10 @@ let rec parse_literal_value st : literal_value =
       advance st;
       let rows = parse_literal_rows st GT in
       L_table (Schema.List, rows)
+  | Some NE ->
+      (* the empty list as [Value.render_v] prints it, lexed as one token *)
+      advance st;
+      L_table (Schema.List, [])
   | Some got -> parse_error "unexpected token %s in literal" (token_to_string got)
   | None -> parse_error "unexpected end of input in literal"
 

@@ -14,8 +14,9 @@
 
    The replica replays each batch through its own buffer pool with the
    same redo rule recovery uses — repeat history, byte for byte, in LSN
-   order — and refreshes its catalog from the newest commit/checkpoint
-   payload in the batch, so a shipped transaction's objects become
+   order — and refreshes its catalog at the newest commit/checkpoint in
+   the batch (from the newest payload; a commit carries one only when
+   the catalog changed), so a shipped transaction's objects become
    visible exactly when its commit record applies.  Applied images are
    captured by the replica's own WAL, which is what makes the replica
    locally recoverable ([crash_restart]) and promotable ([promote]:
@@ -322,12 +323,18 @@ module Replica = struct
 
   (* Replay one shipped batch: redo every record in LSN order, track
      undo images of still-unresolved transactions (for promote), then
-     refresh the catalog from the newest commit/checkpoint payload so
-     shipped objects become visible atomically with the batch. *)
+     refresh the catalog at the newest commit/checkpoint, from the
+     newest payload in the batch or (none shipped) the replica's own,
+     so shipped objects become visible atomically with the batch. *)
   let apply_batch t (records : string) (durable : Wal.lsn) =
     let recs = Wal.records_of_string records in
     locked_engine t (fun () ->
-        let payload = ref None in
+        (* the newest commit/checkpoint: its LSN and the newest
+           payload up to it ([None]: the catalog last shipped holds) *)
+        let refresh = ref None in
+        let note lsn pl =
+          refresh := Some (lsn, match pl with Some _ -> pl | None -> Option.bind !refresh snd)
+        in
         List.iter
           (fun ((lsn, r) as entry) ->
             (match t.apply_hook with Some h -> h (t.records_applied + 1) | None -> ());
@@ -338,10 +345,9 @@ module Replica = struct
                 Hashtbl.replace t.live tx ((lsn, page, off, before) :: undo)
             | Wal.Commit { tx; payload = pl } ->
                 Hashtbl.remove t.live tx;
-                (match pl with Some pl -> payload := Some (lsn, pl) | None -> ())
+                note lsn pl
             | Wal.Abort tx -> Hashtbl.remove t.live tx
-            | Wal.Checkpoint { payload = pl } -> (
-                match pl with Some pl -> payload := Some (lsn, pl) | None -> ())
+            | Wal.Checkpoint { payload = pl } -> note lsn pl
             | _ -> ());
             Db.replicate_record t.db entry;
             t.records_applied <- t.records_applied + 1)
@@ -349,7 +355,7 @@ module Replica = struct
         (* publish the refreshed catalog as an MVCC version at the
            shipped record's LSN: snapshot readers on this replica see a
            consistent state that advances exactly with [applied_lsn] *)
-        (match !payload with Some (lsn, pl) -> Db.replicate_catalog ~lsn t.db pl | None -> ());
+        Option.iter (fun (lsn, pl) -> Db.replicate_catalog ~lsn t.db pl) !refresh;
         (match List.rev recs with
         | (lsn, _) :: _ -> t.applied_lsn <- max t.applied_lsn lsn
         | [] -> ());

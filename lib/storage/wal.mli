@@ -24,7 +24,9 @@ type record =
   | Alloc of { tx : txid; page : int }
   | Commit of { tx : txid; payload : string option }
       (** [payload] carries the engine's catalog image at commit —
-          metadata that a from-scratch kernel would keep on pages. *)
+          metadata that a from-scratch kernel would keep on pages —
+          only when the catalog changed since the log's newest payload;
+          recovery and replicas take the newest payload. *)
   | Abort of txid
       (** Written after a runtime rollback whose compensations were
           logged as ordinary updates; recovery treats the transaction

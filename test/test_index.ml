@@ -130,6 +130,30 @@ let prop_bptree_freeze =
       && BT.entry_count t = Hashtbl.length model
       && Hashtbl.fold (fun k v acc -> acc && BT.find t (Codec.key_of_int k) = v) model true)
 
+(* The other direction, which a rollback relies on when it takes up
+   BEGIN's frozen handle as the live index: updates through the frozen
+   handle leave the tree it was frozen from as it was. *)
+let prop_bptree_freeze_maintained =
+  let ops = QCheck.(list_of_size Gen.(0 -- 600) (pair (int_bound 300) (int_bound 3))) in
+  QCheck.Test.make ~name:"bptree live handle is unchanged by updates to a frozen one" ~count:100
+    (QCheck.pair ops ops)
+    (fun (before, after) ->
+      let apply t (k, op) =
+        let key = Codec.key_of_int k in
+        if op = 0 then BT.remove t ~key (fun v -> v mod 2 = 0) else BT.insert t ~key ((k * 4) + op)
+      in
+      let t = BT.create () in
+      List.iter (apply t) before;
+      let observe b = (BT.range b (), BT.entry_count b, BT.height b) in
+      let seen = observe t in
+      let frozen = BT.freeze t in
+      List.iter (apply frozen) after;
+      let reference = BT.create () in
+      List.iter (apply reference) (before @ after);
+      BT.check t;
+      BT.check frozen;
+      observe t = seen && BT.range frozen () = BT.range reference ())
+
 (* --- value indexes ---------------------------------------------------------- *)
 
 let strategies = [ VI.Data_tid; VI.Root_tid; VI.Hierarchical ]
@@ -315,7 +339,7 @@ let test_masked () =
   checkb "word in text" true (Masked.matches_word m "introduction to computer science");
   checkb "no word" false (Masked.matches_word anchored "a minicomputer only")
 
-let props = List.map QCheck_alcotest.to_alcotest [ prop_bptree_vs_model; prop_bptree_freeze ]
+let props = List.map QCheck_alcotest.to_alcotest [ prop_bptree_vs_model; prop_bptree_freeze; prop_bptree_freeze_maintained ]
 
 let () =
   Alcotest.run "index"

@@ -781,6 +781,34 @@ let prop_lexer_keywords =
       | [ Lexer.IDENT w ] -> w = word && not (List.mem up Lexer.keywords)
       | _ -> false)
 
+(* What the engine prints it reads back: a random nested tuple,
+   empty sets and lists included, rendered by [Value.render_tuple] and
+   inserted as a literal, is the tuple a SELECT then returns. *)
+let prop_render_reinsert =
+  let gen =
+    QCheck.Gen.(
+      let text = string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '\'' ]) (0 -- 6) in
+      let xs = map (List.map (fun x -> [ Value.int_ x ])) (list_size (0 -- 3) (-20 -- 20)) in
+      (* set elements are distinct by position, so the set keeps them all *)
+      let ss =
+        map (List.mapi (fun i x -> [ Value.int_ i; Value.list_ x ])) (list_size (0 -- 3) xs)
+      in
+      let ls = list_size (0 -- 3) (map2 (fun b w -> [ Value.int_ b; Value.str w ]) (-9 -- 9) text) in
+      map
+        (fun (k, w, ss, ls) -> [ Value.int_ k; Value.str w; Value.set ss; Value.list_ ls ])
+        (quad (-50 -- 50) text ss ls))
+  in
+  QCheck.Test.make ~name:"rendered tuples re-insert equal" ~count:200
+    (QCheck.make ~print:Value.render_tuple gen) (fun tup ->
+      let db = Db.create () in
+      ignore
+        (Db.exec db
+           "CREATE TABLE G (K INT, W TEXT, SS TABLE (I INT, XS LIST (X INT)), LS LIST (B INT, T TEXT))");
+      ignore (Db.exec db ("INSERT INTO G VALUES " ^ Value.render_tuple tup));
+      match Rel.tuples (Db.query db "SELECT * FROM G") with
+      | [ back ] -> Value.equal_tuple back tup
+      | _ -> false)
+
 let () =
   Alcotest.run "lang"
     [
@@ -802,6 +830,7 @@ let () =
           Alcotest.test_case "DDL" `Quick test_parse_ddl;
           Alcotest.test_case "DML" `Quick test_parse_dml;
           Alcotest.test_case "scripts and errors" `Quick test_parse_script_and_errors;
+          QCheck_alcotest.to_alcotest prop_render_reinsert;
         ] );
       ( "eval",
         [

@@ -159,10 +159,10 @@ let test_compression_flag_refused () =
     | Some p -> Bytes.of_string p
     | None -> Alcotest.fail "no catalog payload in the log"
   in
-  Db.replicate_catalog wdb (Bytes.to_string payload);
+  Db.replicate_catalog wdb (Some (Bytes.to_string payload));
   Bytes.set payload 2 '\001';
   try
-    Db.replicate_catalog wdb (Bytes.to_string payload);
+    Db.replicate_catalog wdb (Some (Bytes.to_string payload));
     Alcotest.fail "catalog payload with page compression applied"
   with Db.Db_error _ -> ()
 
@@ -412,7 +412,146 @@ let test_log_crash_before_restart () =
   checkb "after the open: pages byte-identical" true (D.export_pages (Db.disk db3) = pages);
   remove_files files
 
+(* A checkpoint restarts the log file without a catalog payload, and
+   commits that leave the catalog alone add none: the reopen takes the
+   image's catalog, which is the checkpoint's, then the newest payload
+   a later catalog change logged. *)
+let test_log_payloadless_commits () =
+  let ((_, log) as files) = fresh_files "lf_payloadless" in
+  let db = open_files files in
+  ignore (Db.exec db "CREATE TABLE T (A INT, N TEXT, XS TABLE (X INT))");
+  ignore (Db.exec db "INSERT INTO T VALUES (1, 'one', {(10)}), (2, 'two', {}), (3, 'three', {(30)})");
+  ignore (Db.exec db "CREATE INDEX ON T (A)");
+  ignore (Db.wal_checkpoint db);
+  List.iter
+    (fun sql -> ignore (Db.exec db sql))
+    [
+      "UPDATE T SET N = 'uno' WHERE A = 1";
+      "UPDATE T SET A = 20 WHERE A = 2";
+      "CREATE TABLE U (B INT)";
+      "INSERT INTO U VALUES (7)";
+      "INSERT INTO T.XS WHERE A = 20 VALUES (21)";
+      "UPDATE U SET B = 8 WHERE B = 7";
+    ];
+  let payloads =
+    match Wal.file_records log with
+    | Some data ->
+        List.filter_map
+          (fun (_, r) -> match r with Wal.Commit { payload; _ } -> Some payload | _ -> None)
+          (Wal.records_of_string data)
+    | None -> []
+  in
+  checki "six commits in the restarted log" 6 (List.length payloads);
+  checkb "the first two carry no catalog" true (List.filteri (fun i _ -> i < 2) payloads = [ None; None ]);
+  checkb "CREATE TABLE carries it" true (List.nth payloads 2 <> None);
+  checkb "the last carries none" true (List.nth payloads 5 = None);
+  let queries =
+    [ "SELECT t.A, t.N, t.XS FROM t IN T"; "SELECT t.N FROM t IN T WHERE t.A = 20"; "SELECT u.B FROM u IN U" ]
+  in
+  let answers db = List.map (fun q -> Rel.render (Db.query db q)) queries in
+  let expected = answers db in
+  (* kill: drop the handle; the reopen answers alike, and so does the
+     next one after more payload-less commits on its restarted log *)
+  let db2 = open_files files in
+  Alcotest.(check (list string)) "reopened after the kill" expected (answers db2);
+  ignore (Db.exec db2 "UPDATE T SET N = 'eins' WHERE A = 1");
+  let expected = answers db2 in
+  let db3 = open_files files in
+  Alcotest.(check (list string)) "reopened again" expected (answers db3);
+  remove_files files
+
 (* --- transactions ------------------------------------------------------- *)
+
+(* ROLLBACK takes up the value and text indexes BEGIN froze instead
+   of rebuilding them: after random DML, committed or rolled back, each
+   index answers every lookup, range and vocabulary query as one
+   freshly built over the restored store does. *)
+let test_txn_rollback_indexes () =
+  let module VI = Nf2_index.Value_index in
+  let module TI = Nf2_index.Text_index in
+  let prng = Prng.create 24 in
+  let word () = Prng.pick prng [| "drill"; "lathe"; "press"; "oven"; "saw" |] in
+  let db = Db.create ~page_size:512 ~wal:true () in
+  ignore (Db.exec db "CREATE TABLE T (K INT, NAME TEXT, XS TABLE (X INT, W TEXT))");
+  let insert k =
+    Printf.sprintf "INSERT INTO T VALUES (%d, '%s %s', {(%d, '%s'), (%d, '%s')})" k (word ())
+      (word ()) (Prng.int prng 20) (word ()) (Prng.int prng 20) (word ())
+  in
+  for k = 1 to 25 do
+    ignore (Db.exec db (insert k))
+  done;
+  List.iter
+    (fun sql -> ignore (Db.exec db sql))
+    [
+      "CREATE INDEX ON T (K) USING ROOT";
+      "CREATE INDEX ON T (XS.X)";
+      "CREATE INDEX ON T (XS.X) USING DATA";
+      "CREATE TEXT INDEX ON T (NAME)";
+      "CREATE TEXT INDEX ON T (XS.W)";
+    ];
+  let dml () =
+    let k = Prng.int prng 30 in
+    match Prng.int prng 6 with
+    | 0 -> insert (30 + Prng.int prng 30)
+    | 1 -> Printf.sprintf "UPDATE T SET K = %d WHERE K = %d" (Prng.int prng 60) k
+    | 2 -> Printf.sprintf "UPDATE T SET NAME = '%s' WHERE K = %d" (word ()) k
+    | 3 -> Printf.sprintf "DELETE FROM T WHERE K = %d" k
+    | 4 -> Printf.sprintf "INSERT INTO T.XS WHERE K = %d VALUES (%d, '%s')" k (Prng.int prng 20) (word ())
+    | _ -> Printf.sprintf "DELETE FROM T.XS WHERE X = %d" (Prng.int prng 20)
+  in
+  let sorted l = List.sort compare l in
+  let atoms = List.init 62 (fun i -> Atom.Int (i - 1)) in
+  let check_indexes round =
+    let store = Db.table_store db ~table:"T" and schema = Db.table_schema db ~table:"T" in
+    let access =
+      match Db.catalog db "T" with
+      | Some { Nf2_lang.Eval.index = Some a; _ } -> a
+      | _ -> Alcotest.fail "T has no index access"
+    in
+    checki "five indexes" 5 (List.length access.indexes + List.length access.text_indexes);
+    List.iter
+      (fun (path, vi) ->
+        let fresh = VI.create store schema (VI.strategy vi) path in
+        let what = Printf.sprintf "round %d, %s (%s)" round (String.concat "." path) (VI.strategy_name (VI.strategy vi)) in
+        (* a data-TID index keeps a deleted subtuple's posting and
+           re-validates it on use; its root answers are what count *)
+        if VI.strategy vi <> VI.Data_tid then begin
+          checkb (what ^ ": lookups") true
+            (List.for_all (fun a -> sorted (VI.lookup vi a) = sorted (VI.lookup fresh a)) atoms);
+          checkb (what ^ ": ranges") true
+            (sorted (VI.lookup_range vi ~lo:(Atom.Int 0) ~hi:(Atom.Int 30))
+            = sorted (VI.lookup_range fresh ~lo:(Atom.Int 0) ~hi:(Atom.Int 30)))
+        end;
+        checkb (what ^ ": roots") true (List.for_all (fun a -> VI.roots_for vi a = VI.roots_for fresh a) atoms))
+      access.indexes;
+    List.iter
+      (fun (path, tix) ->
+        let fresh = TI.create store schema path in
+        let what = Printf.sprintf "round %d, text %s" round (String.concat "." path) in
+        Alcotest.(check (list string)) (what ^ ": vocabulary") (TI.vocabulary fresh) (TI.vocabulary tix);
+        checkb (what ^ ": searches") true
+          (List.for_all
+             (fun w ->
+               let hits x = sorted (List.map (fun (w, hs) -> (w, sorted hs)) (TI.search x w)) in
+               hits tix = hits fresh)
+             ("*" :: TI.vocabulary fresh)))
+      access.text_indexes
+  in
+  let rollbacks = ref 0 in
+  for round = 1 to 16 do
+    Db.begin_txn db;
+    for _ = 0 to Prng.int prng 6 do
+      ignore (Db.exec db (dml ()))
+    done;
+    if Prng.int prng 3 = 0 then Db.commit db
+    else begin
+      Db.rollback db;
+      incr rollbacks;
+      check_indexes round
+    end
+  done;
+  checkb "several rounds rolled back" true (!rollbacks >= 5)
+
 
 let test_txn_rollback () =
   let db = Nf2.Demo.create () in
@@ -579,6 +718,7 @@ let () =
           Alcotest.test_case "failed script recovers alike" `Quick test_log_failed_script;
           Alcotest.test_case "stale temp image ignored" `Quick test_log_stale_tmp_ignored;
           Alcotest.test_case "crash before the log restart" `Quick test_log_crash_before_restart;
+          Alcotest.test_case "payload-less commits" `Quick test_log_payloadless_commits;
         ] );
       ( "wal",
         [
@@ -590,6 +730,7 @@ let () =
           Alcotest.test_case "rollback" `Quick test_txn_rollback;
           Alcotest.test_case "commit" `Quick test_txn_commit;
           Alcotest.test_case "rollback keeps the pool" `Quick test_txn_rollback_keeps_pool;
+          Alcotest.test_case "rollback takes up BEGIN's indexes" `Quick test_txn_rollback_indexes;
           Alcotest.test_case "BEGIN attaches the log" `Quick test_txn_attaches_wal;
           Alcotest.test_case "errors" `Quick test_txn_errors;
         ] );

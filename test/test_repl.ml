@@ -373,6 +373,58 @@ let test_replica_snapshot_reads () =
       Repl.Replica.stop rep;
       Client.close c)
 
+(* --- commits that carry no catalog ---------------------------------------- *)
+
+(* A commit that leaves the catalog alone ships without a payload; the
+   replica then refreshes from its own catalog (the one last shipped)
+   at that commit, so a batch of such commits still makes its rows
+   visible, on the live path and to snapshot readers.  Promotion
+   afterwards works as ever. *)
+let test_payloadless_batch () =
+  with_primary (fun srv _p ->
+      let c = conn srv in
+      nested_fixture c;
+      let rep = Repl.Replica.create () in
+      Repl.Replica.start rep ~host:"127.0.0.1" ~port:(Server.port srv);
+      catch_up rep srv;
+      Repl.Replica.stop rep;
+      let w = Option.get (Db.wal (Server.db srv)) in
+      let since = Wal.last_lsn w in
+      ignore (expect_ok c "UPDATE DEPT SET BUDGET = 7 WHERE DNO = 3");
+      (* new subtable rows land on their object's own page; a new
+         object would take a page of its own, and change the catalog *)
+      ignore (expect_ok c "INSERT INTO DEPT.EQUIP WHERE DNO = 2 VALUES (8, 'VISE')");
+      ignore (expect_ok c "INSERT INTO DEPT.EQUIP WHERE DNO = 3 VALUES (9, 'RULE'), (10, 'FILE')");
+      let payloads =
+        List.filter_map
+          (fun (lsn, r) -> match r with Wal.Commit { payload; _ } when lsn > since -> Some payload | _ -> None)
+          (Wal.records_of_string (Wal.contents w))
+      in
+      checki "three commits" 3 (List.length payloads);
+      checkb "none carries the catalog" true (List.for_all Option.is_none payloads);
+      (* the applier was down: the three commits arrive as one batch *)
+      Repl.Replica.start rep ~host:"127.0.0.1" ~port:(Server.port srv);
+      catch_up rep srv;
+      let rdb = Repl.Replica.db rep in
+      same_state "payload-less batch" (Server.db srv) rdb;
+      let q = "SELECT x.DNO, x.BUDGET, x.EQUIP FROM x IN DEPT WHERE x.DNO >= 2" in
+      let snap = Db.snapshot rdb in
+      let on_snapshot =
+        match Db.exec_read rdb snap (Nf2_lang.Parser.parse_script q |> List.hd) with
+        | Db.Rows r -> r
+        | Db.Msg m -> Alcotest.fail m
+      in
+      Db.release_snapshot rdb snap;
+      checkb "snapshot readers see the new rows" true (Rel.equal (Db.query (Server.db srv) q) on_snapshot);
+      Repl.Replica.stop rep;
+      Client.close c;
+      (* promotion: the promoted node writes, and recovers what it wrote *)
+      ignore (Repl.Replica.promote rep);
+      ignore (Db.exec rdb "UPDATE DEPT SET BUDGET = 9 WHERE DNO = 3");
+      ignore (Db.exec rdb "INSERT INTO DEPT VALUES (5, 'After', 5, {(11, 'AWL')})");
+      same_state "promoted node recovers" (Db.recover_from_image (Db.crash_image rdb)) rdb;
+      checki "promoted node answers" 4 (List.length (Rel.tuples (Db.query rdb "SELECT x.DNO FROM x IN DEPT"))))
+
 (* --- promotion ------------------------------------------------------------ *)
 
 let test_promote () =
@@ -455,4 +507,6 @@ let () =
         [ Alcotest.test_case "crash mid-apply, checkpoint restart" `Quick test_replica_crash_restart ]
       );
       ("promotion", [ Alcotest.test_case "promote after primary death" `Quick test_promote ]);
+      ( "catalog payloads",
+        [ Alcotest.test_case "a batch of payload-less commits" `Quick test_payloadless_batch ] );
     ]

@@ -406,7 +406,7 @@ let rec fetch_steps t sp root_sections (tbl : Schema.table) (view : obj_view) (s
             let rec count i = function
               | [] -> store_error "attribute %s not found" name
               | (g : Schema.field) :: gs ->
-                  if String.uppercase_ascii g.name = String.uppercase_ascii name then i
+                  if Schema.same_name g.name name then i
                   else
                     count (match g.attr with Schema.Atomic _ -> i + 1 | Schema.Table _ -> i) gs
             in
@@ -417,7 +417,7 @@ let rec fetch_steps t sp root_sections (tbl : Schema.table) (view : obj_view) (s
           let sti =
             let rec pos i = function
               | [] -> store_error "subtable %s not found" name
-              | (n, _) :: ns -> if String.uppercase_ascii n = String.uppercase_ascii name then i else pos (i + 1) ns
+              | (n, _) :: ns -> if Schema.same_name n name then i else pos (i + 1) ns
             in
             pos 0 (table_fields tbl)
           in
@@ -445,7 +445,7 @@ and fetch_subtable_steps t sp root_sections (sub : Schema.table) (st : subtable_
                     let rec count i = function
                       | [] -> store_error "attribute %s not found" name
                       | (g : Schema.field) :: gs ->
-                          if String.uppercase_ascii g.name = String.uppercase_ascii name then i
+                          if Schema.same_name g.name name then i
                           else count (match g.attr with Schema.Atomic _ -> i + 1 | Schema.Table _ -> i) gs
                     in
                     Value.Atom (List.nth atoms (count 0 sub.fields))
@@ -609,7 +609,7 @@ let update_atoms t (schema : Schema.t) (root : Tid.t) (steps : step list) (new_a
               let rec pos i = function
                 | [] -> store_error "subtable %s not found" name
                 | (n, _) :: ns ->
-                    if String.uppercase_ascii n = String.uppercase_ascii name then i else pos (i + 1) ns
+                    if Schema.same_name n name then i else pos (i + 1) ns
               in
               pos 0 (table_fields tbl)
             in
@@ -655,7 +655,7 @@ let append_element t (schema : Schema.t) (root : Tid.t) (steps : step list) (etu
               let rec pos i = function
                 | [] -> store_error "subtable %s not found" name
                 | (n, _) :: ns ->
-                    if String.uppercase_ascii n = String.uppercase_ascii name then i else pos (i + 1) ns
+                    if Schema.same_name n name then i else pos (i + 1) ns
               in
               pos 0 (table_fields tbl)
             in
@@ -669,7 +669,7 @@ let append_element t (schema : Schema.t) (root : Tid.t) (steps : step list) (etu
               let rec pos i = function
                 | [] -> store_error "subtable %s not found" name
                 | (n, _) :: ns ->
-                    if String.uppercase_ascii n = String.uppercase_ascii name then i else pos (i + 1) ns
+                    if Schema.same_name n name then i else pos (i + 1) ns
               in
               pos 0 (table_fields tbl)
             in
@@ -738,7 +738,7 @@ let delete_element t (schema : Schema.t) (root : Tid.t) (steps : step list) ~idx
               let rec pos i = function
                 | [] -> store_error "subtable %s not found" name
                 | (n, _) :: ns ->
-                    if String.uppercase_ascii n = String.uppercase_ascii name then i else pos (i + 1) ns
+                    if Schema.same_name n name then i else pos (i + 1) ns
               in
               pos 0 (table_fields tbl)
             in
@@ -752,7 +752,7 @@ let delete_element t (schema : Schema.t) (root : Tid.t) (steps : step list) ~idx
               let rec pos i = function
                 | [] -> store_error "subtable %s not found" name
                 | (n, _) :: ns ->
-                    if String.uppercase_ascii n = String.uppercase_ascii name then i else pos (i + 1) ns
+                    if Schema.same_name n name then i else pos (i + 1) ns
               in
               pos 0 (table_fields tbl)
             in
@@ -844,7 +844,7 @@ let index_entries t (schema : Schema.t) (root : Tid.t) (spath : Schema.path) :
     let rec count i = function
       | [] -> store_error "attribute %s not found" name
       | (g : Schema.field) :: gs ->
-          if String.uppercase_ascii g.name = String.uppercase_ascii name then i
+          if Schema.same_name g.name name then i
           else count (match g.attr with Schema.Atomic _ -> i + 1 | Schema.Table _ -> i) gs
     in
     count 0 tbl.fields
@@ -865,7 +865,7 @@ let index_entries t (schema : Schema.t) (root : Tid.t) (spath : Schema.path) :
               let rec pos i = function
                 | [] -> store_error "subtable %s not found" name
                 | (n, _) :: ns ->
-                    if String.uppercase_ascii n = String.uppercase_ascii name then i else pos (i + 1) ns
+                    if Schema.same_name n name then i else pos (i + 1) ns
               in
               pos 0 (table_fields tbl)
             in
@@ -905,7 +905,7 @@ let index_entries_fig7a t (schema : Schema.t) (root : Tid.t) (spath : Schema.pat
     let rec count i = function
       | [] -> store_error "attribute %s not found" name
       | (g : Schema.field) :: gs ->
-          if String.uppercase_ascii g.name = String.uppercase_ascii name then i
+          if Schema.same_name g.name name then i
           else count (match g.attr with Schema.Atomic _ -> i + 1 | Schema.Table _ -> i) gs
     in
     count 0 tbl.fields
@@ -924,7 +924,7 @@ let index_entries_fig7a t (schema : Schema.t) (root : Tid.t) (spath : Schema.pat
               let rec pos i = function
                 | [] -> store_error "subtable %s not found" name
                 | (n, _) :: ns ->
-                    if String.uppercase_ascii n = String.uppercase_ascii name then i else pos (i + 1) ns
+                    if Schema.same_name n name then i else pos (i + 1) ns
               in
               pos 0 (table_fields tbl)
             in

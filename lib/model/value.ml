@@ -67,8 +67,15 @@ let equal_v a b = compare_v a b = 0
 let equal_tuple a b = compare_tuple a b = 0
 let equal_table a b = compare_table a b = 0
 
-(* Set-semantic deduplication. *)
-let dedup tuples = Stdlib.List.sort_uniq compare_tuple tuples
+(* Set-semantic deduplication: sorted, duplicates dropped.  Input that
+   is already strictly increasing (a nested loop over sorted sets often
+   is) costs one linear check instead of a sort. *)
+let dedup tuples =
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> compare_tuple a b < 0 && increasing rest
+    | _ -> true
+  in
+  if increasing tuples then tuples else Stdlib.List.sort_uniq compare_tuple tuples
 
 (* --- schema conformance -------------------------------------------- *)
 

@@ -77,7 +77,7 @@ let remove_object t (root : Tid.t) =
     entries
 
 let create store schema path =
-  (match Schema.resolve_path schema.Schema.table path with
+  (match Schema.path_attr schema.Schema.table path with
   | Schema.Atomic Atom.Tstring -> ()
   | _ -> invalid_arg "Text_index.create: path must end at a TEXT attribute");
   let t = { path; fragments = Bptree.create (); words = Bptree.create (); store; schema } in

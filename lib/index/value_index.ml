@@ -78,7 +78,7 @@ let remove_object t (root : Tid.t) =
     entries
 
 let create store schema strategy path =
-  (match Schema.resolve_path schema.Schema.table path with
+  (match Schema.path_attr schema.Schema.table path with
   | Schema.Atomic _ -> ()
   | Schema.Table _ -> invalid_arg "Value_index.create: path must end at an atomic attribute");
   let t = { strategy; path; tree = Bptree.create (); store; schema } in

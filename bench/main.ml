@@ -1729,7 +1729,11 @@ let bench_read_scaling () =
    [Db.exec_read] on a snapshot of 400 departments, against a
    hand-written walk over the same [Mvcc.fetch]ed objects.  Times are
    printed; the gates are deterministic: every answer equals the
-   walk's, and the unnest checks its DNO band at range x only. *)
+   walk's, and the unnest checks its DNO band at range x only.  A second
+   table times each answer's result path: rendering its cells plus
+   encoding the Result_table payload, against the reference renderer and
+   encoder (test/ref_render), and decoding it; the only gate there is
+   that both produce the same bytes. *)
 let bench_qp_executor () =
   subsection "executor: nested-report shapes on a snapshot vs a hand-written walk (51-run medians)";
   let module Mvcc = Nf2_temporal.Mvcc in
@@ -1829,26 +1833,43 @@ let bench_qp_executor () =
     Array.sort Float.compare a;
     a.(25)
   in
+  let us ns = Printf.sprintf "%.1f us" (ns /. 1e3) in
   let rows =
     List.map
       (fun (name, sql, walk) ->
         let stmt = match Nf2_lang.Parser.parse_script sql with [ s ] -> s | _ -> failwith "one statement" in
         let read () = match Db.exec_read db snap stmt with Db.Rows r -> r | Db.Msg m -> failwith m in
-        let answer = Rel.tuples (read ()) in
+        let rel = read () in
+        let answer = Rel.tuples rel in
         check
           (Printf.sprintf "%s: exec_read answers what the walk finds (%d rows)" name (List.length answer))
           (answer <> [] && List.equal Value.equal_tuple answer (Value.dedup (walk ())));
         let exec_ns = median_ns read and walk_ns = median_ns walk in
-        [
-          name;
-          string_of_int (List.length answer);
-          Printf.sprintf "%.1f us" (exec_ns /. 1e3);
-          Printf.sprintf "%.1f us" (walk_ns /. 1e3);
-          Printf.sprintf "%.1fx" (exec_ns /. walk_ns);
-        ])
+        let columns = List.map (fun (f : Schema.field) -> f.name) rel.Rel.schema.fields in
+        let encode () =
+          Proto.encode_response
+            (Proto.Result_table { columns; rows = List.map (List.map Value.render_v) answer })
+        in
+        let reference () =
+          Ref_render.encode_result_table columns (List.map (List.map Ref_render.render_v) answer)
+        in
+        let bytes = encode () in
+        check (Printf.sprintf "%s: the result payload equals the reference bytes" name) (bytes = reference ());
+        ( [ name; string_of_int (List.length answer); us exec_ns; us walk_ns; Printf.sprintf "%.1fx" (exec_ns /. walk_ns) ],
+          [
+            name;
+            string_of_int (String.length bytes);
+            us exec_ns;
+            us (median_ns encode);
+            us (median_ns reference);
+            us (median_ns (fun () -> Proto.decode_response bytes));
+          ] ))
       shapes
   in
-  print_table ~header:[ "shape"; "rows"; "exec_read"; "hand walk"; "exec / walk" ] rows;
+  print_table ~header:[ "shape"; "rows"; "exec_read"; "hand walk"; "exec / walk" ] (List.map fst rows);
+  print_table
+    ~header:[ "shape"; "payload B"; "exec_read"; "render+encode"; "reference"; "decode" ]
+    (List.map snd rows);
   (* pushdown: the unnest's DNO band is checked on the 21 departments
      the index yields (the strict upper bound probes inclusively), not
      on the 800 unnested bindings *)

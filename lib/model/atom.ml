@@ -124,8 +124,55 @@ let date_of_string s =
       with _ -> None)
   | _ -> None
 
+(* Decimal text of an INT at its exact length.  Digits are taken from
+   the non-positive magnitude, so [min_int] needs no special case. *)
+let int_literal v =
+  let m = if v < 0 then v else -v in
+  let rec ndigits n m = if m <= -10 then ndigits (n + 1) (m / 10) else n in
+  let sign = if v < 0 then 1 else 0 in
+  let len = sign + ndigits 1 m in
+  let b = Bytes.create len in
+  if v < 0 then Bytes.unsafe_set b 0 '-';
+  let m = ref m in
+  for i = len - 1 downto sign do
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  Bytes.unsafe_to_string b
+
+let add_int b v =
+  if v < 0 then Buffer.add_char b '-';
+  let rec go m =
+    if m <= -10 then go (m / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+  in
+  go (if v < 0 then v else -v)
+
+let add_quoted b v =
+  Buffer.add_char b '\'';
+  if String.contains v '\'' then
+    String.iter (fun c -> if c = '\'' then Buffer.add_string b "''" else Buffer.add_char b c) v
+  else Buffer.add_string b v;
+  Buffer.add_char b '\''
+
+(* A string without quotes to double is one blit into its exact size. *)
+let str_literal v =
+  let n = String.length v in
+  if String.contains v '\'' then begin
+    let b = Buffer.create (n + 4) in
+    add_quoted b v;
+    Buffer.contents b
+  end
+  else begin
+    let b = Bytes.create (n + 2) in
+    Bytes.unsafe_set b 0 '\'';
+    Bytes.unsafe_blit_string v 0 b 1 n;
+    Bytes.unsafe_set b (n + 1) '\'';
+    Bytes.unsafe_to_string b
+  end
+
 let to_string = function
-  | Int v -> string_of_int v
+  | Int v -> int_literal v
   | Float v ->
       let s = Printf.sprintf "%.12g" v in
       if String.contains s '.' || String.contains s 'e' || String.contains s 'n' then s
@@ -139,17 +186,15 @@ let to_string = function
 
 (* SQL-ish literal form: strings quoted. *)
 let to_literal = function
-  | Str v ->
-      let b = Buffer.create (String.length v + 2) in
-      Buffer.add_char b '\'';
-      String.iter
-        (fun c ->
-          if c = '\'' then Buffer.add_string b "''" else Buffer.add_char b c)
-        v;
-      Buffer.add_char b '\'';
-      Buffer.contents b
+  | Int v -> int_literal v
+  | Str v -> str_literal v
   | Date _ as a -> "DATE '" ^ to_string a ^ "'"
   | a -> to_string a
+
+let add_literal b = function
+  | Int v -> add_int b v
+  | Str v -> add_quoted b v
+  | a -> Buffer.add_string b (to_literal a)
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)
 

@@ -60,6 +60,9 @@ val to_string : t -> string
     [DATE 'YYYY-MM-DD']. *)
 val to_literal : t -> string
 
+(** [add_literal b a] appends [to_literal a] to [b]. *)
+val add_literal : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Binary codec} *)

@@ -166,15 +166,44 @@ let structure_counts (tbl : Schema.table) (tup : tuple) =
 
 (* --- rendering ------------------------------------------------------ *)
 
-let rec render_v = function
+(* [add] each element, separated by ", ". *)
+let add_sep add b = function
+  | [] -> ()
+  | x :: rest ->
+      add b x;
+      Stdlib.List.iter
+        (fun x ->
+          Buffer.add_string b ", ";
+          add b x)
+        rest
+
+(* One recursive writer into one buffer: every cell is written once. *)
+let rec add_v b = function
+  | Atom a -> Atom.add_literal b a
+  | Table t -> add_table b t
+
+and add_table b (t : table) =
+  let o, c = match t.kind with Schema.Set -> ('{', '}') | Schema.List -> ('<', '>') in
+  Buffer.add_char b o;
+  add_sep add_tuple b t.tuples;
+  Buffer.add_char b c
+
+and add_tuple b (tup : tuple) =
+  Buffer.add_char b '(';
+  add_sep add_v b tup;
+  Buffer.add_char b ')'
+
+let render_with add x =
+  let b = Buffer.create 64 in
+  add b x;
+  Buffer.contents b
+
+let render_table = render_with add_table
+let render_tuple = render_with add_tuple
+
+let render_v = function
   | Atom a -> Atom.to_literal a
   | Table t -> render_table t
-
-and render_table (t : table) =
-  let o, c = match t.kind with Schema.Set -> ("{", "}") | Schema.List -> ("<", ">") in
-  o ^ String.concat ", " (Stdlib.List.map render_tuple t.tuples) ^ c
-
-and render_tuple (tup : tuple) = "(" ^ String.concat ", " (Stdlib.List.map render_v tup) ^ ")"
 
 (* Paper-style nested box rendering: every nested table becomes an
    inlined multi-line ASCII table inside its parent cell. *)

@@ -59,17 +59,38 @@ let add_counter n name d =
 
 let snapshot t : (string * int) list = List.concat_map (fun f -> f ()) t.sources
 
+(* [f] over two lists whose names line up pairwise; [None] as soon as
+   they do not. *)
+let pairwise f xs ys =
+  let rec go acc = function
+    | [], [] -> Some (List.rev acc)
+    | (k, x) :: xs, (k', y) :: ys when String.equal k k' -> go ((k, f x y) :: acc) (xs, ys)
+    | _ -> None
+  in
+  go [] (xs, ys)
+
+(* Both snapshots come from the same sources in the same order, and a
+   node's counters are the names of its first activation, so the usual
+   case is one pairwise walk; lookup by name covers a source whose list
+   changed shape in between. *)
+let accumulate node before after =
+  let deltas =
+    match pairwise (fun b a -> a - b) before after with
+    | Some ds -> ds
+    | None ->
+        List.map (fun (name, a) -> (name, a - Option.value ~default:0 (List.assoc_opt name before))) after
+  in
+  match pairwise ( + ) node.counters deltas with
+  | Some cs -> node.counters <- cs
+  | None -> List.iter (fun (name, d) -> add_counter node name d) deltas
+
 let timed t node f =
   let before = snapshot t in
   let t0 = now_ns () in
   let finish () =
     node.ns <- node.ns + (now_ns () - t0);
     node.calls <- node.calls + 1;
-    List.iter
-      (fun (name, after) ->
-        let b = Option.value ~default:0 (List.assoc_opt name before) in
-        add_counter node name (after - b))
-      (snapshot t)
+    accumulate node before (snapshot t)
   in
   match f () with
   | r ->

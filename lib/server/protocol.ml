@@ -204,41 +204,68 @@ let decode_request (s : string) : request =
   if not (Codec.at_end src) then protocol_error "trailing bytes after request";
   r
 
-let encode_response (r : response) : string =
-  let b = Codec.create_sink () in
-  (match r with
-  | Result_table { columns; rows } ->
-      Codec.put_u8 b 1;
-      Codec.put_uvarint b (List.length columns);
-      List.iter (Codec.put_string b) columns;
-      Codec.put_uvarint b (List.length rows);
-      List.iter
-        (fun row ->
-          Codec.put_uvarint b (List.length row);
-          List.iter (Codec.put_string b) row)
-        rows
+(* A [Result_table] payload, sized in one pass (cell bytes plus varint
+   lengths) and filled into one exact allocation, [off] bytes into it
+   so that a frame header can share the allocation. *)
+let result_table_bytes ~off columns rows =
+  let str_size acc s =
+    let n = String.length s in
+    acc + Codec.uvarint_size n + n
+  in
+  let list_size acc l = List.fold_left str_size (acc + Codec.uvarint_size (List.length l)) l in
+  let size = List.fold_left list_size (list_size 1 columns + Codec.uvarint_size (List.length rows)) rows in
+  let buf = Bytes.create (off + size) in
+  Bytes.set buf off '\001';
+  let put_str pos s =
+    let n = String.length s in
+    let pos = Codec.blit_uvarint buf pos n in
+    Bytes.blit_string s 0 buf pos n;
+    pos + n
+  in
+  let put_list pos l = List.fold_left put_str (Codec.blit_uvarint buf pos (List.length l)) l in
+  let pos = put_list (off + 1) columns in
+  let pos = List.fold_left put_list (Codec.blit_uvarint buf pos (List.length rows)) rows in
+  assert (pos = off + size);
+  buf
+
+(* The payload of [r], [off] bytes into a fresh buffer. *)
+let response_bytes ~off (r : response) : Bytes.t =
+  let sink f =
+    let b = Codec.create_sink () in
+    Buffer.add_string b (String.make off '\000');
+    f b;
+    Buffer.to_bytes b
+  in
+  match r with
+  | Result_table { columns; rows } -> result_table_bytes ~off columns rows
   | Row_count { affected; message } ->
+      sink @@ fun b ->
       Codec.put_u8 b 2;
       Codec.put_uvarint b affected;
       Codec.put_string b message
   | Prepared { id; nparams } ->
+      sink @@ fun b ->
       Codec.put_u8 b 3;
       Codec.put_uvarint b id;
       Codec.put_uvarint b nparams
   | Error { code; message } ->
+      sink @@ fun b ->
       Codec.put_u8 b 4;
       Codec.put_string b code;
       Codec.put_string b message
-  | Pong -> Codec.put_u8 b 5
+  | Pong -> sink @@ fun b -> Codec.put_u8 b 5
   | Metrics_text s ->
+      sink @@ fun b ->
       Codec.put_u8 b 6;
       Codec.put_string b s
-  | Bye -> Codec.put_u8 b 7
+  | Bye -> sink @@ fun b -> Codec.put_u8 b 7
   | Repl_batch { records; durable_lsn } ->
+      sink @@ fun b ->
       Codec.put_u8 b 8;
       Codec.put_string b records;
       Codec.put_uvarint b durable_lsn
   | Shard_map { version; shards } ->
+      sink @@ fun b ->
       Codec.put_u8 b 9;
       Codec.put_uvarint b version;
       Codec.put_uvarint b (List.length shards);
@@ -250,8 +277,9 @@ let encode_response (r : response) : string =
           Codec.put_uvarint b s.sh_routed;
           Codec.put_uvarint b s.sh_fanout;
           Codec.put_uvarint b s.sh_errors)
-        shards);
-  Codec.contents b
+        shards
+
+let encode_response (r : response) : string = Bytes.unsafe_to_string (response_bytes ~off:0 r)
 
 let decode_response (s : string) : response =
   guard_decode "response" @@ fun () ->
@@ -306,12 +334,11 @@ let decode_response (s : string) : response =
 
 let max_frame = 64 * 1024 * 1024
 
-let write_frame (fd : Unix.file_descr) (payload : string) =
-  let n = String.length payload in
+(* Send [buf], whose first 4 bytes are reserved for the frame header. *)
+let write_framed fd buf =
+  let n = Bytes.length buf - 4 in
   if n > max_frame then protocol_error "frame too large (%d bytes)" n;
-  let buf = Bytes.create (4 + n) in
   Codec.blit_u32 buf 0 n;
-  Bytes.blit_string payload 0 buf 4 n;
   let rec put off remaining =
     if remaining > 0 then begin
       let k = Unix.write fd buf off remaining in
@@ -319,6 +346,12 @@ let write_frame (fd : Unix.file_descr) (payload : string) =
     end
   in
   put 0 (4 + n)
+
+let write_frame (fd : Unix.file_descr) (payload : string) =
+  let n = String.length payload in
+  let buf = Bytes.create (4 + n) in
+  Bytes.blit_string payload 0 buf 4 n;
+  write_framed fd buf
 
 (* [None] on a clean EOF at a frame boundary. *)
 let read_frame (fd : Unix.file_descr) : string option =
@@ -337,10 +370,11 @@ let read_frame (fd : Unix.file_descr) : string option =
     if n > max_frame then protocol_error "frame too large (%d bytes)" n;
     let payload = Bytes.create n in
     if not (get payload 0 n) && n > 0 then protocol_error "connection closed mid-frame";
-    Some (Bytes.to_string payload)
+    (* nothing else holds [payload], so it becomes the string as is *)
+    Some (Bytes.unsafe_to_string payload)
   end
 
 let send_request fd r = write_frame fd (encode_request r)
-let send_response fd r = write_frame fd (encode_response r)
+let send_response fd r = write_framed fd (response_bytes ~off:4 r)
 let recv_request fd = Option.map decode_request (read_frame fd)
 let recv_response fd = Option.map decode_response (read_frame fd)

@@ -38,6 +38,22 @@ let put_uvarint b v =
   in
   go v
 
+(* Bytes [put_uvarint] writes for [v]. *)
+let uvarint_size v =
+  let rec go n v = if v >= 0 && v < 0x80 then n else go (n + 1) (v lsr 7) in
+  go 1 v
+
+(* [put_uvarint] into [bytes] at [off]; the offset after it. *)
+let rec blit_uvarint bytes off v =
+  if v >= 0 && v < 0x80 then begin
+    Bytes.set bytes off (Char.unsafe_chr v);
+    off + 1
+  end
+  else begin
+    Bytes.set bytes off (Char.unsafe_chr ((v land 0x7f) lor 0x80));
+    blit_uvarint bytes (off + 1) (v lsr 7)
+  end
+
 let get_uvarint src =
   let rec go shift acc =
     if shift > 62 then decode_error "get_uvarint: overflow";

@@ -24,6 +24,14 @@ val put_uvarint : sink -> int -> unit
 
 val get_uvarint : source -> int
 
+(** [uvarint_size v] is the number of bytes {!put_uvarint} writes for [v]. *)
+val uvarint_size : int -> int
+
+(** [blit_uvarint bytes off v] writes [v] as {!put_uvarint} would, at
+    [off], and returns the offset just past it.
+    @raise Invalid_argument if it does not fit. *)
+val blit_uvarint : Bytes.t -> int -> int -> int
+
 (** Zig-zag signed varint: small magnitudes stay short. *)
 val put_varint : sink -> int -> unit
 

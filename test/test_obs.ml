@@ -203,6 +203,25 @@ let test_trace_accumulation () =
   Alcotest.(check bool) "compact one line" true
     (not (contains (Trace.render_compact tr) "\n"))
 
+(* Deltas come from walking the before and after snapshots pairwise; a
+   source whose list changes shape (a counter that appears inside a
+   section, or a node whose counters are in another order) falls back
+   to lookup by name, with the same totals in first-seen order. *)
+let test_trace_source_shape () =
+  let tr = Trace.create () in
+  let a = ref 0 and b = ref 0 and x = ref None in
+  Trace.add_source tr (fun () -> [ ("a", !a) ]);
+  Trace.add_source tr (fun () ->
+      match !x with Some v -> [ ("x", v); ("b", !b) ] | None -> [ ("b", !b) ]);
+  let op = Trace.child (Trace.root tr) "op" in
+  Trace.timed tr op (fun () -> a := !a + 1; b := !b + 2);
+  (* "x" appears inside the section: its before value counts as 0 *)
+  Trace.timed tr op (fun () -> b := !b + 3; x := Some 5);
+  Trace.timed tr op (fun () -> a := !a + 4; x := Some 9);
+  Trace.timed tr op (fun () -> b := !b + 1);
+  Alcotest.(check (list (pair string int)))
+    "totals in first-seen order" [ ("a", 5); ("b", 6); ("x", 9) ] op.Trace.counters
+
 (* --- EXPLAIN ANALYZE ------------------------------------------------------ *)
 
 let nested_query =
@@ -417,6 +436,7 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "node accumulation" `Quick test_trace_accumulation;
+          Alcotest.test_case "sources that change shape" `Quick test_trace_source_shape;
         ] );
       ( "planner gauges",
         [

@@ -105,6 +105,70 @@ let prop_response_roundtrip =
     (QCheck.make gen_response)
     (fun r -> P.decode_response (P.encode_response r) = r)
 
+(* --- result cells and Result_table bytes against the reference ---------- *)
+
+module Value = Nf2_model.Value
+
+(* INT, FLOAT and STRING edge cases the exact-size writers must get
+   right, plus random values of each type, nested three levels deep in
+   sets and lists (empty ones included). *)
+let gen_cell_atom : Atom.t QCheck.Gen.t =
+  QCheck.Gen.(
+    let pow10 = List.init 18 (fun k -> int_of_float (10. ** float_of_int (k + 1))) in
+    let edge_ints =
+      [ 0; 9; -9; 10; -10; min_int; max_int; min_int + 1 ]
+      @ List.concat_map (fun p -> [ p - 1; p; 1 - p; -p ]) pow10
+    in
+    let char = frequency [ (6, printable); (2, return '\''); (1, char_range '\128' '\255') ] in
+    oneof
+      [
+        map (fun i -> Atom.Int i) (oneof [ oneofl edge_ints; int ]);
+        map
+          (fun f -> Atom.Float f)
+          (oneof [ oneofl [ 0.; 3.; -42.; 1e300; -1e300; nan; infinity; neg_infinity ]; float ]);
+        map
+          (fun s -> Atom.Str s)
+          (oneof
+             [
+               oneofl [ ""; "'"; "''"; "O'Neil"; "it''s"; "M\xc3\xbcller"; "\xe2\x82\xac 5" ];
+               string_size ~gen:char (int_bound 20);
+               string_size ~gen:char (int_range 127 300);
+             ]);
+        map (fun d -> Atom.Date d) (int_range (-100000) 100000);
+        map (fun b -> Atom.Bool b) bool;
+        return Atom.Null;
+      ])
+
+let rec gen_cell depth : Value.v QCheck.Gen.t =
+  QCheck.Gen.(
+    if depth = 0 then map (fun a -> Value.Atom a) gen_cell_atom
+    else
+      frequency
+        [
+          (2, map (fun a -> Value.Atom a) gen_cell_atom);
+          ( 1,
+            map2
+              (fun kind tuples -> Value.Table { kind; tuples })
+              (oneofl [ Nf2_model.Schema.Set; Nf2_model.Schema.List ])
+              (list_size (int_bound 3) (list_size (int_range 1 3) (gen_cell (depth - 1)))) );
+        ])
+
+let prop_render_encode_reference =
+  QCheck.Test.make ~name:"result bytes = reference renderer" ~count:500
+    (QCheck.make
+       ~print:(fun (_, tuples) -> String.concat "\n" (List.map Ref_render.render_tuple tuples))
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 1 4) (string_size (int_bound 8)))
+           (list_size (int_bound 6) (list_size (int_range 1 4) (gen_cell 3)))))
+    (fun (columns, tuples) ->
+      let rows = List.map (List.map Value.render_v) tuples in
+      let bytes = P.encode_response (P.Result_table { columns; rows }) in
+      rows = List.map (List.map Ref_render.render_v) tuples
+      && List.for_all (fun t -> Value.render_tuple t = Ref_render.render_tuple t) tuples
+      && bytes = Ref_render.encode_result_table columns rows
+      && P.decode_response bytes = P.Result_table { columns; rows })
+
 let test_protocol_malformed () =
   let bad f s = try ignore (f s); false with P.Protocol_error _ -> true in
   checkb "empty request payload" true (bad P.decode_request "");
@@ -717,7 +781,64 @@ let test_crash_mid_commit_recovers () =
         true (sorted = expected))
     by_thread
 
-let props = List.map QCheck_alcotest.to_alcotest [ prop_request_roundtrip; prop_response_roundtrip ]
+(* --- served frames: the nested-report shapes over a live socket ---------- *)
+
+(* Each frame the server sends for the four nested-report shapes is
+   byte-equal to the reference encoding of the embedded engine's
+   answer. *)
+let test_served_frames () =
+  let module G = Nf2_workload.Generator in
+  let module PD = Nf2_workload.Paper_data in
+  let module Rel = Nf2_algebra.Rel in
+  let depts = G.departments ~params:{ G.default_dept_params with G.departments = 160; seed = 1 } () in
+  let db = Db.create () in
+  Db.register_table db PD.departments depts;
+  Db.register_table db PD.employees_1nf (G.employees_for ~seed:1 depts);
+  ignore (Db.exec db "CREATE INDEX ON DEPARTMENTS (DNO); CREATE INDEX ON EMPLOYEES_1NF (EMPNO)");
+  let shapes =
+    [
+      "SELECT x.DNO, x.MGRNO, y.PNO, y.PNAME, z.EMPNO, z.FUNCTION FROM x IN DEPARTMENTS, y IN \
+       x.PROJECTS, z IN y.MEMBERS WHERE x.DNO >= 200 AND x.DNO < 220";
+      "SELECT x.DNO, x.MGRNO, (SELECT y.PNO, y.PNAME, (SELECT z.EMPNO, z.FUNCTION FROM z IN \
+       y.MEMBERS) = MEMBERS FROM y IN x.PROJECTS) = PROJECTS, x.BUDGET, (SELECT v.QU, v.TYPE FROM v \
+       IN x.EQUIP) = EQUIP FROM x IN DEPARTMENTS WHERE x.DNO >= 200 AND x.DNO < 210";
+      "SELECT x.DNO, x.MGRNO, x.BUDGET FROM x IN DEPARTMENTS WHERE x.DNO >= 150 AND x.DNO < 250 AND \
+       (EXISTS y IN x.EQUIP : y.TYPE = 'PC/AT') AND (ALL p IN x.PROJECTS : (EXISTS z IN p.MEMBERS \
+       : z.FUNCTION = 'Leader'))";
+      "SELECT x.DNO, x.MGRNO, (SELECT e.EMPNO, e.LNAME, e.FNAME, e.SEX, z.FUNCTION FROM y IN \
+       x.PROJECTS, z IN y.MEMBERS, e IN EMPLOYEES_1NF WHERE z.EMPNO = e.EMPNO) = EMPLOYEES FROM x IN \
+       DEPARTMENTS WHERE x.DNO = 250";
+    ]
+  in
+  let expected =
+    List.map
+      (fun sql ->
+        let rel = Db.query db sql in
+        let columns = List.map (fun (f : Nf2_model.Schema.field) -> f.name) rel.Rel.schema.fields in
+        let tuples = Rel.tuples rel in
+        checkb ("rows: " ^ sql) true (tuples <> []);
+        Ref_render.encode_result_table columns (List.map (List.map Ref_render.render_v) tuples))
+      shapes
+  in
+  with_server ~db (fun srv ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+          List.iter2
+            (fun sql frame ->
+              P.send_request fd (P.Query sql);
+              match P.read_frame fd with
+              | Some got -> checkb ("frame bytes: " ^ sql) true (got = frame)
+              | None -> Alcotest.fail ("server hung up on: " ^ sql))
+            shapes expected;
+          P.send_request fd P.Quit;
+          ignore (P.read_frame fd)))
+
+let props =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_request_roundtrip; prop_response_roundtrip; prop_render_encode_reference ]
 
 let () =
   Alcotest.run "server"
@@ -735,6 +856,7 @@ let () =
           Alcotest.test_case "rollback" `Quick test_rollback_over_wire;
           Alcotest.test_case "no lost updates" `Quick test_no_lost_updates;
           Alcotest.test_case "admission control" `Quick test_admission_control;
+          Alcotest.test_case "served frames = reference" `Quick test_served_frames;
         ] );
       ( "parallel reads",
         [
